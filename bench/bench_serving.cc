@@ -1,15 +1,15 @@
 // Closed-loop load test for the serving subsystem (docs/SERVING.md).
 //
 // Builds a small random-init MSD-Mixer, snapshots it to a checkpoint,
-// restores it into a frozen serve::InferenceSession, and hammers a
-// ServerLoop from N client threads until --requests requests have
-// completed. Reports throughput and p50/p95/p99 end-to-end latency twice —
-// from the clients' own clocks AND from the server-side serve/e2e_us
-// histogram (Histogram::ValueAtQuantile) — and cross-checks that the two
-// agree within 10%, so the histogram the server exports is trustworthy as
-// the gated source of truth. Exits nonzero on any failed request, any
-// correctness mismatch, a server/client quantile disagreement, or a broken
-// backpressure/cancellation contract.
+// restores it into a frozen serve::InferenceSession, and hammers it through
+// a serve::ServedModel (the registry's per-model session + micro-batcher)
+// from N client threads until --requests requests have completed. Reports
+// throughput and p50/p95/p99 end-to-end latency twice — from the clients'
+// own clocks AND from the server-side serve/e2e_us histogram
+// (Histogram::ValueAtQuantile) — and cross-checks that the two agree within
+// 10%, so the histogram the server exports is trustworthy as the gated
+// source of truth. Exits nonzero on any failed request, any correctness
+// mismatch, or a server/client quantile disagreement.
 //
 //   bench_serving [--requests N] [--clients N] [--workers N]
 //                 [--max-batch N] [--max-delay-us N] [--threads N]
@@ -107,43 +107,7 @@ double Percentile(std::vector<double>* sorted_inout, double q) {
   return v[idx];
 }
 
-// Verifies the bounded-queue contract on an idle (not Start()ed) batcher:
-// admission up to capacity, kResourceExhausted past it, kCancelled for
-// everything pending at Stop(). Returns false on any violation.
-bool CheckBackpressure(serve::InferenceSession* session) {
-  serve::MicroBatcherConfig config;
-  config.queue_capacity = 8;
-  serve::MicroBatcher batcher(session, config);
-  const Tensor window = Tensor::Zeros({session->model_config().channels,
-                                       session->model_config().input_length});
-  std::vector<serve::ResultFuture> pending;
-  for (int64_t i = 0; i < config.queue_capacity; ++i) {
-    serve::ResultFuture f;
-    if (!batcher.Submit(window, &f).ok()) {
-      std::fprintf(stderr, "backpressure: admission %lld rejected early\n",
-                   (long long)i);
-      return false;
-    }
-    pending.push_back(std::move(f));
-  }
-  serve::ResultFuture overflow;
-  Status rejected = batcher.Submit(window, &overflow);
-  if (rejected.code() != StatusCode::kResourceExhausted) {
-    std::fprintf(stderr, "backpressure: expected ResourceExhausted, got %s\n",
-                 rejected.ToString().c_str());
-    return false;
-  }
-  batcher.Stop();
-  for (auto& f : pending) {
-    if (f.get().status().code() != StatusCode::kCancelled) {
-      std::fprintf(stderr, "backpressure: pending request not Cancelled\n");
-      return false;
-    }
-  }
-  return true;
-}
-
-// One closed-loop load phase: `clients` threads hammer `server` with their
+// One closed-loop load phase: `clients` threads hammer `model` with their
 // per-client windows until `requests` requests complete, verifying every
 // response bit-for-bit against `expected` (the session's own direct
 // Predict). Returns the merged, sorted latency sample plus failure counts.
@@ -154,7 +118,7 @@ struct LoadResult {
   int64_t mismatches = 0;
 };
 
-LoadResult RunClosedLoop(serve::ServerLoop* server,
+LoadResult RunClosedLoop(serve::ServedModel* model,
                          const std::vector<Tensor>& windows,
                          const std::vector<Tensor>& expected,
                          int64_t requests, int64_t clients) {
@@ -171,7 +135,7 @@ LoadResult RunClosedLoop(serve::ServerLoop* server,
       const Tensor& want = expected[static_cast<size_t>(client)];
       while (issued.fetch_add(1) < requests) {
         const auto t0 = std::chrono::steady_clock::now();
-        StatusOr<Tensor> got = server->Handle(window);
+        StatusOr<Tensor> got = model->Handle(window);
         const auto t1 = std::chrono::steady_clock::now();
         if (!got.ok()) {
           // Closed-loop clients never overflow the queue; any error is a bug.
@@ -644,15 +608,18 @@ int main(int argc, char** argv) {
                  session_or.status().ToString().c_str());
     return 1;
   }
-  serve::InferenceSession* session = session_or.value().get();
 
   serve::MicroBatcherConfig bc;
   bc.max_batch = max_batch;
   bc.max_delay_us = max_delay_us;
   bc.queue_capacity = std::max<int64_t>(64, 2 * clients);
   bc.num_workers = workers;
-  serve::ServerLoop server(session, bc);
-  server.Start();
+  serve::ManifestEntry entry;
+  entry.name = "fp32";
+  entry.version = 1;
+  entry.checkpoint = ckpt;
+  auto served = std::make_unique<serve::ServedModel>(
+      entry, std::move(session_or).value(), bc);
 
   // Distinct per-client request windows, so the correctness check exercises
   // batches of mixed rows.
@@ -665,7 +632,7 @@ int main(int argc, char** argv) {
   // Ground truth outside the serving path (single-request API).
   std::vector<Tensor> expected;
   for (const Tensor& w : windows) {
-    auto direct = session->Predict(w);
+    auto direct = served->session()->Predict(w);
     if (!direct.ok()) {
       std::fprintf(stderr, "direct predict failed: %s\n",
                    direct.status().ToString().c_str());
@@ -674,9 +641,9 @@ int main(int argc, char** argv) {
     expected.push_back(direct.value());
   }
 
-  LoadResult load = RunClosedLoop(&server, windows, expected, requests,
+  LoadResult load = RunClosedLoop(served.get(), windows, expected, requests,
                                   clients);
-  server.Stop();
+  served.reset();
 
   std::vector<double>& merged = load.sorted_latencies_us;
   const double p50 = Percentile(&merged, 0.50);
@@ -715,8 +682,6 @@ int main(int argc, char** argv) {
   table.PrintRow({"server p99 (us)", bench::Fmt(server_p99, 0)});
   table.PrintRule();
 
-  const bool backpressure_ok = CheckBackpressure(session);
-
   bool ok = true;
   if (static_cast<int64_t>(merged.size()) < requests) {
     std::fprintf(stderr, "only %zu/%lld requests completed\n", merged.size(),
@@ -732,7 +697,6 @@ int main(int argc, char** argv) {
                  (long long)load.mismatches);
     ok = false;
   }
-  if (!backpressure_ok) ok = false;
 
   // Server-side vs client-side agreement: both sides measured every
   // completed request, so the interpolated histogram quantiles must land
@@ -786,11 +750,11 @@ int main(int argc, char** argv) {
   // Same closed loop against the int8 session; latencies land in the
   // serve/quant_* gauges so one snapshot carries both legs.
   if (quantize) {
-    serve::ServerLoop quant_server(quant_session.get(), bc);
-    quant_server.Start();
+    entry.name = "int8";
+    serve::ServedModel quant_served(entry, std::move(quant_session), bc);
     std::vector<Tensor> quant_expected;
     for (const Tensor& w : windows) {
-      auto direct = quant_session->Predict(w);
+      auto direct = quant_served.session()->Predict(w);
       if (!direct.ok()) {
         std::fprintf(stderr, "quantized direct predict failed: %s\n",
                      direct.status().ToString().c_str());
@@ -798,9 +762,8 @@ int main(int argc, char** argv) {
       }
       quant_expected.push_back(direct.value());
     }
-    LoadResult quant_load = RunClosedLoop(&quant_server, windows,
+    LoadResult quant_load = RunClosedLoop(&quant_served, windows,
                                           quant_expected, requests, clients);
-    quant_server.Stop();
     std::vector<double>& qmerged = quant_load.sorted_latencies_us;
     const double qp50 = Percentile(&qmerged, 0.50);
     const double qp95 = Percentile(&qmerged, 0.95);

@@ -1,12 +1,11 @@
 // Train-once, serve-many: the serving half of the pipeline story.
 //
 // 1. Fit a ForecastPipeline on a synthetic series and Save() it.
-// 2. Restore the checkpoint into a frozen serve::InferenceSession
-//    (CreateForecastSession reads the .meta sidecar, so no hand-copied
-//    scaler statistics or patch ladder).
-// 3. Stand up a ServerLoop with the micro-batcher and answer a burst of
-//    concurrent requests, then show that a batched answer matches the
-//    pipeline's own Predict bit for bit.
+// 2. Restore the checkpoint into a served model: CreateServedModel freezes
+//    an InferenceSession (reading the .meta sidecar, so no hand-copied
+//    scaler statistics or patch ladder) behind its own micro-batcher.
+// 3. Answer a burst of concurrent requests through it, then show that every
+//    batched answer matches the pipeline's own Predict bit for bit.
 //
 // See docs/SERVING.md for the knobs this example leaves at defaults.
 #include <cstdio>
@@ -15,7 +14,7 @@
 
 #include "datagen/series_builder.h"
 #include "runtime/worker.h"
-#include "serve/server.h"
+#include "serve/registry.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
 
@@ -62,31 +61,31 @@ int main() {
     return 1;
   }
 
-  // -- 2. Freeze the checkpoint into an inference session. -------------------
-  serve::ForecastSessionOptions options;
-  options.lookback = pc.lookback;
-  options.horizon = pc.horizon;
-  auto session = serve::CreateForecastSession(ckpt, options);
-  std::remove(ckpt.c_str());
-  std::remove((ckpt + ".meta").c_str());
-  if (!session.ok()) {
-    std::fprintf(stderr, "session failed: %s\n",
-                 session.status().ToString().c_str());
-    return 1;
-  }
-
-  // -- 3. Serve a concurrent burst through the micro-batcher. ----------------
+  // -- 2. Freeze the checkpoint into a served model. ------------------------
+  serve::ManifestEntry entry;
+  entry.name = "demo";
+  entry.version = 1;
+  entry.checkpoint = ckpt;
+  entry.lookback = pc.lookback;
+  entry.horizon = pc.horizon;
   serve::MicroBatcherConfig bc;
   bc.max_batch = 8;
   bc.max_delay_us = 1000;
   bc.num_workers = 2;
-  serve::ServerLoop server(session.value().get(), bc);
-  server.Start();
+  auto model = serve::CreateServedModel(entry, bc);
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".meta").c_str());
+  if (!model.ok()) {
+    std::fprintf(stderr, "session failed: %s\n",
+                 model.status().ToString().c_str());
+    return 1;
+  }
 
+  // -- 3. Serve a concurrent burst through the micro-batcher. ----------------
   const int64_t kClients = 4;
   const int64_t kRequestsEach = 8;
   // Reference answers come from the (single-threaded) pipeline up front;
-  // the client threads below only talk to the server.
+  // the client threads below only talk to the served model.
   std::vector<Tensor> request_windows;
   std::vector<Tensor> expected;
   for (int64_t i = 0; i < kClients * kRequestsEach; ++i) {
@@ -100,7 +99,7 @@ int main() {
     clients.Start(kClients, [&](int64_t client) {
       for (int64_t r = 0; r < kRequestsEach; ++r) {
         const int64_t i = client * kRequestsEach + r;
-        auto reply = server.Handle(request_windows[i]);
+        auto reply = model.value()->Handle(request_windows[i]);
         const Tensor& want = expected[i];
         if (!reply.ok() ||
             std::memcmp(reply.value().data(), want.data(),
@@ -111,7 +110,6 @@ int main() {
     });
     clients.Join();
   }
-  server.Stop();
 
   int64_t total_mismatches = 0;
   for (int64_t m : mismatches) total_mismatches += m;

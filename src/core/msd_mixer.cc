@@ -106,8 +106,8 @@ Variable MsdMixer::HeadOutput(int64_t layer_index, const Variable& embedding) {
 }
 
 // msd-hot-path-safe: the frozen forward pass — tensor buffers come from the
-// size-class pool and serving sessions prime every class during warmup
-// (docs/SERVING.md), so its interior is audited as a unit, not per call site.
+// size-class pool, and serving runs it only when freezing plans
+// (docs/COMPILER.md), so its interior is audited as a unit, not per call site.
 MsdMixerOutput MsdMixer::Run(const Variable& x, bool collect_components) {
   MSD_CHECK_EQ(x.rank(), 3) << "MsdMixer expects [B, C, L]";
   MSD_CHECK_EQ(x.dim(1), config_.channels);

@@ -54,12 +54,23 @@ void TraceRing::Push(const TraceSpan& span) {
   Slot& slot = slots_[ticket % capacity_];
   // Seqlock write: negative seq marks the slot mid-write so a concurrent
   // Snapshot skips it; the final release store publishes ticket+1 (>0).
+  // The marker is claimed with a CAS because the seqlock tolerates only one
+  // writer per slot: once the ring wraps a full lap while a writer is
+  // mid-write, a second writer lands on the same slot, and two interleaved
+  // payloads under one writer's publish are a torn record no reader can
+  // detect. The losing writer drops its span instead of waiting — the slot
+  // is busy, or already holds a newer span.
+  int64_t seen = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (seen < 0 || seen > ticket) return;
+  } while (!slot.seq.compare_exchange_weak(seen, -(ticket + 1),
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
   // The release fence keeps the payload stores from becoming visible before
-  // the busy marker (a release store on the marker would not order the
-  // LATER stores, so a fence is the only correct spelling here) — without
-  // it a reader on a weakly-ordered machine can observe new payload under
-  // the old seq on both reads of its validation pair and accept torn data.
-  slot.seq.store(-(ticket + 1), std::memory_order_relaxed);
+  // the busy marker (a release on the marker would not order the LATER
+  // stores, so a fence is the only correct spelling here) — without it a
+  // reader on a weakly-ordered machine can observe new payload under the
+  // old seq on both reads of its validation pair and accept torn data.
   FenceRelease();
   slot.request_id.store(span.request_id, std::memory_order_relaxed);
   slot.name.store(span.name, std::memory_order_relaxed);

@@ -6,11 +6,13 @@
 // request. Recording must not add locks to the request path, so the ring is
 // a fixed-capacity array of atomic slots:
 //
-//  * Push() claims a ticket with one relaxed fetch_add and writes the span's
-//    fields as relaxed atomic stores, publishing with a release store of the
-//    slot's sequence number. Capacity overflow silently overwrites the
-//    oldest slot (drop-oldest), so the ring always holds the most recent
-//    window of sampled traffic.
+//  * Push() claims a ticket with one relaxed fetch_add, claims the ticket's
+//    slot with one CAS on its sequence number, and writes the span's fields
+//    as relaxed atomic stores, publishing with a release store of the
+//    sequence number. Capacity overflow silently overwrites the oldest slot
+//    (drop-oldest), so the ring always holds the most recent window of
+//    sampled traffic. A writer whose slot is still held by another writer
+//    (the ring wrapped a full lap during that write) drops its span.
 //  * Snapshot() (admin/debug path) acquires nothing: it reads each slot's
 //    sequence before and after copying the payload and discards slots a
 //    concurrent writer was mid-publish on, so a dump taken under load is a
@@ -57,8 +59,10 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  // Hot path: one relaxed ticket fetch_add + field stores + release publish.
-  // Never blocks, never allocates; overwrites the oldest slot when full.
+  // Hot path: one relaxed ticket fetch_add + slot CAS + field stores +
+  // release publish. Never blocks, never allocates; overwrites the oldest
+  // slot when full, and drops the span if its slot is mid-write by another
+  // writer or already holds a newer span.
   void Push(const TraceSpan& span);
 
   // 1-in-N sampling decision for a request id; 0 disables sampling.

@@ -20,6 +20,9 @@ MicroBatcher::MicroBatcher(InferenceSession* session,
   MSD_CHECK_GE(config_.max_delay_us, 0);
   // A batch can never exceed what one PredictBatch call accepts.
   config_.max_batch = std::min(config_.max_batch, session->max_batch());
+  // Register the serve/* instruments now, so telemetry snapshots carry them
+  // from the moment a server exists, not from its first request.
+  Instruments();
 }
 
 MicroBatcher::~MicroBatcher() { Stop(); }

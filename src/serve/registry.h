@@ -1,6 +1,7 @@
 // Multi-tenant model registry and hot-swap (docs/SERVING.md).
 //
-// Three layers turn the single-session ServerLoop into a multi-model server:
+// Three layers turn frozen sessions and micro-batchers into a multi-model
+// server (a single checkpoint is served as a one-entry manifest):
 //
 //  * ManifestEntry / ParseManifest — the text manifest describing the fleet.
 //    One model per line:
@@ -33,10 +34,10 @@
 //    destroying the ServedModel there would self-join. The retired list is
 //    reaped on later admin calls and in the destructor.
 //
-// ModelService is the protocol front-end over a registry: the single-model
-// text protocol (serve/server.h) extended with an optional "MODEL <name> "
-// request prefix and the admin commands LIST, RELOAD <name> <checkpoint>,
-// STATS, TRACE <path>. HandleLineAsync is the epoll path (serve/netio.h):
+// ModelService is the protocol front-end over a registry: the text protocol
+// (serve/server.h) extended with an optional "MODEL <name> " request prefix
+// and the admin commands LIST, RELOAD <name> <checkpoint>, STATS,
+// TRACE <path>. HandleLineAsync is the epoll path (serve/netio.h):
 // data lines resolve through MicroBatcher::SubmitAsync so no thread is
 // parked per in-flight request.
 #ifndef MSDMIXER_SERVE_REGISTRY_H_

@@ -1,12 +1,13 @@
 #include "serve/server.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 #include <vector>
 
 #include "obs/exporter.h"
+#include "serve/trace.h"
 
 namespace msd {
 namespace serve {
@@ -25,19 +26,6 @@ std::string TrimmedLine(const std::string& line) {
   return line.substr(begin, end - begin);
 }
 
-ServerLoop::ServerLoop(InferenceSession* session,
-                       const MicroBatcherConfig& config)
-    : session_(session), batcher_(session, config) {
-  MSD_CHECK(session != nullptr);
-}
-
-StatusOr<Tensor> ServerLoop::Handle(const Tensor& window, int64_t timeout_us) {
-  ResultFuture future;
-  Status admitted = batcher_.Submit(window, &future, timeout_us);
-  if (!admitted.ok()) return admitted;
-  return future.get();
-}
-
 StatusOr<Tensor> ParseWindowLine(const std::string& line, int64_t channels,
                                  int64_t length) {
   std::vector<std::vector<float>> rows(1);
@@ -48,6 +36,10 @@ StatusOr<Tensor> ParseWindowLine(const std::string& line, int64_t channels,
     const float value = std::strtof(cursor, &next);
     if (next == cursor) {
       return Status::InvalidArgument("unparseable value at offset " +
+                                     std::to_string(cursor - line.c_str()));
+    }
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("non-finite value at offset " +
                                      std::to_string(cursor - line.c_str()));
     }
     rows.back().push_back(value);
@@ -158,8 +150,6 @@ std::string ServeStatsJson() {
   return out;
 }
 
-std::string ServerLoop::StatsLine() const { return ServeStatsJson(); }
-
 std::string HandleTraceDump(const std::string& path,
                             obs::TelemetryExporter* exporter) {
   if (path.empty()) {
@@ -177,24 +167,6 @@ std::string HandleTraceDump(const std::string& path,
   if (exporter->RequestTraceDump(path).get()) return "OK " + path;
   return "ERROR " +
          Status::Internal("trace dump to " + path + " failed").ToString();
-}
-
-std::string ServerLoop::HandleLine(const std::string& line) {
-  const std::string trimmed = TrimmedLine(line);
-  if (trimmed == "STATS") return StatsLine();
-  if (trimmed.rfind("TRACE", 0) == 0 &&
-      (trimmed.size() == 5 || trimmed[5] == ' ' || trimmed[5] == '\t')) {
-    const std::string path =
-        trimmed.size() > 5 ? TrimmedLine(trimmed.substr(5)) : std::string();
-    return HandleTraceDump(path, exporter_);
-  }
-  StatusOr<Tensor> window =
-      ParseWindowLine(line, session_->model_config().channels,
-                      session_->model_config().input_length);
-  if (!window.ok()) return "ERROR " + window.status().ToString();
-  StatusOr<Tensor> result = Handle(window.value());
-  if (!result.ok()) return "ERROR " + result.status().ToString();
-  return FormatTensorLine(result.value());
 }
 
 }  // namespace serve

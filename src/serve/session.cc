@@ -34,23 +34,13 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
   Status loaded = LoadCheckpoint(*session->mixer_, checkpoint_path);
   if (!loaded.ok()) return loaded;
   session->mixer_->SetTraining(false);
-  if (config.warmup) {
-    // Full-size batch primes every pool size class the steady state needs;
-    // requests after this never touch the system allocator.
-    StatusOr<Tensor> warm = session->PredictBatch(Tensor::Zeros(
-        {config.max_batch, config.model.channels, config.model.input_length}));
-    if (!warm.ok()) return warm.status();
-  }
-  // Freeze-time planning runs after warmup so the interpreter fallback keeps
-  // a primed pool. MSD_PLAN=0 pins the session to the interpreted path.
-  const char* plan_env = std::getenv("MSD_PLAN");
-  session->use_plan_ = plan_env == nullptr || std::string(plan_env) != "0";
   // MSD_QUANT, when set, overrides the config field: "0" pins fp32, any
   // other value requests the int8 quantization pass (docs/PERFORMANCE.md).
   const char* quant_env = std::getenv("MSD_QUANT");
   session->use_quant_ = quant_env != nullptr ? std::string(quant_env) != "0"
                                              : config.quantize;
-  if (session->use_plan_) session->BuildPlans();
+  Status planned = session->BuildPlans();
+  if (!planned.ok()) return planned;
   static obs::Counter& sessions =
       obs::MetricsRegistry::Global().GetCounter("serve/sessions_created");
   sessions.Add(1);
@@ -76,10 +66,12 @@ Status InferenceSession::ValidateBatch(const Tensor& batch) const {
   return Status::OK();
 }
 
-Tensor InferenceSession::RunFrozen(const Tensor& batch) {
+Tensor InferenceSession::RunPlanned(const Tensor& batch) {
   MSD_SPAN("serve/predict_batch");
+  CompiledPlan& plan = *plans_[static_cast<size_t>(batch.dim(0)) - 1];
+  // The session mutex is the plan's exclusion domain: Execute mutates the
+  // arena, so forwards on one session serialize.
   std::lock_guard<std::mutex> lock(model_mu_);
-  NoGradGuard guard;
   if (config_.synthetic_compute_us > 0) {
     // Busy-spin (not sleep) so the emulated slow model occupies the forward
     // pass exactly like real compute would, lock held and all.
@@ -88,24 +80,10 @@ Tensor InferenceSession::RunFrozen(const Tensor& batch) {
     while (ServeClock::now() < until) {
     }
   }
-  return mixer_->Run(Variable(batch)).prediction.value();
-}
-
-Tensor InferenceSession::RunPlanned(CompiledPlan& plan, const Tensor& batch) {
-  MSD_SPAN("serve/predict_batch");
-  // The session mutex is the plan's exclusion domain: Execute mutates the
-  // arena, so planned forwards serialize exactly like interpreted ones.
-  std::lock_guard<std::mutex> lock(model_mu_);
-  if (config_.synthetic_compute_us > 0) {
-    const auto until = ServeClock::now() +
-                       std::chrono::microseconds(config_.synthetic_compute_us);
-    while (ServeClock::now() < until) {
-    }
-  }
   return plan.Execute(batch);
 }
 
-void InferenceSession::BuildPlans() {
+Status InferenceSession::BuildPlans() {
   Rng rng(config_.seed + 1);
   plans_.resize(static_cast<size_t>(config_.max_batch));
   int64_t total_arena = 0;
@@ -137,26 +115,26 @@ void InferenceSession::BuildPlans() {
         },
         example, &why_not, options);
     const CompiledPlan* plan = plans_[static_cast<size_t>(b) - 1].get();
-    if (plan != nullptr) {
-      total_arena += plan->stats().arena_bytes;
-      total_quant_arena += plan->stats().quant_arena_bytes;
-      if (use_quant_) {
-        // Freeze-time facts, surfaced once per plan: how many GEMM steps
-        // adopted int8 and how many the calibration gate kept fp32.
-        static obs::Counter& quant_steps =
-            obs::MetricsRegistry::Global().GetCounter("serve/quant_steps");
-        static obs::Counter& quant_fallbacks =
-            obs::MetricsRegistry::Global().GetCounter("serve/quant_fallbacks");
-        quant_steps.Add(plan->stats().num_quantized);
-        quant_fallbacks.Add(plan->stats().num_quant_fallbacks);
-      }
-    } else {
-      // No stdio in src/serve; the refusal is visible via this counter, the
-      // null plan_for(b), and the per-request serve/plan_fallbacks below.
+    if (plan == nullptr) {
+      // No stdio in src/serve: the refusal surfaces as this counter and as
+      // the failed Create() carrying the planner's reason.
       static obs::Counter& refused =
           obs::MetricsRegistry::Global().GetCounter("serve/plan_build_refused");
       refused.Add(1);
-      (void)why_not;
+      return Status::Internal("no plan for batch size " + std::to_string(b) +
+                              ": " + why_not);
+    }
+    total_arena += plan->stats().arena_bytes;
+    total_quant_arena += plan->stats().quant_arena_bytes;
+    if (use_quant_) {
+      // Freeze-time facts, surfaced once per plan: how many GEMM steps
+      // adopted int8 and how many the calibration gate kept fp32.
+      static obs::Counter& quant_steps =
+          obs::MetricsRegistry::Global().GetCounter("serve/quant_steps");
+      static obs::Counter& quant_fallbacks =
+          obs::MetricsRegistry::Global().GetCounter("serve/quant_fallbacks");
+      quant_steps.Add(plan->stats().num_quantized);
+      quant_fallbacks.Add(plan->stats().num_quant_fallbacks);
     }
   }
   obs::MetricsRegistry::Global()
@@ -165,6 +143,7 @@ void InferenceSession::BuildPlans() {
   obs::MetricsRegistry::Global()
       .GetGauge("serve/quant_arena_bytes")
       .Set(static_cast<double>(total_quant_arena));
+  return Status::OK();
 }
 
 // msd-hot-path: the serving inference entry point.
@@ -181,26 +160,9 @@ StatusOr<Tensor> InferenceSession::PredictBatch(const Tensor& batch,
     trace = &local;
   }
   trace->compute_start = ServeClock::now();
-  Tensor out;
-  CompiledPlan* plan =
-      use_plan_ ? plans_[static_cast<size_t>(batch.dim(0)) - 1].get() : nullptr;
-  if (plan != nullptr) {
-    // The frozen schedule bakes in the scaler transform (and, for forecast
-    // heads, the inverse transform) — the raw batch goes straight in.
-    out = RunPlanned(*plan, batch);
-  } else {
-    if (use_plan_) {
-      static obs::Counter& fallbacks =
-          obs::MetricsRegistry::Global().GetCounter("serve/plan_fallbacks");
-      fallbacks.Add(1);
-    }
-    const Tensor scaled =
-        config_.scaler.fitted() ? config_.scaler.Transform(batch) : batch;
-    out = RunFrozen(scaled);
-    if (config_.model.task == TaskType::kForecast && config_.scaler.fitted()) {
-      out = config_.scaler.InverseTransform(out);
-    }
-  }
+  // The frozen schedule bakes in the scaler transform (and, for forecast
+  // heads, the inverse transform) — the raw batch goes straight in.
+  Tensor out = RunPlanned(batch);
   trace->compute_end = ServeClock::now();
   if (direct) {
     Instruments().compute_us.Observe(static_cast<double>(
@@ -236,9 +198,11 @@ StatusOr<Tensor> InferenceSession::AnomalyScores(const Tensor& batch) {
   }
   Status valid = ValidateBatch(batch);
   if (!valid.ok()) return valid;
+  // The reconstruction plan scales its input itself and answers in scaled
+  // units, so the score compares it against the same scaled batch.
+  const Tensor recon = RunPlanned(batch);
   const Tensor scaled =
       config_.scaler.fitted() ? config_.scaler.Transform(batch) : batch;
-  Tensor recon = RunFrozen(scaled);
   // Per-window mean squared reconstruction error — the quantity the anomaly
   // protocol (tasks/evaluate.h) thresholds.
   return Mean(Square(Sub(recon, scaled)), {1, 2}, /*keepdim=*/false);

@@ -8,10 +8,9 @@
 //    immediately and every forward runs under NoGradGuard, so no request
 //    can record a tape or touch gradients (regression-tested via the
 //    autograd/nodes_recorded counter).
-//  * Pool-backed: the session holds a pool::MemoryScope for its lifetime and
-//    runs a warmup batch at Create(), so steady-state requests draw every
-//    activation buffer from the size-class free lists instead of the system
-//    allocator.
+//  * Pool-backed: the session holds a pool::MemoryScope for its lifetime,
+//    so the batch staging and row slicing around each request draw from
+//    the size-class free lists instead of the system allocator.
 //  * Thread-safe: concurrent PredictBatch calls are serialized on an
 //    internal mutex. Within a batch the GEMM engine already spreads work
 //    across the MSD_THREADS pool, so inter-batch concurrency adds nothing
@@ -19,13 +18,13 @@
 //  * Deterministic: outputs are bit-identical for any MSD_THREADS value and
 //    for any batch composition — row b of PredictBatch equals the
 //    single-request Predict of window b (tests/serve_test.cc).
-//  * Planned: unless MSD_PLAN=0, Create() freezes one CompiledPlan per batch
-//    size (1..max_batch) — a flat kernel schedule over a single arena
-//    allocation (serve/plan.h, docs/COMPILER.md) — and PredictBatch replays
-//    the plan instead of interpreting the module graph. Planned outputs are
-//    bit-identical to the interpreted path (enforced by a freeze-time
-//    memcmp and swept in tests/plan_test.cc); batch sizes whose plan could
-//    not be built fall back to the interpreter (serve/plan_fallbacks).
+//  * Planned: Create() freezes one CompiledPlan per batch size
+//    (1..max_batch) — a flat kernel schedule over a single arena allocation
+//    (serve/plan.h, docs/COMPILER.md) — and every request replays a plan;
+//    the module graph is never interpreted per request. Planned outputs are
+//    bit-identical to the interpreted forward (enforced by a freeze-time
+//    memcmp and by the differential test in tests/plan_test.cc). A batch
+//    size whose plan is refused fails Create() with the planner's reason.
 //
 // Shape contract per task head (C = channels, L = input_length):
 //   kForecast        [C, L] -> [C, horizon]        (original units)
@@ -57,10 +56,8 @@ struct InferenceSessionConfig {
   // Optional per-channel standardization applied to inputs; forecast
   // outputs are mapped back through InverseTransform. Unfitted = identity.
   StandardScaler scaler;
-  // Upper bound on rows per PredictBatch call; also the warmup batch size.
+  // Upper bound on rows per PredictBatch call; one plan per size 1..max_batch.
   int64_t max_batch = 32;
-  // Run one full-size batch at Create() to prime the tensor pool.
-  bool warmup = true;
   // Seed for the throwaway weight init that the checkpoint overwrites.
   uint64_t seed = 1;
   // Test/bench hook: busy-spin this long inside the locked forward pass to
@@ -80,7 +77,8 @@ struct InferenceSessionConfig {
 
 class InferenceSession {
  public:
-  // Builds the model, restores `checkpoint_path`, freezes, warms up.
+  // Builds the model, restores `checkpoint_path`, freezes one plan per batch
+  // size. Fails (with the planner's reason) if any plan is refused.
   static StatusOr<std::unique_ptr<InferenceSession>> Create(
       const InferenceSessionConfig& config, const std::string& checkpoint_path);
 
@@ -107,15 +105,12 @@ class InferenceSession {
   const MsdMixerConfig& model_config() const { return config_.model; }
   int64_t max_batch() const { return config_.max_batch; }
 
-  // True when Create() ran the planner (MSD_PLAN unset or != "0").
-  bool planned() const { return use_plan_; }
   // True when plans were compiled with the quantization pass requested
   // (config.quantize, overridden by MSD_QUANT when set). Individual steps
   // may still have fallen back fp32; see PlanStats::num_quantized.
   bool quantized() const { return use_quant_; }
-  // The frozen plan serving batch size `b`, or null when that size fell
-  // back to the interpreter (or planning is off). Exposed for tests and
-  // the selftest's schedule dump.
+  // The frozen plan serving batch size `b`, or null outside
+  // [1, max_batch]. Exposed for tests and the selftest's int8 check.
   const CompiledPlan* plan_for(int64_t b) const {
     if (b < 1 || b > static_cast<int64_t>(plans_.size())) return nullptr;
     return plans_[static_cast<size_t>(b) - 1].get();
@@ -125,25 +120,22 @@ class InferenceSession {
   explicit InferenceSession(const InferenceSessionConfig& config);
 
   Status ValidateBatch(const Tensor& batch) const;
-  // The locked, NoGradGuard-protected forward pass; `batch` is [B, C, L]
-  // in scaled units and the result is the raw head output.
-  Tensor RunFrozen(const Tensor& batch);
-  // The locked planned forward: replays the frozen schedule (which bakes in
-  // the scaler transform and, for forecast heads, the inverse transform).
-  Tensor RunPlanned(CompiledPlan& plan, const Tensor& batch);
+  // The locked planned forward: replays the batch size's frozen schedule
+  // (which bakes in the scaler transform and, for forecast heads, the
+  // inverse transform) on a validated [B, C, L] batch.
+  Tensor RunPlanned(const Tensor& batch);
   // Freezes one CompiledPlan per batch size 1..max_batch and publishes the
-  // serve/arena_bytes gauge. Sizes that refuse to compile stay null.
-  void BuildPlans();
+  // serve/arena_bytes gauge. Fails on the first size the planner refuses.
+  Status BuildPlans();
 
   InferenceSessionConfig config_;
   // Keeps the activation free-lists alive between requests.
   pool::MemoryScope memory_scope_;
   std::unique_ptr<MsdMixer> mixer_;
   std::mutex model_mu_;
-  bool use_plan_ = false;
   // Resolved quantization request (config.quantize / MSD_QUANT override).
   bool use_quant_ = false;
-  // Index b-1 serves batch size b; null entries fall back to RunFrozen.
+  // Index b-1 serves batch size b.
   std::vector<std::unique_ptr<CompiledPlan>> plans_;
 };
 

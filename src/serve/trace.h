@@ -2,7 +2,7 @@
 // docs/OBSERVABILITY.md).
 //
 // A TraceContext is minted once per request at an admission point —
-// MicroBatcher::Submit (the ServerLoop path) or a direct
+// MicroBatcher::Submit/SubmitAsync (the ModelService path) or a direct
 // InferenceSession::PredictBatch call — and carried with the request through
 // the batching pipeline, so every reply decomposes into
 //

@@ -1,15 +1,16 @@
 // Session-freeze inference compiler tests (docs/COMPILER.md): bit-identity
-// of planned execution against the interpreted oracle across task heads,
-// thread counts, and batch sizes; arena lifetime edge cases (in-place
-// aliasing, zero-numel intermediates, max_batch=1 degenerate plans); region
-// disjointness under overlapping lifetimes; and the zero-pool-traffic
-// steady-state contract.
+// of served output against the interpreted oracle (an MsdMixer restored from
+// the same checkpoint) across task heads, thread counts, batch sizes and
+// scaler presence; arena lifetime edge cases (in-place aliasing, zero-numel
+// intermediates, max_batch=1 degenerate plans); region disjointness under
+// overlapping lifetimes; and the zero-pool-traffic steady-state contract.
 #include "serve/plan.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,28 +47,6 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
-// Pins MSD_PLAN for the lifetime of a scope; Create() reads it once.
-class ScopedPlanEnv {
- public:
-  explicit ScopedPlanEnv(const char* value) {
-    const char* old = std::getenv("MSD_PLAN");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("MSD_PLAN", value, /*overwrite=*/1);
-  }
-  ~ScopedPlanEnv() {
-    if (had_old_) {
-      ::setenv("MSD_PLAN", old_.c_str(), 1);
-    } else {
-      ::unsetenv("MSD_PLAN");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 MsdMixerConfig SmallConfig(TaskType task) {
   MsdMixerConfig config;
   config.input_length = 32;
@@ -89,23 +68,56 @@ StandardScaler FittedScaler(int64_t channels) {
   return scaler;
 }
 
-std::unique_ptr<serve::InferenceSession> MakeSession(
-    TaskType task, bool planned, int64_t max_batch = 4,
-    bool with_scaler = true, const std::string& tag = "s") {
-  ScopedPlanEnv env(planned ? "1" : "0");
+// A session and its interpreted oracle: an MsdMixer restored from the same
+// checkpoint into differently initialized weights, so the oracle only
+// matches if the restore really happened.
+struct SessionAndOracle {
+  std::unique_ptr<serve::InferenceSession> session;
+  std::unique_ptr<MsdMixer> oracle;
+  StandardScaler scaler;
+};
+
+SessionAndOracle MakeSessionAndOracle(TaskType task, int64_t max_batch,
+                                      bool with_scaler,
+                                      const std::string& tag) {
   MsdMixerConfig config = SmallConfig(task);
   Rng rng(17);
   MsdMixer mixer(config, rng);
   const std::string path = TempPath("plan_" + tag + ".msdckpt");
   EXPECT_TRUE(SaveCheckpoint(mixer, path).ok());
+  SessionAndOracle out;
   serve::InferenceSessionConfig sc;
   sc.model = config;
   if (with_scaler) sc.scaler = FittedScaler(config.channels);
   sc.max_batch = max_batch;
+  out.scaler = sc.scaler;
   auto session = serve::InferenceSession::Create(sc, path);
-  std::remove(path.c_str());
   EXPECT_TRUE(session.ok()) << session.status().ToString();
-  return std::move(session).value();
+  out.session = std::move(session).value();
+  Rng other(4242);
+  out.oracle = std::make_unique<MsdMixer>(config, other);
+  EXPECT_TRUE(LoadCheckpoint(*out.oracle, path).ok());
+  out.oracle->SetTraining(false);
+  std::remove(path.c_str());
+  return out;
+}
+
+std::unique_ptr<serve::InferenceSession> MakeSession(
+    TaskType task, int64_t max_batch = 4, bool with_scaler = true,
+    const std::string& tag = "s") {
+  return MakeSessionAndOracle(task, max_batch, with_scaler, tag).session;
+}
+
+// The reply chain every plan freezes, run through the interpreter: scale,
+// forward the module graph, and map forecasts back to original units.
+Tensor Interpreted(const SessionAndOracle& s, const Tensor& batch) {
+  NoGradGuard guard;
+  const Tensor scaled = s.scaler.fitted() ? s.scaler.Transform(batch) : batch;
+  Tensor out = s.oracle->Run(Variable(scaled)).prediction.value();
+  if (s.oracle->config().task == TaskType::kForecast && s.scaler.fitted()) {
+    out = s.scaler.InverseTransform(out);
+  }
+  return out;
 }
 
 Tensor RandomBatch(uint64_t seed, int64_t b) {
@@ -113,60 +125,58 @@ Tensor RandomBatch(uint64_t seed, int64_t b) {
   return Tensor::RandNormal({b, 2, 32}, 0.0f, 1.0f, rng);
 }
 
-// ---- Bit-identity sweep -----------------------------------------------------
+// ---- Differential test against the interpreter ------------------------------
 
-// The hard contract: for every task head, the planned forward is memcmp-
-// identical to the interpreted one, at every supported batch size and for
-// MSD_THREADS 1 and 4.
-TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
-  const TaskType tasks[] = {TaskType::kForecast, TaskType::kClassification,
-                            TaskType::kReconstruction};
-  for (TaskType task : tasks) {
-    SCOPED_TRACE(static_cast<int>(task));
-    auto planned = MakeSession(task, /*planned=*/true, /*max_batch=*/4);
-    auto interp = MakeSession(task, /*planned=*/false, /*max_batch=*/4);
-    ASSERT_TRUE(planned->planned());
-    ASSERT_FALSE(interp->planned());
-    for (int64_t b : {int64_t{1}, int64_t{4}}) {
-      ASSERT_NE(planned->plan_for(b), nullptr) << "batch " << b;
+// The hard contract: served output (PredictBatch, and AnomalyScores for
+// reconstruction) is memcmp-identical to the interpreted forward at batch 1
+// and max_batch, for MSD_THREADS 1 and 4 — including the degenerate
+// max_batch=1 session.
+void ExpectMatchesInterpreter(TaskType task, bool with_scaler) {
+  for (int64_t max_batch : {int64_t{1}, int64_t{4}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "task " << static_cast<int>(task) << ", max_batch "
+                 << max_batch);
+    const SessionAndOracle s =
+        MakeSessionAndOracle(task, max_batch, with_scaler, "diff");
+    for (int64_t b : {int64_t{1}, max_batch}) {
       const Tensor batch = RandomBatch(7 + static_cast<uint64_t>(b), b);
-      Tensor out1, out4;
-      {
-        runtime::ScopedThreads threads(1);
-        auto p = planned->PredictBatch(batch);
-        auto i = interp->PredictBatch(batch);
-        ASSERT_TRUE(p.ok() && i.ok());
-        EXPECT_TRUE(BitIdentical(p.value(), i.value()))
-            << "planned != interpreted, batch " << b << ", 1 thread";
-        out1 = p.value();
+      const Tensor want = Interpreted(s, batch);
+      const Tensor scaled =
+          s.scaler.fitted() ? s.scaler.Transform(batch) : batch;
+      for (int64_t threads : {int64_t{1}, int64_t{4}}) {
+        runtime::ScopedThreads scoped(threads);
+        auto got = s.session->PredictBatch(batch);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(BitIdentical(got.value(), want))
+            << "batch " << b << ", " << threads << " threads";
+        if (task != TaskType::kReconstruction) continue;
+        auto scores = s.session->AnomalyScores(batch);
+        ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+        EXPECT_TRUE(BitIdentical(
+            scores.value(),
+            Mean(Square(Sub(want, scaled)), {1, 2}, /*keepdim=*/false)))
+            << "anomaly scores, batch " << b << ", " << threads << " threads";
       }
-      {
-        runtime::ScopedThreads threads(4);
-        auto p = planned->PredictBatch(batch);
-        auto i = interp->PredictBatch(batch);
-        ASSERT_TRUE(p.ok() && i.ok());
-        EXPECT_TRUE(BitIdentical(p.value(), i.value()))
-            << "planned != interpreted, batch " << b << ", 4 threads";
-        out4 = p.value();
-      }
-      EXPECT_TRUE(BitIdentical(out1, out4))
-          << "planned output depends on thread count, batch " << b;
     }
+  }
+}
+
+constexpr TaskType kAllTasks[] = {TaskType::kForecast,
+                                  TaskType::kClassification,
+                                  TaskType::kReconstruction};
+
+TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
+  for (TaskType task : kAllTasks) {
+    ExpectMatchesInterpreter(task, /*with_scaler=*/true);
   }
 }
 
 // Without a fitted scaler the planned chain is the bare module graph; the
 // contract must hold there too (no normalize/denormalize fusion sites).
 TEST(PlanBitIdentityTest, MatchesInterpreterWithoutScaler) {
-  auto planned = MakeSession(TaskType::kForecast, /*planned=*/true, 2,
-                             /*with_scaler=*/false, "noscale_p");
-  auto interp = MakeSession(TaskType::kForecast, /*planned=*/false, 2,
-                            /*with_scaler=*/false, "noscale_i");
-  const Tensor batch = RandomBatch(21, 2);
-  auto p = planned->PredictBatch(batch);
-  auto i = interp->PredictBatch(batch);
-  ASSERT_TRUE(p.ok() && i.ok());
-  EXPECT_TRUE(BitIdentical(p.value(), i.value()));
+  for (TaskType task : kAllTasks) {
+    ExpectMatchesInterpreter(task, /*with_scaler=*/false);
+  }
 }
 
 // ---- Plan structure ---------------------------------------------------------
@@ -175,7 +185,6 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
   // input_length 30 with patch sizes {8, 4, 1}: two scales pad (30 -> 32),
   // so Unpatch emits a Slice and the residual subtract has SliceSub sites
   // in addition to the scaler's SubDiv / MulAdd pair.
-  ScopedPlanEnv env("1");
   MsdMixerConfig config = SmallConfig(TaskType::kForecast);
   config.input_length = 30;
   Rng rng(17);
@@ -206,7 +215,7 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
 }
 
 TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {
-  auto session = MakeSession(TaskType::kForecast, /*planned=*/true, 3,
+  auto session = MakeSession(TaskType::kForecast, /*max_batch=*/3,
                              /*with_scaler=*/true, "regions");
   for (int64_t b = 1; b <= 3; ++b) {
     const serve::CompiledPlan* plan = session->plan_for(b);
@@ -240,10 +249,10 @@ TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {
 // ---- Steady-state allocation contract ---------------------------------------
 
 TEST(PlanSteadyStateTest, PlannedPathDoesNotTouchTheTensorPool) {
-  auto session = MakeSession(TaskType::kForecast, /*planned=*/true, 2,
+  auto session = MakeSession(TaskType::kForecast, /*max_batch=*/2,
                              /*with_scaler=*/true, "pool");
   const Tensor batch = RandomBatch(31, 2);
-  // One call beyond warmup settles the result-block free list.
+  // One call settles the result-block free list.
   ASSERT_TRUE(session->PredictBatch(batch).ok());
   obs::Counter& hits =
       obs::MetricsRegistry::Global().GetCounter("tensor/pool_hits");
@@ -323,21 +332,15 @@ TEST(PlanCompileTest, UnsupportedOpRefusesWithReason) {
   EXPECT_NE(why_not.find("Maximum"), std::string::npos) << why_not;
 }
 
-// max_batch = 1: the degenerate single-plan session still plans, still
-// matches the interpreter, and rejects anything larger.
+// max_batch = 1: the degenerate single-plan session still plans and
+// rejects anything larger (its output is in the differential test above).
 TEST(PlanCompileTest, MaxBatchOneDegeneratePlan) {
-  auto planned = MakeSession(TaskType::kReconstruction, /*planned=*/true,
-                             /*max_batch=*/1, /*with_scaler=*/true, "b1p");
-  auto interp = MakeSession(TaskType::kReconstruction, /*planned=*/false,
-                            /*max_batch=*/1, /*with_scaler=*/true, "b1i");
-  ASSERT_NE(planned->plan_for(1), nullptr);
-  EXPECT_EQ(planned->plan_for(2), nullptr);
-  const Tensor batch = RandomBatch(41, 1);
-  auto p = planned->PredictBatch(batch);
-  auto i = interp->PredictBatch(batch);
-  ASSERT_TRUE(p.ok() && i.ok());
-  EXPECT_TRUE(BitIdentical(p.value(), i.value()));
-  EXPECT_FALSE(planned->PredictBatch(RandomBatch(42, 2)).ok());
+  auto session = MakeSession(TaskType::kReconstruction, /*max_batch=*/1,
+                             /*with_scaler=*/true, "b1");
+  ASSERT_NE(session->plan_for(1), nullptr);
+  EXPECT_EQ(session->plan_for(2), nullptr);
+  EXPECT_TRUE(session->PredictBatch(RandomBatch(41, 1)).ok());
+  EXPECT_FALSE(session->PredictBatch(RandomBatch(42, 2)).ok());
 }
 
 // Replies are exported out of the arena: they must stay stable after later

@@ -48,8 +48,7 @@ double RelFrobError(const Tensor& got, const Tensor& want) {
   return den > 0.0 ? std::sqrt(num / den) : std::sqrt(num);
 }
 
-// Pins an env var for a scope (session Create reads MSD_PLAN / MSD_QUANT
-// once).
+// Pins an env var for a scope (session Create reads MSD_QUANT once).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -226,7 +225,6 @@ std::unique_ptr<serve::InferenceSession> MakeSession(bool quantize,
 }
 
 TEST(QuantSessionTest, ConfigQuantizeAdoptsStepsWithinAccuracyBound) {
-  ScopedEnv plan_env("MSD_PLAN", "1");
   ScopedEnv quant_env("MSD_QUANT", nullptr);  // config decides
   auto fp32 = MakeSession(/*quantize=*/false, "fp32");
   auto quant = MakeSession(/*quantize=*/true, "int8");
@@ -250,7 +248,6 @@ TEST(QuantSessionTest, ConfigQuantizeAdoptsStepsWithinAccuracyBound) {
 }
 
 TEST(QuantSessionTest, EnvZeroOverridesConfigAndStaysBitIdenticalToFp32) {
-  ScopedEnv plan_env("MSD_PLAN", "1");
   Rng rng(29);
   const Tensor batch = Tensor::RandNormal({2, 2, 32}, 0.0f, 1.0f, rng);
   Tensor fp32_out;
@@ -270,7 +267,6 @@ TEST(QuantSessionTest, EnvZeroOverridesConfigAndStaysBitIdenticalToFp32) {
 }
 
 TEST(QuantSessionTest, EnvOneForcesQuantizationOverConfig) {
-  ScopedEnv plan_env("MSD_PLAN", "1");
   ScopedEnv quant_env("MSD_QUANT", "1");
   auto session = MakeSession(/*quantize=*/false, "forced");
   EXPECT_TRUE(session->quantized());
@@ -279,7 +275,6 @@ TEST(QuantSessionTest, EnvOneForcesQuantizationOverConfig) {
 }
 
 TEST(QuantSessionTest, QuantCountersAndGaugePublished) {
-  ScopedEnv plan_env("MSD_PLAN", "1");
   ScopedEnv quant_env("MSD_QUANT", nullptr);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const int64_t steps_before =

@@ -1,7 +1,8 @@
 // Serving subsystem tests: frozen-session identity with the training
 // pipeline, batch-composition invariance, micro-batcher contracts
-// (backpressure, timeout, cancellation), and the no-tape-growth regression
-// for inference paths. See docs/SERVING.md.
+// (backpressure, timeout, cancellation), the no-tape-growth regression
+// for inference paths, and the text protocol (parsing, STATS, TRACE)
+// through a one-model ModelService. See docs/SERVING.md.
 #include "serve/server.h"
 
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "runtime/parallel.h"
+#include "serve/registry.h"
 #include "serve/trace.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
@@ -93,6 +95,27 @@ std::unique_ptr<serve::InferenceSession> MakeSession(
 Tensor RandomWindow(uint64_t seed, int64_t channels = 2, int64_t length = 32) {
   Rng rng(seed);
   return Tensor::RandNormal({channels, length}, 0.0f, 1.0f, rng);
+}
+
+// A one-entry registry serving MakeSession's forecast model as the default:
+// the text protocol runs through ModelService exactly as msd_serve serves a
+// single checkpoint.
+std::unique_ptr<serve::ModelRegistry> OneModelRegistry() {
+  serve::MicroBatcherConfig config;
+  config.max_delay_us = 200;
+  serve::ManifestEntry entry;
+  entry.name = "default";
+  entry.version = 1;
+  entry.checkpoint = "(in-memory)";
+  entry.lookback = 32;
+  entry.horizon = 8;
+  auto registry = std::make_unique<serve::ModelRegistry>(config);
+  EXPECT_TRUE(registry
+                  ->Add(std::make_shared<serve::ServedModel>(
+                      entry, MakeSession(TaskType::kForecast), config))
+                  .ok());
+  registry->set_default_model(entry.name);
+  return registry;
 }
 
 TEST(InferenceSessionTest, BatchRowsMatchSingleRequests) {
@@ -291,13 +314,17 @@ TEST(MicroBatcherTest, ExpiredRequestsResolveWithDeadlineExceeded) {
 TEST(MicroBatcherTest, StopCancelsPendingAndRejectsNewWork) {
   auto session = MakeSession(TaskType::kForecast);
   serve::MicroBatcherConfig config;
+  config.queue_capacity = 8;
   serve::MicroBatcher batcher(session.get(), config);
   const Tensor window = RandomWindow(3);
 
-  serve::ResultFuture pending;
-  ASSERT_TRUE(batcher.Submit(window, &pending).ok());
-  batcher.Stop();  // never Start()ed: the queued request must not be lost
-  EXPECT_EQ(pending.get().status().code(), StatusCode::kCancelled);
+  // Never Start()ed: a full queue's worth of requests must not be lost.
+  std::vector<serve::ResultFuture> pending(config.queue_capacity);
+  for (auto& f : pending) ASSERT_TRUE(batcher.Submit(window, &f).ok());
+  batcher.Stop();
+  for (auto& f : pending) {
+    EXPECT_EQ(f.get().status().code(), StatusCode::kCancelled);
+  }
 
   serve::ResultFuture rejected;
   EXPECT_EQ(batcher.Submit(window, &rejected).code(), StatusCode::kCancelled);
@@ -316,31 +343,32 @@ TEST(MicroBatcherTest, SubmitValidatesWindowShape) {
   batcher.Stop();
 }
 
-TEST(ServerLoopTest, TextProtocolRoundTrip) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
+TEST(TextProtocolTest, TextProtocolRoundTrip) {
+  auto registry = OneModelRegistry();
+  serve::ModelService service(registry.get());
 
   const Tensor window = RandomWindow(11);
-  const std::string reply =
-      server.HandleLine(serve::FormatTensorLine(window));
+  const std::string line = serve::FormatTensorLine(window);
+  const std::string reply = service.HandleLine(line);
   ASSERT_NE(reply.rfind("ERROR", 0), 0u) << reply;
   auto parsed = serve::ParseWindowLine(reply, 2, 8);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto want = session->Predict(window);
+  auto want = registry->Get("").value()->session()->Predict(window);
   ASSERT_TRUE(want.ok());
   // %.6g text round-trip, so approximate comparison only.
   EXPECT_TRUE(AllClose(parsed.value(), want.value(), 1e-3f, 1e-3f));
 
-  EXPECT_EQ(server.HandleLine("1,2,bogus").rfind("ERROR", 0), 0u);
-  EXPECT_EQ(server.HandleLine("1,2;3").rfind("ERROR", 0), 0u);  // ragged
-  EXPECT_EQ(server.HandleLine("").rfind("ERROR", 0), 0u);
-  server.Stop();
+  EXPECT_EQ(service.HandleLine("1,2,bogus").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(service.HandleLine("1,2;3").rfind("ERROR", 0), 0u);  // ragged
+  EXPECT_EQ(service.HandleLine("").rfind("ERROR", 0), 0u);
+  // A well-shaped window carrying a non-finite value never reaches the
+  // model.
+  const std::string poisoned = "nan" + line.substr(line.find(','));
+  const std::string rejected = service.HandleLine(poisoned);
+  EXPECT_EQ(rejected.rfind("ERROR InvalidArgument", 0), 0u) << rejected;
 }
 
-TEST(ServerLoopTest, ParseAndFormatAreInverses) {
+TEST(TextProtocolTest, ParseAndFormatAreInverses) {
   auto parsed = serve::ParseWindowLine("1,2.5,-3;4,5e-2,6", 0, 0);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().shape(), (Shape{2, 3}));
@@ -349,6 +377,16 @@ TEST(ServerLoopTest, ParseAndFormatAreInverses) {
   auto reparsed = serve::ParseWindowLine(rendered, 2, 3);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_TRUE(BitIdentical(parsed.value(), reparsed.value()));
+
+  // Non-finite values, including a literal that overflows float, are
+  // rejected with the offending value's offset.
+  for (const char* value : {"nan", "inf", "1e99"}) {
+    auto bad = serve::ParseWindowLine(std::string("1,") + value + ",3", 0, 0);
+    ASSERT_FALSE(bad.ok()) << value;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(bad.status().message().find("offset 2"), std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 std::string ReadWholeFile(const std::string& path) {
@@ -377,8 +415,8 @@ TEST(MicroBatcherTest, TimingDecompositionSeparatesQueueFromCompute) {
   config.num_workers = 1;
   serve::MicroBatcher batcher(session.get(), config);
   batcher.Start();
-  // Session creation runs a warmup forward that records its own compute
-  // span; drop it so the snapshot below holds exactly our three requests.
+  // Start from an empty ring so the snapshot below holds exactly our three
+  // requests.
   ring.Clear();
 
   const int64_t queue_before = serve::Instruments().queue_us.count();
@@ -449,17 +487,14 @@ TEST(MicroBatcherTest, DeadlineMissCounterTracksExpiredRequests) {
   EXPECT_EQ(serve::Instruments().deadline_miss.value(), misses_before + 1);
 }
 
-TEST(ServerLoopTest, StatsCommandReportsCountersAndQuantiles) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
-  ASSERT_EQ(server.HandleLine(serve::FormatTensorLine(RandomWindow(12)))
+TEST(TextProtocolTest, StatsCommandReportsCountersAndQuantiles) {
+  auto registry = OneModelRegistry();
+  serve::ModelService service(registry.get());
+  ASSERT_EQ(service.HandleLine(serve::FormatTensorLine(RandomWindow(12)))
                 .rfind("ERROR", 0),
             std::string::npos);
 
-  const std::string reply = server.HandleLine("STATS");
+  const std::string reply = service.HandleLine("STATS");
   obs::JsonValue doc;
   ASSERT_TRUE(obs::JsonParse(reply, &doc)) << reply;
   const obs::JsonValue* requests = doc.Find("requests_total");
@@ -477,38 +512,34 @@ TEST(ServerLoopTest, StatsCommandReportsCountersAndQuantiles) {
     EXPECT_GE(hist->Find("p99")->number, hist->Find("p50")->number) << name;
   }
   // The command itself is whitespace-tolerant.
-  EXPECT_EQ(server.HandleLine("  STATS  ").rfind("ERROR", 0),
+  EXPECT_EQ(service.HandleLine("  STATS  ").rfind("ERROR", 0),
             std::string::npos);
-  server.Stop();
 }
 
-TEST(ServerLoopTest, TraceCommandRequiresExporterAndWritesChromeJson) {
+TEST(TextProtocolTest, TraceCommandRequiresExporterAndWritesChromeJson) {
   obs::TraceRing& ring = obs::TraceRing::Global();
   const int64_t old_sample = ring.sample_every();
   ring.SetSampleEvery(1);
   ring.Clear();
 
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
+  auto registry = OneModelRegistry();
+  serve::ModelService service(registry.get());
 
   // Without a wired exporter there is no thread allowed to do file I/O.
-  EXPECT_EQ(server.HandleLine("TRACE /tmp/never_written.json").rfind("ERROR", 0),
-            0u);
+  EXPECT_EQ(
+      service.HandleLine("TRACE /tmp/never_written.json").rfind("ERROR", 0),
+      0u);
 
   obs::TelemetryExporter exporter(obs::TelemetryExporterOptions{});
   ASSERT_TRUE(exporter.Start());
-  server.SetExporter(&exporter);
-  EXPECT_EQ(server.HandleLine("TRACE").rfind("ERROR", 0), 0u);  // path missing
+  service.SetExporter(&exporter);
+  EXPECT_EQ(service.HandleLine("TRACE").rfind("ERROR", 0), 0u);  // no path
 
-  ASSERT_EQ(server.HandleLine(serve::FormatTensorLine(RandomWindow(13)))
+  ASSERT_EQ(service.HandleLine(serve::FormatTensorLine(RandomWindow(13)))
                 .rfind("ERROR", 0),
             std::string::npos);
   const std::string dump = TempPath("trace_dump.json");
-  EXPECT_EQ(server.HandleLine("TRACE " + dump).rfind("OK", 0), 0u);
-  server.Stop();
+  EXPECT_EQ(service.HandleLine("TRACE " + dump).rfind("OK", 0), 0u);
   exporter.Stop();
   ring.SetSampleEvery(old_sample);
 

@@ -7,7 +7,7 @@
 #   analyze       build tools/analyze and run msd_analyze over src/ (human
 #                 report plus --json, which must parse); any unsuppressed
 #                 finding fails the leg. The run also asserts hot-path BFS
-#                 coverage of the planner executor (--require-reachable
+#                 coverage of the planned forward (--require-reachable
 #                 CompiledPlan::Execute / InferenceSession::RunPlanned), of
 #                 the int8 kernel entry points (QGemmPrepacked /
 #                 QuantizeActivationsPerRow), and of the multi-tenant serving
@@ -16,11 +16,9 @@
 #                 chain), so a lost call edge from a serving root cannot
 #                 silently shrink what "0 findings" vouches for.
 #   release       default configuration (MSD_NATIVE_ARCH=ON, checks OFF);
-#                 full ctest run THREE times — MSD_PLAN=1 (compiled session
-#                 plans, the default), MSD_PLAN=0 (the interpreted oracle),
-#                 and MSD_PLAN=1 MSD_QUANT=1 (the int8 quantized plans,
-#                 docs/PERFORMANCE.md) — including analyze_check and
-#                 gradcheck_sweep, plus a
+#                 full ctest run TWICE — fp32 plans (the default) and
+#                 MSD_QUANT=1 (the int8 quantized plans, docs/PERFORMANCE.md)
+#                 — including analyze_check and gradcheck_sweep, plus a
 #                 quickstart run whose training losses are captured, a
 #                 thread-scaling bench snapshot (BENCH_threads.json), a
 #                 serving load snapshot (BENCH_serve.json from
@@ -47,12 +45,17 @@
 #                 trace-ring writer/reader races, msd_serve_selftest,
 #                 bench_serving_smoke incl. the churn hot-swap phase) run on
 #                 a real multi-threaded pool under the race detector.
+#   perfbench     python3 perfbench/test_perfbench.py: builds the benchmark
+#                 (BENCHMARK.json) from this checkout, which compiles
+#                 against the serve/ APIs, and runs its short-mode checks
+#                 on every workload. Skipped with a note when python3 is
+#                 absent.
 #
 # Usage: tools/check.sh [--tidy] [--jobs N] [--leg NAME]...
 #        [--bench-baseline FILE] [--serve-baseline FILE]
 #   --tidy     also run clang-tidy (src/common + src/tensor); skipped with a
 #              note when clang-tidy is not installed.
-#   --leg      run only the named leg(s); default is all five.
+#   --leg      run only the named leg(s); default is all six.
 #   --jobs N   parallel build/test jobs (default: nproc).
 #   --bench-baseline FILE
 #              after the release leg, re-run the kernel benches in
@@ -81,7 +84,8 @@
 #              filtered to serve/* so the gate ignores the bench's own
 #              model-training warmup timings.
 #
-# Build trees live in build-check/<leg> so they never disturb ./build.
+# Build trees live in build-check/<leg> (the perfbench leg's in
+# .bench_build/) so they never disturb ./build.
 set -u -o pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -102,7 +106,7 @@ while [[ $# -gt 0 ]]; do
   esac
   shift
 done
-[[ ${#LEGS[@]} -eq 0 ]] && LEGS=(analyze release debug-checks asan-ubsan tsan)
+[[ ${#LEGS[@]} -eq 0 ]] && LEGS=(analyze release debug-checks asan-ubsan tsan perfbench)
 
 CHECK_DIR="${ROOT}/build-check"
 mkdir -p "${CHECK_DIR}"
@@ -179,27 +183,19 @@ run_release_like_leg() {  # leg-name extra-cmake-flag...
     fail_leg "${leg}" "build failed"; return
   fi
   if [[ "${leg}" == "release" ]]; then
-    # The compiled plan path must be bit-identical to the interpreter
-    # (docs/COMPILER.md), so the release leg runs the whole suite on both
-    # sides of the toggle: MSD_PLAN=1 (planned, the default) and MSD_PLAN=0
-    # (the interpreted oracle every plan is validated against).
-    local plan
-    for plan in 1 0; do
-      note "leg ${leg}: ctest (MSD_PLAN=${plan})"
-      if ! (cd "${builddir}" &&
-            MSD_PLAN="${plan}" ctest --output-on-failure -j "${JOBS}"); then
-        fail_leg "${leg}" "ctest failures (MSD_PLAN=${plan})"; return
-      fi
-    done
-    # Third pass under the int8 quantization pass (docs/PERFORMANCE.md):
+    note "leg ${leg}: ctest"
+    if ! (cd "${builddir}" && ctest --output-on-failure -j "${JOBS}"); then
+      fail_leg "${leg}" "ctest failures"; return
+    fi
+    # Second pass under the int8 quantization pass (docs/PERFORMANCE.md):
     # plans rewrite eligible GEMMs to the quantized kernels. Suites that
     # assert fp32 bit-exactness pin MSD_QUANT=0 themselves; everything else
     # must hold — including the dedicated quant suites, which now exercise
     # the env-on direction for free.
-    note "leg ${leg}: ctest (MSD_PLAN=1 MSD_QUANT=1)"
+    note "leg ${leg}: ctest (MSD_QUANT=1)"
     if ! (cd "${builddir}" &&
-          MSD_PLAN=1 MSD_QUANT=1 ctest --output-on-failure -j "${JOBS}"); then
-      fail_leg "${leg}" "ctest failures (MSD_PLAN=1 MSD_QUANT=1)"; return
+          MSD_QUANT=1 ctest --output-on-failure -j "${JOBS}"); then
+      fail_leg "${leg}" "ctest failures (MSD_QUANT=1)"; return
     fi
   else
     note "leg ${leg}: ctest"
@@ -228,7 +224,7 @@ for leg in "${LEGS[@]}"; do
       # exit 2 a configuration error (e.g. a suppression without a
       # justification) — both fail the leg.
       # --require-reachable turns silent hot-path coverage loss into a
-      # failure: the planner executor must stay visible to the BFS from the
+      # failure: the planned forward must stay visible to the BFS from the
       # PredictBatch root or a clean report proves nothing about it.
       note "leg analyze: msd_analyze over src/"
       json="${builddir}/analyze_report.json"
@@ -302,10 +298,10 @@ for leg in "${LEGS[@]}"; do
         fi
       fi
       if [[ "${STATUS[release]}" == "PASS" ]]; then
-        # Same selftest with the planned session on the int8 path: replies
-        # must stay within the quantization accuracy contract against the
-        # fp32 interpreted oracle, and the plan must have adopted int8
-        # steps (the selftest asserts both itself under MSD_QUANT=1).
+        # Same selftest with every session on the int8 path: replies must
+        # stay within the quantization accuracy contract against the fp32
+        # pipeline's own Predict, and the plan must have adopted int8 steps
+        # (the selftest asserts both itself under MSD_QUANT=1).
         note "leg release: msd_serve selftest (MSD_QUANT=1)"
         if MSD_QUANT=1 "${CHECK_DIR}/release/tools/msd_serve" --selftest \
             --telemetry-out \
@@ -399,6 +395,23 @@ for leg in "${LEGS[@]}"; do
         STATUS[tsan]="PASS"; DETAIL[tsan]="full ctest clean at MSD_THREADS=4"
       else
         fail_leg tsan "ctest failures under ThreadSanitizer (MSD_THREADS=4)"
+      fi
+      ;;
+    perfbench)
+      # The benchmark builds its own Release tree under .bench_build/ from
+      # this checkout; its tests rebuild it, so serve/ API drift fails here
+      # rather than in a later benchmark run.
+      if command -v python3 >/dev/null 2>&1; then
+        note "leg perfbench: python3 perfbench/test_perfbench.py"
+        if (cd "${ROOT}" && python3 perfbench/test_perfbench.py); then
+          STATUS[perfbench]="PASS"
+          DETAIL[perfbench]="benchmark builds; short-mode checks pass"
+        else
+          fail_leg perfbench "perfbench/test_perfbench.py failed"
+        fi
+      else
+        STATUS[perfbench]="SKIP"
+        DETAIL[perfbench]="python3 not installed"
       fi
       ;;
     *)

@@ -28,15 +28,14 @@
 // RELOAD <model> <checkpoint> (atomic hot-swap; in-flight requests finish
 // on the old session), TRACE <path>.
 //
-// --selftest trains small pipelines on synthetic data and exercises the
-// full stack against itself: the single-model phase answers every data
-// request through BOTH a planned session (MSD_PLAN=1, docs/COMPILER.md)
-// and an interpreted one (MSD_PLAN=0) and requires byte-identical replies
-// (degraded to the 2% quantization accuracy contract under MSD_QUANT=1);
-// the multi-model phase drives a two-tenant manifest through MODEL-prefixed
-// routing, LIST, a live RELOAD hot-swap, per-model STATS counters and a
-// round trip over a real SocketServer connection, memcmp'ing every data
-// reply against a direct oracle session over the same checkpoint. Exits
+// --selftest trains small pipelines on synthetic data and drives a
+// two-tenant manifest through the full stack: MODEL-prefixed and default
+// routing, LIST, a live RELOAD hot-swap, STATS (global and per-model), a
+// TRACE dump, a malformed line, and a round trip over a real SocketServer
+// connection. Every data reply is memcmp'd against a direct oracle session
+// over the same checkpoint and checked against the pipeline's own Predict
+// (to %.6g text precision, or the 2% quantization accuracy contract under
+// MSD_QUANT=1, where the plans must also have adopted int8 steps). Exits
 // nonzero on any mismatch — this is the msd_serve_selftest ctest.
 //
 // Telemetry: a background obs::TelemetryExporter appends a JSONL registry
@@ -253,12 +252,12 @@ Tensor SelfTestSeries(uint64_t seed) {
   return GenerateSeries(series_config);
 }
 
-// The two-tenant phase: manifest routing, LIST, live RELOAD, per-model
-// STATS, and one round trip over a real epoll SocketServer connection.
-// Every data reply is memcmp'd against a direct oracle session over the
-// same checkpoint — the determinism contract makes matching replies
-// byte-identical, so a misrouted or version-crossed reply cannot pass.
-int MultiModelSelfTest() {
+// The --selftest body (see the file comment). Every data reply is memcmp'd
+// against a direct oracle session over the same checkpoint — the
+// determinism contract makes matching replies byte-identical, so a
+// misrouted or version-crossed reply cannot pass. Returns the process exit
+// code.
+int SelfTest(int argc, char** argv) {
   int failures = 0;
   const Tensor series_a = SelfTestSeries(21);
   const Tensor series_b = SelfTestSeries(33);
@@ -315,8 +314,8 @@ int MultiModelSelfTest() {
     return 1;
   }
 
-  // Oracles: direct sessions over the same checkpoints (same MSD_PLAN /
-  // MSD_QUANT environment as the served sessions, so replies match bytes).
+  // Oracles: direct sessions over the same checkpoints (same MSD_QUANT
+  // environment as the served sessions, so replies match bytes).
   serve::ForecastSessionOptions oa;
   oa.lookback = 32;
   oa.horizon = 8;
@@ -341,6 +340,10 @@ int MultiModelSelfTest() {
                     : "ERROR " + out.status().ToString();
   };
 
+  obs::TelemetryExporterOptions exporter_options;
+  exporter_options.path = FlagValue(argc, argv, "--telemetry-out");
+  exporter_options.interval_ms = 50;
+  obs::TelemetryExporter exporter(exporter_options);
   {
     // The SocketServer outlives the registry (completions Post through it
     // while batchers drain), hence the declaration order.
@@ -360,6 +363,31 @@ int MultiModelSelfTest() {
     }
     serve::ModelService service(&registry);
 
+    // Started after the registry's batchers exist, so even the exporter's
+    // first snapshot carries the serve/* instruments. Every request is
+    // sampled so the TRACE dump below is never empty.
+    obs::TraceRing::Global().SetSampleEvery(1);
+    if (!exporter.Start()) {
+      std::fprintf(stderr, "selftest: cannot open %s\n",
+                   exporter_options.path.c_str());
+      return 1;
+    }
+    service.SetExporter(&exporter);
+
+    // MSD_QUANT=1 flips every session to the int8 path; the plan must then
+    // have adopted int8 steps, and replies agree with the fp32 pipeline to
+    // quantization accuracy only.
+    const serve::InferenceSession* alpha_session =
+        registry.Get("alpha").value()->session();
+    const bool quant = alpha_session->quantized();
+    if (quant && alpha_session->plan_for(1)->stats().num_quantized == 0) {
+      std::fprintf(stderr,
+                   "selftest: MSD_QUANT=1 but the batch-1 plan adopted no "
+                   "int8 steps (all fell back to fp32)\n");
+      ++failures;
+    }
+    const float tol = quant ? 2e-2f : 1e-3f;
+
     for (int64_t offset = 0; offset < 64; offset += 16) {
       const Tensor window_a = Slice(series_a, 1, offset, pa.lookback);
       const Tensor window_b = Slice(series_b, 1, offset, pb.lookback);
@@ -374,6 +402,17 @@ int MultiModelSelfTest() {
         std::fprintf(stderr, "selftest: MODEL alpha reply mismatch:\n"
                              "  got:  %s\n  want: %s\n",
                      got_a.c_str(), want_a.c_str());
+        ++failures;
+      }
+      // The served reply also tracks the pipeline's own Predict, to the
+      // %.6g text precision (or the int8 accuracy budget).
+      auto parsed = serve::ParseWindowLine(got_a, window_a.dim(0), pa.horizon);
+      if (!parsed.ok() || !AllClose(parsed.value(), pipe_a.Predict(window_a),
+                                    /*atol=*/tol, /*rtol=*/tol)) {
+        std::fprintf(stderr,
+                     "selftest: alpha reply diverges from pipeline Predict: "
+                     "%s\n",
+                     got_a.c_str());
         ++failures;
       }
       if (got_b != want_b) {
@@ -392,6 +431,12 @@ int MultiModelSelfTest() {
     if (unknown.rfind("ERROR NotFound", 0) != 0) {
       std::fprintf(stderr, "selftest: unknown model not NotFound: %s\n",
                    unknown.c_str());
+      ++failures;
+    }
+    const std::string malformed = service.HandleLine("1,2,spam");
+    if (malformed.rfind("ERROR", 0) != 0) {
+      std::fprintf(stderr, "selftest: malformed request not rejected: %s\n",
+                   malformed.c_str());
       ++failures;
     }
 
@@ -437,17 +482,19 @@ int MultiModelSelfTest() {
       ++failures;
     }
 
-    // STATS: the per-model object reflects the traffic and the new version.
-    const std::string stats = service.HandleLine("STATS");
+    // STATS: the global counters and latency quantiles, plus a per-model
+    // object reflecting the traffic and the new version.
+    const std::string stats = service.HandleLine("STATS\n");
     obs::JsonValue stats_doc;
     const obs::JsonValue* models = nullptr;
     const obs::JsonValue* alpha = nullptr;
     if (!obs::JsonParse(stats, &stats_doc) ||
+        stats_doc.Find("requests_total") == nullptr ||
+        stats_doc.Find("e2e_us") == nullptr ||
         (models = stats_doc.Find("models")) == nullptr ||
         (alpha = models->Find("alpha")) == nullptr ||
         models->Find("beta") == nullptr) {
-      std::fprintf(stderr, "selftest: STATS misses per-model counters: %s\n",
-                   stats.c_str());
+      std::fprintf(stderr, "selftest: bad STATS reply: %s\n", stats.c_str());
       ++failures;
     } else if (alpha->Find("version") == nullptr ||
                alpha->Find("version")->number != 2.0 ||
@@ -457,6 +504,46 @@ int MultiModelSelfTest() {
                    stats.c_str());
       ++failures;
     }
+
+    // TRACE: the dump must parse and contain the three per-request phases.
+    char trace_path[128];
+    std::snprintf(trace_path, sizeof(trace_path),
+                  "msd_serve_selftest_trace_%d.json", (int)getpid());
+    const std::string trace_reply =
+        service.HandleLine(std::string("TRACE ") + trace_path + "\n");
+    if (trace_reply.rfind("OK", 0) != 0) {
+      std::fprintf(stderr, "selftest: TRACE failed: %s\n", trace_reply.c_str());
+      ++failures;
+    } else {
+      std::string trace_json;
+      if (!ReadFileToString(trace_path, &trace_json)) {
+        std::fprintf(stderr, "selftest: cannot read TRACE dump\n");
+        ++failures;
+      }
+      obs::JsonValue trace_doc;
+      const obs::JsonValue* events = nullptr;
+      if (!obs::JsonParse(trace_json, &trace_doc) ||
+          (events = trace_doc.Find("traceEvents")) == nullptr ||
+          !events->is_array() || events->array.empty()) {
+        std::fprintf(stderr, "selftest: TRACE dump unparseable or empty\n");
+        ++failures;
+      } else {
+        bool saw_queue = false, saw_assembly = false, saw_compute = false;
+        for (const obs::JsonValue& event : events->array) {
+          const obs::JsonValue* name = event.Find("name");
+          if (name == nullptr || !name->is_string()) continue;
+          saw_queue = saw_queue || name->str == "queue";
+          saw_assembly = saw_assembly || name->str == "batch_assembly";
+          saw_compute = saw_compute || name->str == "compute";
+        }
+        if (!saw_queue || !saw_assembly || !saw_compute) {
+          std::fprintf(stderr,
+                       "selftest: TRACE dump misses a request phase span\n");
+          ++failures;
+        }
+      }
+    }
+    std::remove(trace_path);
 
     // One round trip over the real epoll transport.
     socket_server = std::make_unique<serve::SocketServer>(
@@ -500,209 +587,11 @@ int MultiModelSelfTest() {
   std::remove(ckpt_b.c_str());
   std::remove((ckpt_b + ".meta").c_str());
   std::remove(manifest_path.c_str());
-  return failures;
-}
-
-// Trains a small pipeline, round-trips it through checkpoint + text
-// protocol (including the STATS/TRACE admin commands), and cross-checks
-// every reply against the pipeline's own Predict. Returns the process exit
-// code.
-int SelfTest(int argc, char** argv) {
-  const Tensor series = SelfTestSeries(21);
-  const ForecastPipelineConfig pc = SelfTestPipelineConfig(/*horizon=*/8);
-  ForecastPipeline pipeline(pc, /*seed=*/5);
-  pipeline.Fit(series);
-
-  const std::string ckpt = "msd_serve_selftest.msdckpt";
-  Status saved = pipeline.Save(ckpt);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "selftest: save failed: %s\n",
-                 saved.ToString().c_str());
-    return 1;
-  }
-
-  serve::ForecastSessionOptions options;
-  options.lookback = pc.lookback;
-  options.horizon = pc.horizon;
-  // Two sessions over the same checkpoint: one frozen through the plan
-  // compiler (MSD_PLAN=1), one pinned to the interpreter (MSD_PLAN=0).
-  // Every data reply below is answered by both and must match byte-for-byte
-  // — the end-to-end spelling of the planner's bit-identity contract.
-  ::setenv("MSD_PLAN", "1", 1);
-  auto session = serve::CreateForecastSession(ckpt, options);
-  ::setenv("MSD_PLAN", "0", 1);
-  auto interp_session = serve::CreateForecastSession(ckpt, options);
-  ::unsetenv("MSD_PLAN");
-  std::remove(ckpt.c_str());
-  std::remove((ckpt + ".meta").c_str());
-  if (!session.ok() || !interp_session.ok()) {
-    std::fprintf(stderr, "selftest: session failed: %s\n",
-                 (session.ok() ? interp_session.status() : session.status())
-                     .ToString()
-                     .c_str());
-    return 1;
-  }
-  if (!session.value()->planned() || interp_session.value()->planned()) {
-    std::fprintf(stderr, "selftest: MSD_PLAN did not select the paths\n");
-    return 1;
-  }
-  if (session.value()->plan_for(1) == nullptr) {
-    std::fprintf(stderr, "selftest: planned session has no batch-1 plan\n");
-    return 1;
-  }
-  // MSD_QUANT=1 flips the planned session to the int8 path; the interpreted
-  // oracle has no plans, so it stays fp32 regardless. Replies then agree to
-  // quantization accuracy, not byte-for-byte.
-  const bool quant = session.value()->quantized();
-  if (quant && session.value()->plan_for(1)->stats().num_quantized == 0) {
-    std::fprintf(stderr,
-                 "selftest: MSD_QUANT=1 but the batch-1 plan adopted no "
-                 "int8 steps (all fell back to fp32)\n");
-    return 1;
-  }
-  serve::MicroBatcherConfig bc;
-  bc.max_delay_us = 500;
-  serve::ServerLoop server(session.value().get(), bc);
-  serve::MicroBatcherConfig ibc;
-  ibc.max_delay_us = 500;
-  serve::ServerLoop interp_server(interp_session.value().get(), ibc);
-
-  // Sample every request so the TRACE dump below is never empty.
-  obs::TraceRing::Global().SetSampleEvery(1);
-  const std::string telemetry_path = FlagValue(argc, argv, "--telemetry-out");
-  obs::TelemetryExporterOptions exporter_options;
-  exporter_options.path = telemetry_path;
-  exporter_options.interval_ms = 50;
-  obs::TelemetryExporter exporter(exporter_options);
-  if (!exporter.Start()) {
-    std::fprintf(stderr, "selftest: cannot open %s\n", telemetry_path.c_str());
-    return 1;
-  }
-  server.SetExporter(&exporter);
-  server.Start();
-  interp_server.Start();
-
-  int failures = 0;
-  for (int64_t offset = 0; offset + pc.lookback <= series.dim(1) && offset < 64;
-       offset += 16) {
-    const Tensor window = Slice(series, 1, offset, pc.lookback);
-    const Tensor want = pipeline.Predict(window);
-    const std::string line = serve::FormatTensorLine(window);
-    const std::string reply = server.HandleLine(line);
-    if (reply.rfind("ERROR", 0) == 0) {
-      std::fprintf(stderr, "selftest: request failed: %s\n", reply.c_str());
-      ++failures;
-      continue;
-    }
-    // Planned vs interpreted: byte-identical replies in fp32 mode (identical
-    // floats print identically under %.6g); within the quantization accuracy
-    // contract when the planned session runs int8.
-    const std::string interp_reply = interp_server.HandleLine(line);
-    if (!quant && (reply.size() != interp_reply.size() ||
-                   std::memcmp(reply.data(), interp_reply.data(),
-                               reply.size()) != 0)) {
-      std::fprintf(stderr,
-                   "selftest: planned and interpreted replies differ:\n"
-                   "  plan:   %s\n  interp: %s\n",
-                   reply.c_str(), interp_reply.c_str());
-      ++failures;
-    }
-    auto parsed = serve::ParseWindowLine(reply, window.dim(0), pc.horizon);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "selftest: unparseable reply: %s\n",
-                   parsed.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
-    if (quant) {
-      auto interp_parsed =
-          serve::ParseWindowLine(interp_reply, window.dim(0), pc.horizon);
-      if (!interp_parsed.ok() ||
-          !AllClose(parsed.value(), interp_parsed.value(), /*atol=*/2e-2f,
-                    /*rtol=*/2e-2f)) {
-        std::fprintf(stderr,
-                     "selftest: int8 reply outside quantization tolerance:\n"
-                     "  plan:   %s\n  interp: %s\n",
-                     reply.c_str(), interp_reply.c_str());
-        ++failures;
-      }
-    }
-    // %.6g text round-trip: compare with a matching tolerance, not bitwise
-    // (widened under int8 to the same quantization accuracy budget).
-    const float tol = quant ? 2e-2f : 1e-3f;
-    if (!AllClose(parsed.value(), want, /*atol=*/tol, /*rtol=*/tol)) {
-      std::fprintf(stderr, "selftest: reply diverges from pipeline Predict\n");
-      ++failures;
-    }
-  }
-
-  const std::string error_reply = server.HandleLine("1,2,spam");
-  if (error_reply.rfind("ERROR", 0) != 0) {
-    std::fprintf(stderr, "selftest: malformed request not rejected: %s\n",
-                 error_reply.c_str());
-    ++failures;
-  }
-
-  // STATS: one JSON object with the request counters and latency quantiles.
-  const std::string stats = server.HandleLine("STATS\n");
-  obs::JsonValue stats_doc;
-  if (!obs::JsonParse(stats, &stats_doc) || !stats_doc.is_object() ||
-      stats_doc.Find("requests_total") == nullptr ||
-      stats_doc.Find("e2e_us") == nullptr) {
-    std::fprintf(stderr, "selftest: bad STATS reply: %s\n", stats.c_str());
-    ++failures;
-  }
-
-  // TRACE: the dump must parse and contain the three per-request phases.
-  char trace_path[128];
-  std::snprintf(trace_path, sizeof(trace_path),
-                "msd_serve_selftest_trace_%d.json", (int)getpid());
-  const std::string trace_reply =
-      server.HandleLine(std::string("TRACE ") + trace_path + "\n");
-  if (trace_reply.rfind("OK", 0) != 0) {
-    std::fprintf(stderr, "selftest: TRACE failed: %s\n", trace_reply.c_str());
-    ++failures;
-  } else {
-    std::string trace_json;
-    if (!ReadFileToString(trace_path, &trace_json)) {
-      std::fprintf(stderr, "selftest: cannot read TRACE dump\n");
-      ++failures;
-    }
-    obs::JsonValue trace_doc;
-    const obs::JsonValue* events = nullptr;
-    if (!obs::JsonParse(trace_json, &trace_doc) ||
-        (events = trace_doc.Find("traceEvents")) == nullptr ||
-        !events->is_array() || events->array.empty()) {
-      std::fprintf(stderr, "selftest: TRACE dump unparseable or empty\n");
-      ++failures;
-    } else {
-      bool saw_queue = false, saw_assembly = false, saw_compute = false;
-      for (const obs::JsonValue& event : events->array) {
-        const obs::JsonValue* name = event.Find("name");
-        if (name == nullptr || !name->is_string()) continue;
-        saw_queue = saw_queue || name->str == "queue";
-        saw_assembly = saw_assembly || name->str == "batch_assembly";
-        saw_compute = saw_compute || name->str == "compute";
-      }
-      if (!saw_queue || !saw_assembly || !saw_compute) {
-        std::fprintf(stderr,
-                     "selftest: TRACE dump misses a request phase span\n");
-        ++failures;
-      }
-    }
-  }
-  std::remove(trace_path);
-
-  server.Stop();
-  interp_server.Stop();
-
-  // Phase two: the multi-tenant stack (registry, routing, hot-swap, epoll).
-  failures += MultiModelSelfTest();
 
   exporter.Stop();
-  if (!telemetry_path.empty()) {
+  if (!exporter_options.path.empty()) {
     // At least the t=0 and flush-on-shutdown snapshots must be present.
-    failures += ValidateTelemetryFile(telemetry_path, /*min_lines=*/2);
+    failures += ValidateTelemetryFile(exporter_options.path, /*min_lines=*/2);
   }
   std::printf("selftest %s\n", failures == 0 ? "passed" : "FAILED");
   return failures == 0 ? 0 : 1;
