@@ -69,21 +69,17 @@ bool MakeSessionPair(const MsdMixerConfig& mc, const std::string& checkpoint,
   }
   *fp32 = std::move(fp32_or).value();
   *int8 = std::move(int8_or).value();
-  const serve::CompiledPlan* plan = (*int8)->plan_for(max_batch);
-  if (plan == nullptr || plan->stats().num_quantized == 0) {
+  if ((*int8)->plan().stats().num_quantized == 0) {
     std::fprintf(stderr, "quantized session adopted no int8 steps\n");
     return false;
   }
   return true;
 }
 
-std::string AdoptionCell(const serve::InferenceSession& session,
-                         int64_t batch) {
-  const serve::CompiledPlan* plan = session.plan_for(batch);
-  if (plan == nullptr) return "n/a";
-  return std::to_string(plan->stats().num_quantized) + "/" +
-         std::to_string(plan->stats().num_quantized +
-                        plan->stats().num_quant_fallbacks);
+std::string AdoptionCell(const serve::InferenceSession& session) {
+  const serve::PlanStats& stats = session.plan().stats();
+  return std::to_string(stats.num_quantized) + "/" +
+         std::to_string(stats.num_quantized + stats.num_quant_fallbacks);
 }
 
 // Mean squared error of a session's batched predictions over a forecast
@@ -187,7 +183,7 @@ int main(int argc, char** argv) {
     if (delta_pct > kForecastGatePct) ok = false;
     forecast_table.PrintRow({LongTermDatasetName(ds), Fmt(fp32_mse, 4),
                              Fmt(int8_mse, 4), Fmt(delta_pct, 2) + "%",
-                             AdoptionCell(*int8, batch)});
+                             AdoptionCell(*int8)});
   }
   forecast_table.PrintRule();
 
@@ -237,7 +233,7 @@ int main(int argc, char** argv) {
     const double delta_pts = (fp32_acc - int8_acc) * 100.0;
     if (delta_pts > kClassifyGatePts) ok = false;
     classify_table.PrintRow({subset.name, Fmt(fp32_acc, 3), Fmt(int8_acc, 3),
-                             Fmt(delta_pts, 2), AdoptionCell(*int8, batch)});
+                             Fmt(delta_pts, 2), AdoptionCell(*int8)});
   }
   classify_table.PrintRule();
 

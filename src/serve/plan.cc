@@ -1,6 +1,7 @@
 #include "serve/plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -77,12 +78,10 @@ class CompiledPlan::ResultPool
 
 // ---- Schedule step ----------------------------------------------------------
 
-// One executable entry: kernel kind, prebuilt operand/output views (arena
-// regions or pinned constants), and the attributes its kernel needs.
+// One executable entry: kernel kind and the attributes its kernel needs. Its
+// operand/output views live in the per-row-count tables (RowViews).
 struct CompiledPlan::Step {
   OpKind kind = OpKind::kAdd;
-  Tensor a, b, c;  // operands; b/c undefined where the kind takes fewer
-  Tensor out;
   // kMatMulEx against a constant [k, n] weight: b repacked at freeze time
   // so Execute calls the prepacked GEMM (no per-call pack, no pool buffer).
   Tensor packed_b;
@@ -112,7 +111,6 @@ struct SlotRec {
   Tensor pinned;  // first-seen tensor; keeps the traced buffer alive
   bool is_constant = false;
   bool is_input = false;
-  // Recomputed against the post-fusion schedule.
   int def_step = -1;
   int last_use_step = -1;
 };
@@ -129,13 +127,10 @@ struct Node {
   float pad_value = 0.0f;
   gemm::Activation act = gemm::Activation::kIdentity;
   std::string region_path;
-  bool dead = false;
 };
 
 // Operand indexes of `kind` whose region may be reused for the output
-// (in-place): elementwise index-aligned kernels only. The Zip3-backed fused
-// kinds allow arg0 alone — their second pass reads c after out is written,
-// so b/c must stay disjoint (enforced by the clash check at the call site).
+// (in-place): elementwise index-aligned kernels only.
 std::vector<int> InPlaceCandidates(OpKind kind) {
   switch (kind) {
     case OpKind::kAdd:
@@ -157,10 +152,6 @@ std::vector<int> InPlaceCandidates(OpKind kind) {
     case OpKind::kTanh:
     case OpKind::kCopy:
       return {0};
-    case OpKind::kSubDivFused:
-    case OpKind::kMulAddFused:
-    case OpKind::kSliceSubFused:
-      return {0};
     default:
       return {};
   }
@@ -173,6 +164,171 @@ std::string JoinNames(const std::vector<std::string>& names) {
     joined += n;
   }
   return joined;
+}
+
+// One recorded forward: ops over slots. Slot 0 is the input; later slots are
+// interned in first-use order, so two runs with the same dataflow get the
+// same slot ids.
+struct Graph {
+  std::vector<SlotRec> slots;
+  std::vector<Node> nodes;
+  int out_slot = -1;
+  Tensor output;  // the interpreted result
+};
+
+// Records one interpreted run of `fn` on `input` into `g`. Returns the reason
+// the run cannot be planned, or an empty string.
+std::string TraceGraph(const CompiledPlan::ForwardFn& fn, const Tensor& input,
+                       Graph& g) {
+  optrace::Begin();
+  g.output = fn(input);
+  optrace::Trace trace = optrace::End();
+  if (!trace.unsupported.empty()) {
+    return "unsupported ops in trace: " + JoinNames(trace.unsupported);
+  }
+  if (trace.ops.empty()) return "trace recorded no ops";
+  if (!g.output.defined()) return "forward returned undefined";
+
+  // Pointer identity = buffer identity.
+  std::unordered_map<const float*, int> slot_of;
+  auto intern = [&](const Tensor& t) -> int {
+    auto it = slot_of.find(t.data());
+    if (it != slot_of.end()) return it->second;
+    SlotRec rec;
+    rec.pinned = t;
+    rec.is_constant = true;  // until an op is seen producing it
+    g.slots.push_back(std::move(rec));
+    slot_of.emplace(t.data(), static_cast<int>(g.slots.size()) - 1);
+    return static_cast<int>(g.slots.size()) - 1;
+  };
+  intern(input);
+  g.slots[0].is_constant = false;
+  g.slots[0].is_input = true;
+
+  g.nodes.reserve(trace.ops.size());
+  for (const optrace::RecordedOp& op : trace.ops) {
+    Node n;
+    n.kind = op.kind;
+    for (const Tensor& in : op.inputs) {
+      if (!in.defined()) {
+        n.args.push_back(-1);
+        n.arg_shapes.emplace_back();
+        continue;
+      }
+      n.args.push_back(intern(in));
+      n.arg_shapes.push_back(in.shape());
+    }
+    MSD_CHECK(op.output.defined());
+    if (slot_of.count(op.output.data()) != 0) {
+      // A fresh pool block per recorded output is the pinning contract; a
+      // repeat pointer means an op wrote into an existing buffer.
+      return "op output buffer reused; trace is not SSA";
+    }
+    n.out = intern(op.output);
+    g.slots[static_cast<size_t>(n.out)].is_constant = false;
+    n.out_shape = op.output.shape();
+    n.scalar = op.scalar;
+    n.dims = op.dims;
+    n.dim = op.dim;
+    n.start = op.start;
+    n.length = op.length;
+    n.before = op.before;
+    n.after = op.after;
+    n.pad_value = op.pad_value;
+    n.act = op.act;
+    n.region_path = op.region;
+    g.nodes.push_back(std::move(n));
+  }
+  auto out_it = slot_of.find(g.output.data());
+  if (out_it == slot_of.end() ||
+      g.slots[static_cast<size_t>(out_it->second)].is_constant) {
+    return "forward output was not produced by a traced op";
+  }
+  g.out_slot = out_it->second;
+  return "";
+}
+
+// A buffer whose R-row shape is its one-row shape with the leading dim
+// scaled by R holds its rows back to back, so the leading r * (one-row dim)
+// entries are exactly the buffer an r-row forward would compute.
+bool BatchOuter(const Shape& full, const Shape& one, int64_t rows) {
+  return !full.empty() && full.size() == one.size() &&
+         full[0] == rows * one[0] &&
+         std::equal(full.begin() + 1, full.end(), one.begin() + 1);
+}
+
+std::string NotBatchOuter(const Shape& full, const Shape& one, int64_t rows) {
+  return ShapeToString(full) + " at " + std::to_string(rows) +
+         " rows is not batch-outer (" + ShapeToString(one) + " at one row)";
+}
+
+bool SameBits(float x, float y) {
+  return std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+}
+
+bool SameAttributes(const Node& x, const Node& y) {
+  return SameBits(x.scalar, y.scalar) && x.dims == y.dims && x.dim == y.dim &&
+         x.start == y.start && x.length == y.length && x.before == y.before &&
+         x.after == y.after && SameBits(x.pad_value, y.pad_value) &&
+         x.act == y.act;
+}
+
+bool SameBytes(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
+// Checks that `one` (the forward at one row) is `full` (the forward at `rows`
+// rows) with the row count divided out: the same ops, attributes and
+// dataflow, byte-identical constants, and every other operand and output
+// batch-outer. Only then does a row prefix of `full`'s schedule replay fewer
+// rows. Returns the first offending op, or an empty string.
+std::string RowPrefixMismatch(const Graph& full, const Graph& one,
+                              int64_t rows) {
+  if (full.nodes.size() != one.nodes.size()) {
+    return "the forward records " + std::to_string(full.nodes.size()) +
+           " ops at " + std::to_string(rows) + " rows but " +
+           std::to_string(one.nodes.size()) + " at one row";
+  }
+  for (size_t i = 0; i < full.nodes.size(); ++i) {
+    const Node& f = full.nodes[i];
+    const Node& o = one.nodes[i];
+    std::string op = "op %" + std::to_string(i) + " " +
+                     optrace::OpKindName(f.kind);
+    if (!f.region_path.empty()) op += " (" + f.region_path + ")";
+    if (f.kind != o.kind || !SameAttributes(f, o)) {
+      return op + " changes kind or attributes with the row count";
+    }
+    if (f.args != o.args || f.out != o.out) {
+      return op + " reads different buffers at one row";
+    }
+    for (size_t j = 0; j < f.args.size(); ++j) {
+      const int slot = f.args[j];
+      if (slot < 0) continue;
+      // Equal dataflow so far makes the slot a constant in both traces or
+      // in neither.
+      const SlotRec& fs = full.slots[static_cast<size_t>(slot)];
+      const SlotRec& os = one.slots[static_cast<size_t>(slot)];
+      const std::string arg = op + " operand " + std::to_string(j);
+      if (fs.is_constant) {
+        if (f.arg_shapes[j] != o.arg_shapes[j] ||
+            !SameBytes(fs.pinned, os.pinned)) {
+          return arg + " is a constant that depends on the row count";
+        }
+      } else if (!BatchOuter(f.arg_shapes[j], o.arg_shapes[j], rows)) {
+        return arg + " " + NotBatchOuter(f.arg_shapes[j], o.arg_shapes[j],
+                                         rows);
+      }
+    }
+    if (!BatchOuter(f.out_shape, o.out_shape, rows)) {
+      return op + " output " + NotBatchOuter(f.out_shape, o.out_shape, rows);
+    }
+  }
+  if (full.out_slot != one.out_slot) {
+    return "the forward returns a different buffer at one row";
+  }
+  return "";
 }
 
 }  // namespace
@@ -188,199 +344,59 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     if (why_not != nullptr) *why_not = std::move(reason);
     return nullptr;
   };
-
-  // ---- 1. Record one interpreted forward -----------------------------------
-  optrace::Begin();
-  Tensor traced_out = fn(example);
-  optrace::Trace trace = optrace::End();
-  if (!trace.unsupported.empty()) {
-    return fail("unsupported ops in trace: " + JoinNames(trace.unsupported));
+  if (example.rank() < 1 || example.dim(0) < 1) {
+    return fail("example needs a leading row axis");
   }
-  if (trace.ops.empty()) return fail("trace recorded no ops");
-  if (!traced_out.defined()) return fail("forward returned undefined");
+  const int64_t rows = example.dim(0);
 
-  // ---- 2. Intern buffers into slots (pointer identity = buffer identity) --
-  std::vector<SlotRec> slots;
-  std::unordered_map<const float*, int> slot_of;
-  auto intern_operand = [&](const Tensor& t) -> int {
-    auto it = slot_of.find(t.data());
-    if (it != slot_of.end()) return it->second;
-    SlotRec rec;
-    rec.pinned = t;
-    rec.is_input = t.data() == example.data();
-    rec.is_constant = !rec.is_input;
-    slots.push_back(std::move(rec));
-    slot_of.emplace(t.data(), static_cast<int>(slots.size()) - 1);
-    return static_cast<int>(slots.size()) - 1;
-  };
-
-  std::vector<Node> nodes;
-  nodes.reserve(trace.ops.size());
-  for (const optrace::RecordedOp& op : trace.ops) {
-    Node n;
-    n.kind = op.kind;
-    for (const Tensor& in : op.inputs) {
-      if (!in.defined()) {
-        n.args.push_back(-1);
-        n.arg_shapes.emplace_back();
-        continue;
-      }
-      n.args.push_back(intern_operand(in));
-      n.arg_shapes.push_back(in.shape());
-    }
-    MSD_CHECK(op.output.defined());
-    if (slot_of.count(op.output.data()) != 0) {
-      // A fresh pool block per recorded output is the pinning contract; a
-      // repeat pointer means an op wrote into an existing buffer.
-      return fail("op output buffer reused; trace is not SSA");
-    }
-    n.out = intern_operand(op.output);
-    slots[static_cast<size_t>(n.out)].is_constant = false;
-    slots[static_cast<size_t>(n.out)].is_input = false;
-    n.out_shape = op.output.shape();
-    n.scalar = op.scalar;
-    n.dims = op.dims;
-    n.dim = op.dim;
-    n.start = op.start;
-    n.length = op.length;
-    n.before = op.before;
-    n.after = op.after;
-    n.pad_value = op.pad_value;
-    n.act = op.act;
-    n.region_path = op.region;
-    nodes.push_back(std::move(n));
+  // ---- 1. Record the forward at R rows and at one row ----------------------
+  // The plan is built from the R-row run; the one-row run proves that a row
+  // prefix of it replays fewer rows.
+  const Tensor example_row = Slice(example, 0, 0, 1);
+  Graph g;
+  std::string reason = TraceGraph(fn, example, g);
+  if (!reason.empty()) return fail(reason);
+  Tensor row_output;
+  {
+    Graph one;
+    reason = TraceGraph(fn, example_row, one);
+    if (reason.empty()) reason = RowPrefixMismatch(g, one, rows);
+    if (!reason.empty()) return fail(reason);
+    row_output = one.output;
   }
-  // Producing node per slot (pre-fusion), for the peephole pass.
-  std::vector<int> def_node(slots.size(), -1);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    def_node[static_cast<size_t>(nodes[i].out)] = static_cast<int>(i);
-  }
+  std::vector<SlotRec>& slots = g.slots;
+  const std::vector<Node>& nodes = g.nodes;
+  const int out_slot = g.out_slot;
 
-  auto out_it = slot_of.find(traced_out.data());
-  if (out_it == slot_of.end()) {
-    return fail("forward output was not produced by a traced op");
-  }
-  const int out_slot = out_it->second;
-
-  // ---- 3. Peephole fusion ---------------------------------------------------
-  // Use counts over the whole graph (plus one export read of the output);
-  // a producer is only folded into its consumer when the intermediate has
-  // exactly one reader and no reshape changed its view in between.
-  std::vector<int> uses(slots.size(), 0);
-  for (const Node& n : nodes) {
-    for (int a : n.args) {
-      if (a >= 0) ++uses[static_cast<size_t>(a)];
-    }
-  }
-  ++uses[static_cast<size_t>(out_slot)];
-
-  int64_t fused = 0;
-  auto single_use_producer = [&](const Node& n, int arg_idx,
-                                 OpKind want) -> Node* {
-    const int slot = n.args[static_cast<size_t>(arg_idx)];
-    if (slot < 0 || slot == out_slot) return nullptr;
-    const int d = def_node[static_cast<size_t>(slot)];
-    if (d < 0) return nullptr;
-    Node& p = nodes[static_cast<size_t>(d)];
-    if (p.dead || p.kind != want) return nullptr;
-    if (uses[static_cast<size_t>(slot)] != 1) return nullptr;
-    // The consumer must read the producer's buffer under its original shape
-    // (no reshape in between) or the fused broadcast would differ.
-    if (n.arg_shapes[static_cast<size_t>(arg_idx)] != p.out_shape) {
-      return nullptr;
-    }
-    return &p;
-  };
-
-  for (Node& n : nodes) {
-    if (n.dead) continue;
-    if (n.kind == OpKind::kDiv) {
-      // (a - b) / c — the RevIN / scaler normalize chain.
-      Node* p = single_use_producer(n, 0, OpKind::kSub);
-      if (p != nullptr && p->out_shape == n.out_shape) {
-        const int c = n.args[1];
-        const Shape c_shape = n.arg_shapes[1];
-        n.kind = OpKind::kSubDivFused;
-        n.args = {p->args[0], p->args[1], c};
-        n.arg_shapes = {p->arg_shapes[0], p->arg_shapes[1], c_shape};
-        p->dead = true;
-        ++fused;
-      }
-      continue;
-    }
-    if (n.kind == OpKind::kAdd) {
-      // a * b + c — denormalize / inverse-transform / bias-free affine.
-      // Addition is commutative bitwise, so the Mul may sit on either side.
-      for (int side = 0; side < 2; ++side) {
-        Node* p = single_use_producer(n, side, OpKind::kMul);
-        if (p == nullptr || p->out_shape != n.out_shape) continue;
-        const int c = n.args[static_cast<size_t>(1 - side)];
-        const Shape c_shape = n.arg_shapes[static_cast<size_t>(1 - side)];
-        n.kind = OpKind::kMulAddFused;
-        n.args = {p->args[0], p->args[1], c};
-        n.arg_shapes = {p->arg_shapes[0], p->arg_shapes[1], c_shape};
-        p->dead = true;
-        ++fused;
-        break;
-      }
-      continue;
-    }
-    if (n.kind == OpKind::kSub) {
-      // a - Slice(src) — the per-scale residual subtract, minus the copy.
-      Node* p = single_use_producer(n, 1, OpKind::kSlice);
-      if (p != nullptr && p->out_shape == n.out_shape &&
-          n.arg_shapes[0] == n.out_shape) {
-        n.kind = OpKind::kSliceSubFused;
-        n.args = {n.args[0], p->args[0]};
-        n.arg_shapes = {n.arg_shapes[0], p->arg_shapes[0]};
-        n.dim = p->dim;
-        n.start = p->start;
-        n.length = p->length;
-        p->dead = true;
-        ++fused;
-      }
-      continue;
-    }
-  }
-
-  // ---- 4. Lifetimes over the compacted schedule ----------------------------
-  std::vector<int> schedule;  // node index per step
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (!nodes[i].dead) schedule.push_back(static_cast<int>(i));
-  }
-  const int num_steps = static_cast<int>(schedule.size());
+  // ---- 2. Lifetimes over the schedule --------------------------------------
+  const int num_steps = static_cast<int>(nodes.size());
   for (int s = 0; s < num_steps; ++s) {
-    const Node& n = nodes[static_cast<size_t>(schedule[static_cast<size_t>(s)])];
+    const Node& n = nodes[static_cast<size_t>(s)];
     for (int a : n.args) {
       if (a >= 0) slots[static_cast<size_t>(a)].last_use_step = s;
     }
+    // An output nobody reads still lives through its own step.
     slots[static_cast<size_t>(n.out)].def_step = s;
+    slots[static_cast<size_t>(n.out)].last_use_step = s;
   }
   slots[static_cast<size_t>(out_slot)].last_use_step = num_steps;  // export
 
-  // ---- 5. In-place aliasing + region merging -------------------------------
+  // ---- 3. In-place aliasing + region merging -------------------------------
   // region id == representative slot id. Merging the output of an
   // elementwise step onto an operand that (a) lives in the arena, (b) has
   // the exact output shape, (c) dies at this step, and (d) shares no region
   // with any other operand of the step turns the kernel into an in-place
   // update — the alias the kernels' exact-alias-or-disjoint policy permits.
-  auto in_arena = [&](int slot) {
-    const SlotRec& r = slots[static_cast<size_t>(slot)];
-    if (r.is_constant) return false;
-    // Unreferenced buffers (fused-away intermediates) need no storage.
-    return r.is_input || r.def_step >= 0;
-  };
   std::vector<int> region_of(slots.size(), -1);
   std::vector<int> region_last(slots.size(), -1);
   for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].last_use_step < 0 && !slots[i].is_input) continue;
-    if (!in_arena(static_cast<int>(i))) continue;
+    if (slots[i].is_constant) continue;
     region_of[i] = static_cast<int>(i);
     region_last[i] = slots[i].last_use_step;
   }
   int64_t inplace = 0;
   for (int s = 0; s < num_steps; ++s) {
-    const Node& n = nodes[static_cast<size_t>(schedule[static_cast<size_t>(s)])];
+    const Node& n = nodes[static_cast<size_t>(s)];
     for (int cand : InPlaceCandidates(n.kind)) {
       if (cand >= static_cast<int>(n.args.size())) continue;
       const int t = n.args[static_cast<size_t>(cand)];
@@ -408,7 +424,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     }
   }
 
-  // ---- 6. First-fit offset packing -----------------------------------------
+  // ---- 4. First-fit offset packing -----------------------------------------
   // Region lifetime = [min def over members, max last_use over members];
   // bytes = the common member size (shape-equality on merge guarantees it).
   struct Region {
@@ -465,7 +481,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     arena_bytes = std::max(arena_bytes, candidate + reg->bytes);
   }
 
-  // ---- 7. Materialize the plan ---------------------------------------------
+  // ---- 5. Materialize the plan ---------------------------------------------
   std::unique_ptr<CompiledPlan> plan(new CompiledPlan());
   plan->arena_ = std::make_unique<arena::Arena>(arena_bytes);
   auto offset_of = [&](int slot) -> int64_t {
@@ -475,43 +491,35 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     MSD_CHECK(it != regions.end());
     return it->second.offset;
   };
-  auto view = [&](int slot, const Shape& shape) -> Tensor {
+  // The view of `slot` under its R-row use shape, cut to r rows: the leading
+  // prefix of its region (batch-outer, so the leading dim divides by R).
+  // Constants are read in place from the pinned buffer (a reshape view when
+  // the use shape differs — shares storage, no copy) at every row count.
+  auto view = [&](int slot, Shape shape, int64_t r) -> Tensor {
     const SlotRec& rec = slots[static_cast<size_t>(slot)];
     if (rec.is_constant) {
-      // Constants are read in place from the pinned buffer (a reshape view
-      // when the use shape differs — shares storage, no copy).
       return rec.pinned.shape() == shape ? rec.pinned
                                          : rec.pinned.Reshape(shape);
     }
-    return Tensor::FromExternal(shape, plan->arena_->at(offset_of(slot)),
+    shape[0] = shape[0] / rows * r;
+    return Tensor::FromExternal(std::move(shape),
+                                plan->arena_->at(offset_of(slot)),
                                 plan->arena_->owner());
   };
 
-  plan->input_shape_ = example.shape();
-  plan->output_shape_ = traced_out.shape();
-  plan->input_view_ = view(slot_of.at(example.data()), example.shape());
-  plan->output_view_ = view(out_slot, traced_out.shape());
-  for (const int ni : schedule) {
-    const Node& n = nodes[static_cast<size_t>(ni)];
+  for (const Node& n : nodes) {
     Step step;
     step.kind = n.kind;
-    step.a = view(n.args[0], n.arg_shapes[0]);
-    if (n.args.size() > 1 && n.args[1] >= 0) {
-      step.b = view(n.args[1], n.arg_shapes[1]);
-      if (n.kind == OpKind::kMatMulEx && n.arg_shapes[1].size() == 2 &&
-          slots[static_cast<size_t>(n.args[1])].is_constant) {
-        // Every Linear hits this: a frozen rank-2 weight shared across the
-        // batch. Pack it once now; Execute skips the per-call B pack.
-        step.packed_b = PackGemmB(step.b);
-        step.gemm_k = n.arg_shapes[1][0];
-        step.gemm_n = n.arg_shapes[1][1];
-        ++plan->stats_.num_prepacked;
-      }
+    if (n.kind == OpKind::kMatMulEx && n.args.size() > 1 && n.args[1] >= 0 &&
+        n.arg_shapes[1].size() == 2 &&
+        slots[static_cast<size_t>(n.args[1])].is_constant) {
+      // Every Linear hits this: a frozen rank-2 weight shared across the
+      // batch. Pack it once now; Execute skips the per-call B pack.
+      step.packed_b = PackGemmB(view(n.args[1], n.arg_shapes[1], rows));
+      step.gemm_k = n.arg_shapes[1][0];
+      step.gemm_n = n.arg_shapes[1][1];
+      ++plan->stats_.num_prepacked;
     }
-    if (n.args.size() > 2 && n.args[2] >= 0) {
-      step.c = view(n.args[2], n.arg_shapes[2]);
-    }
-    step.out = view(n.out, n.out_shape);
     step.scalar = n.scalar;
     step.dims = n.dims;
     step.dim = n.dim;
@@ -525,14 +533,29 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     step.out_offset = offset_of(n.out);
     plan->steps_.push_back(std::move(step));
   }
+  plan->rows_.resize(static_cast<size_t>(rows));
+  for (int64_t r = 1; r <= rows; ++r) {
+    RowViews& v = plan->rows_[static_cast<size_t>(r - 1)];
+    v.input = view(0, example.shape(), r);
+    v.output = view(out_slot, g.output.shape(), r);
+    v.steps.reserve(nodes.size());
+    for (const Node& n : nodes) {
+      auto operand = [&](size_t j) {
+        return j < n.args.size() && n.args[j] >= 0
+                   ? view(n.args[j], n.arg_shapes[j], r)
+                   : Tensor();
+      };
+      v.steps.push_back(Operands{operand(0), operand(1), operand(2),
+                                 view(n.out, n.out_shape, r)});
+    }
+  }
   for (const SlotRec& rec : slots) {
     if (rec.is_constant) plan->constants_.push_back(rec.pinned);
   }
-  plan->results_ = std::make_shared<ResultPool>(traced_out.numel());
+  plan->results_ = std::make_shared<ResultPool>(g.output.numel());
 
-  plan->stats_.traced_ops = static_cast<int64_t>(trace.ops.size());
+  plan->stats_.traced_ops = num_steps;
   plan->stats_.num_ops = num_steps;
-  plan->stats_.num_fused = fused;
   plan->stats_.num_inplace = inplace;
   plan->stats_.num_regions = static_cast<int64_t>(regions.size());
   plan->stats_.arena_bytes = arena_bytes;
@@ -541,19 +564,21 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
         RegionInfo{reg->offset, reg->bytes, reg->first_def, reg->last_use});
   }
 
-  // ---- 8. Freeze-time validation -------------------------------------------
-  // Replay the example through the fresh plan and require bitwise equality
-  // with the interpreted output. A mismatch means a planner bug; refuse the
-  // plan rather than serve wrong (or merely different) bits.
-  Tensor replay = plan->Execute(example);
-  if (replay.shape() != traced_out.shape() ||
-      std::memcmp(replay.data(), traced_out.data(),
-                  static_cast<size_t>(traced_out.numel()) * sizeof(float)) !=
-          0) {
-    return fail("freeze-time validation: planned replay is not bit-identical");
+  // ---- 6. Freeze-time validation -------------------------------------------
+  // Replay the example and its first row through the fresh plan and require
+  // bitwise equality with the interpreted outputs. A mismatch means a planner
+  // bug; refuse the plan rather than serve wrong (or merely different) bits.
+  if (!SameBytes(plan->Execute(example), g.output)) {
+    return fail("freeze-time validation: planned replay of " +
+                std::to_string(rows) + " rows is not bit-identical");
+  }
+  if (!SameBytes(plan->Execute(example_row), row_output)) {
+    return fail(
+        "freeze-time validation: planned replay of one row is not "
+        "bit-identical");
   }
 
-  // ---- 9. Quantization pass (opt-in) ---------------------------------------
+  // ---- 7. Quantization pass (opt-in) ---------------------------------------
   // Runs only after the fp32 plan has passed its memcmp gate, so every step
   // a candidate falls back to is the validated fp32 schedule.
   if (options.quantize) {
@@ -563,24 +588,29 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
 }
 
 void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
+  // Calibration replays the example through the R-row views.
+  RowViews& views = rows_.back();
   // Eligible: a prepacked constant-weight rank-2 GEMM whose inner dimension
-  // fits the int32 accumulator bound and that has any work at all. (s.b is
+  // fits the int32 accumulator bound and that has any work at all. (b is
   // the pinned fp32 weight view; it stays defined alongside packed_b.)
-  auto eligible = [](const Step& s) {
+  auto eligible = [&](size_t i) {
+    const Step& s = steps_[i];
     return s.packed_b.defined() && s.gemm_k >= 1 &&
-           s.gemm_k <= qgemm::kMaxK && s.gemm_n >= 1 && s.a.numel() > 0;
+           s.gemm_k <= qgemm::kMaxK && s.gemm_n >= 1 &&
+           views.steps[i].a.numel() > 0;
   };
   // Size the shared activation scratch for the largest eligible candidate
   // (an over-reserve when some candidates fall back; activations are small
   // next to the fp32 arena and the gauge reports the true figure).
   int64_t max_aq_bytes = 0;
   int64_t max_scale_bytes = 0;
-  for (const Step& s : steps_) {
-    if (!eligible(s)) continue;
-    const int64_t m = s.a.numel() / s.gemm_k;
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    if (!eligible(i)) continue;
+    const int64_t k = steps_[i].gemm_k;
+    const int64_t m = views.steps[i].a.numel() / k;
     max_aq_bytes = std::max(
         max_aq_bytes,
-        m * qgemm::QuantARowInt16s(s.gemm_k) *
+        m * qgemm::QuantARowInt16s(k) *
             static_cast<int64_t>(sizeof(int16_t)));
     max_scale_bytes = std::max(
         max_scale_bytes, m * static_cast<int64_t>(sizeof(float)));
@@ -594,32 +624,34 @@ void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
   // exact fp32 inputs and per-step error never compounds); each candidate
   // is then re-executed int8 into scratch and compared against the fp32
   // output it would replace.
-  CopyInto(example, input_view_);
+  CopyInto(example, views.input);
   std::vector<float> qout;
-  for (Step& s : steps_) {
-    RunStep(s);
-    if (!eligible(s)) continue;
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    Step& s = steps_[i];
+    Operands& v = views.steps[i];
+    RunStep(s, v);
+    if (!eligible(i)) continue;
     const int64_t k = s.gemm_k;
     const int64_t n = s.gemm_n;
-    const int64_t m = s.a.numel() / k;
+    const int64_t m = v.a.numel() / k;
     std::vector<int8_t> qw(
         static_cast<size_t>(qgemm::PackedQuantBInt8s(k, n)));
     std::vector<float> qs(static_cast<size_t>(qgemm::QuantBScaleFloats(n)));
-    qgemm::QuantizeWeightsPerChannel(s.b.data(), k, n, qw.data(), qs.data());
+    qgemm::QuantizeWeightsPerChannel(v.b.data(), k, n, qw.data(), qs.data());
     int16_t* aq = reinterpret_cast<int16_t*>(quant_arena_->base());
     float* ascales = quant_arena_->at(quant_scales_offset_);
-    qgemm::QuantizeActivationsPerRow(s.a.data(), m, k, aq, ascales);
+    qgemm::QuantizeActivationsPerRow(v.a.data(), m, k, aq, ascales);
     qout.assign(static_cast<size_t>(m * n), 0.0f);
     qgemm::QGemmPrepacked(aq, ascales, qw.data(), qs.data(), qout.data(), m,
-                          k, n, s.c.defined() ? s.c.data() : nullptr, s.act);
+                          k, n, v.c.defined() ? v.c.data() : nullptr, s.act);
     double num = 0.0;
     double den = 0.0;
-    const float* f = s.out.data();
-    for (int64_t i = 0; i < m * n; ++i) {
-      const double d = static_cast<double>(qout[static_cast<size_t>(i)]) -
-                       static_cast<double>(f[i]);
+    const float* f = v.out.data();
+    for (int64_t e = 0; e < m * n; ++e) {
+      const double d = static_cast<double>(qout[static_cast<size_t>(e)]) -
+                       static_cast<double>(f[e]);
       num += d * d;
-      den += static_cast<double>(f[i]) * static_cast<double>(f[i]);
+      den += static_cast<double>(f[e]) * static_cast<double>(f[e]);
     }
     // Relative Frobenius error; an exactly-zero fp32 output accepts only an
     // exactly-zero quantized output.
@@ -644,132 +676,128 @@ void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
 
 // msd-hot-path: one schedule step — the kernel dispatch shared by Execute
 // and the quantization pass's calibration replay.
-void CompiledPlan::RunStep(Step& s) {
+void CompiledPlan::RunStep(const Step& s, Operands& v) {
   switch (s.kind) {
     case OpKind::kAdd:
-      AddInto(s.a, s.b, s.out);
+      AddInto(v.a, v.b, v.out);
       break;
     case OpKind::kSub:
-      SubInto(s.a, s.b, s.out);
+      SubInto(v.a, v.b, v.out);
       break;
     case OpKind::kMul:
-      MulInto(s.a, s.b, s.out);
+      MulInto(v.a, v.b, v.out);
       break;
     case OpKind::kDiv:
-      DivInto(s.a, s.b, s.out);
+      DivInto(v.a, v.b, v.out);
       break;
     case OpKind::kAddScalar:
-      AddScalarInto(s.a, s.scalar, s.out);
+      AddScalarInto(v.a, s.scalar, v.out);
       break;
     case OpKind::kMulScalar:
-      MulScalarInto(s.a, s.scalar, s.out);
+      MulScalarInto(v.a, s.scalar, v.out);
       break;
     case OpKind::kNeg:
-      NegInto(s.a, s.out);
+      NegInto(v.a, v.out);
       break;
     case OpKind::kExp:
-      ExpInto(s.a, s.out);
+      ExpInto(v.a, v.out);
       break;
     case OpKind::kLog:
-      LogInto(s.a, s.out);
+      LogInto(v.a, v.out);
       break;
     case OpKind::kSqrt:
-      SqrtInto(s.a, s.out);
+      SqrtInto(v.a, v.out);
       break;
     case OpKind::kAbs:
-      AbsInto(s.a, s.out);
+      AbsInto(v.a, v.out);
       break;
     case OpKind::kSquare:
-      SquareInto(s.a, s.out);
+      SquareInto(v.a, v.out);
       break;
     case OpKind::kRelu:
-      ReluInto(s.a, s.out);
+      ReluInto(v.a, v.out);
       break;
     case OpKind::kGelu:
-      GeluInto(s.a, s.out);
+      GeluInto(v.a, v.out);
       break;
     case OpKind::kSigmoid:
-      SigmoidInto(s.a, s.out);
+      SigmoidInto(v.a, v.out);
       break;
     case OpKind::kTanh:
-      TanhInto(s.a, s.out);
+      TanhInto(v.a, v.out);
       break;
     case OpKind::kMatMulEx: {
       if (s.quantized) {
         // Int8 path: per-row dynamic activation quant into the shared
         // scratch arena, then the int8 kernel with its fused dequant +
         // bias + activation epilogue.
-        const int64_t m = s.a.numel() / s.gemm_k;
+        const int64_t m = v.a.numel() / s.gemm_k;
         int16_t* aq = reinterpret_cast<int16_t*>(quant_arena_->base());
         float* ascales =
             quant_arena_->base() +
             quant_scales_offset_ / static_cast<int64_t>(sizeof(float));
-        qgemm::QuantizeActivationsPerRow(s.a.data(), m, s.gemm_k, aq,
+        qgemm::QuantizeActivationsPerRow(v.a.data(), m, s.gemm_k, aq,
                                          ascales);
         qgemm::QGemmPrepacked(aq, ascales, s.q_weights.data(),
-                              s.q_scales.data(), s.out.data(), m, s.gemm_k,
-                              s.gemm_n, s.c.defined() ? s.c.data() : nullptr,
+                              s.q_scales.data(), v.out.data(), m, s.gemm_k,
+                              s.gemm_n, v.c.defined() ? v.c.data() : nullptr,
                               s.act);
       } else if (s.packed_b.defined()) {
-        MatMulExPrepackedInto(s.a, s.packed_b, s.gemm_k, s.gemm_n, s.c,
-                              s.act, s.out);
+        MatMulExPrepackedInto(v.a, s.packed_b, s.gemm_k, s.gemm_n, v.c,
+                              s.act, v.out);
       } else {
-        MatMulExInto(s.a, s.b, s.c, s.act, s.out);
+        MatMulExInto(v.a, v.b, v.c, s.act, v.out);
       }
       break;
     }
     case OpKind::kSum:
-      SumInto(s.a, s.dims, s.out);
+      SumInto(v.a, s.dims, v.out);
       break;
     case OpKind::kPermute:
-      PermuteInto(s.a, s.dims, s.out);
+      PermuteInto(v.a, s.dims, v.out);
       break;
     case OpKind::kSlice:
-      SliceInto(s.a, s.dim, s.start, s.length, s.out);
+      SliceInto(v.a, s.dim, s.start, s.length, v.out);
       break;
     case OpKind::kPad:
-      PadInto(s.a, s.dim, s.before, s.after, s.pad_value, s.out);
+      PadInto(v.a, s.dim, s.before, s.after, s.pad_value, v.out);
       break;
     case OpKind::kCopy:
-      CopyInto(s.a, s.out);
-      break;
-    case OpKind::kSubDivFused:
-      SubDivInto(s.a, s.b, s.c, s.out);
-      break;
-    case OpKind::kMulAddFused:
-      MulAddInto(s.a, s.b, s.c, s.out);
-      break;
-    case OpKind::kSliceSubFused:
-      SliceSubInto(s.a, s.b, s.dim, s.start, s.length, s.out);
+      CopyInto(v.a, v.out);
       break;
   }
 }
 
 // msd-hot-path: the planned serving forward — a flat kernel schedule over
-// preplanned arena views. No pool traffic, no per-op ownership, no branches
-// beyond the kind dispatch; the session lock is the exclusion domain.
+// the input row count's prebuilt arena views. No pool traffic, no per-op
+// ownership, no branches beyond the kind dispatch; the session lock is the
+// exclusion domain.
 Tensor CompiledPlan::Execute(const Tensor& input) {
-  MSD_CHECK(input.defined());
-  MSD_CHECK(input.shape() == input_shape_)
-      << "plan expects input " << ShapeToString(input_shape_) << ", got "
+  MSD_CHECK(input.defined() && input.rank() >= 1);
+  const int64_t r = input.dim(0);
+  MSD_CHECK(r >= 1 && r <= static_cast<int64_t>(rows_.size()) &&
+            input.shape() == rows_[static_cast<size_t>(r - 1)].input.shape())
+      << "plan expects a row prefix of "
+      << ShapeToString(rows_.back().input.shape()) << ", got "
       << ShapeToString(input.shape());
   static obs::Counter& plan_ops =
       obs::MetricsRegistry::Global().GetCounter("serve/plan_ops");
-  CopyInto(input, input_view_);
-  for (Step& s : steps_) RunStep(s);
+  RowViews& views = rows_[static_cast<size_t>(r - 1)];
+  CopyInto(input, views.input);
+  for (size_t i = 0; i < steps_.size(); ++i) RunStep(steps_[i], views.steps[i]);
   plan_ops.Add(static_cast<int64_t>(steps_.size()));
   float* block = results_->Acquire();
-  std::memcpy(block, output_view_.data(),
-              static_cast<size_t>(output_view_.numel()) * sizeof(float));
-  return results_->Wrap(block, output_shape_);
+  std::memcpy(block, views.output.data(),
+              static_cast<size_t>(views.output.numel()) * sizeof(float));
+  return results_->Wrap(block, views.output.shape());
 }
 
 std::vector<RegionInfo> CompiledPlan::Regions() const { return regions_; }
 
 std::string CompiledPlan::DebugString() const {
+  const RowViews& views = rows_.back();
   std::ostringstream out;
   out << "CompiledPlan: " << stats_.num_ops << " ops ("
-      << stats_.traced_ops << " traced, " << stats_.num_fused << " fused, "
       << stats_.num_inplace << " in-place, " << stats_.num_prepacked
       << " prepacked), " << stats_.num_regions << " regions, "
       << stats_.arena_bytes << " arena bytes";
@@ -778,17 +806,17 @@ std::string CompiledPlan::DebugString() const {
         << stats_.num_quant_fallbacks << " fp32 fallbacks, "
         << stats_.quant_arena_bytes << " quant arena bytes";
   }
-  out << "\n";
-  out << "  input  " << ShapeToString(input_shape_) << "\n";
+  out << "; serves 1.." << rows_.size() << " rows\n";
+  out << "  input  " << ShapeToString(views.input.shape()) << "\n";
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& s = steps_[i];
     out << "  %" << i << " = " << optrace::OpKindName(s.kind) << " "
-        << ShapeToString(s.out.shape()) << " @" << s.out_offset;
+        << ShapeToString(views.steps[i].out.shape()) << " @" << s.out_offset;
     if (s.quantized) out << "  int8";
     if (!s.region_path.empty()) out << "  // " << s.region_path;
     out << "\n";
   }
-  out << "  output " << ShapeToString(output_shape_);
+  out << "  output " << ShapeToString(views.output.shape());
   return out.str();
 }
 

@@ -1,29 +1,30 @@
 // Session-freeze inference compiler (docs/COMPILER.md).
 //
-// A CompiledPlan is built once per (session, batch size) at freeze time:
-// the planner records one interpreted forward through the op trace
-// (tensor/optrace.h), flattens it into a static schedule of kernel calls
-// with fully resolved shapes, rewrites fusible pairs into the fused kernels
-// (SubDiv / MulAdd / SliceSub), runs lifetime analysis over every traced
-// buffer, and packs all intermediates into ONE arena allocation with
-// first-fit offset reuse. Execute() then replays the schedule into the
-// preplanned arena views: no pool lookups, no tensor allocations, no
-// shared_ptr churn per op — the only steady-state costs outside the kernels
-// themselves are two memcpys (input staging, result export) and one
-// control block for the reply tensor's owner.
+// A CompiledPlan is built once per session at freeze time, for up to R rows
+// (the example's leading dim): the planner records the interpreted forward
+// through the op trace (tensor/optrace.h) at R rows and at one row, requires
+// the two traces to agree op for op with every non-constant buffer
+// batch-outer (leading dim R times its one-row size, all other dims equal),
+// flattens the R-row trace into a static schedule of kernel calls with fully
+// resolved shapes, runs lifetime analysis over every traced buffer, and packs
+// all intermediates into ONE arena allocation with first-fit offset reuse.
+// Execute() then replays the schedule on any row count r in 1..R through
+// prebuilt views onto the r-row prefix of every region: no pool lookups, no
+// tensor allocations, no shared_ptr churn per op — the only steady-state
+// costs outside the kernels themselves are two memcpys (input staging,
+// result export) and one control block for the reply tensor's owner.
 //
 // Correctness contract: Execute(x) is bit-identical (memcmp) to the
-// interpreted forward it was traced from, for any MSD_THREADS value. The
-// planner enforces this mechanically — Compile() replays the example input
-// through the freshly built plan and memcmps against the traced output,
-// discarding the plan on any mismatch — and the fused kernels round every
-// intermediate through memory so compiler FMA contraction cannot change
-// bits (tensor/kernels.h Zip3KernelInto). tests/plan_test.cc sweeps the
-// contract across task heads, thread counts, and batch sizes.
+// interpreted forward on x, for any row count and any MSD_THREADS value.
+// Compile() enforces it at R rows and at one row by replaying the example and
+// its first row through the freshly built plan and memcmp-ing against the
+// traced outputs, discarding the plan on any mismatch. tests/plan_test.cc
+// sweeps the contract across task heads, thread counts, and every row count.
 //
 // Thread safety: Execute mutates the arena, so calls on one plan must be
 // serialized — the owning InferenceSession's model mutex is the exclusion
-// domain, exactly as for the interpreted path.
+// domain. There is no interpreted fallback: a refused plan fails
+// InferenceSession::Create.
 #ifndef MSDMIXER_SERVE_PLAN_H_
 #define MSDMIXER_SERVE_PLAN_H_
 
@@ -43,8 +44,7 @@ namespace serve {
 // Aggregate facts about a built plan, for gauges, logs, and tests.
 struct PlanStats {
   int64_t traced_ops = 0;    // ops recorded by the interpreted forward
-  int64_t num_ops = 0;       // schedule length after fusion
-  int64_t num_fused = 0;     // peephole rewrites applied
+  int64_t num_ops = 0;       // schedule length
   int64_t num_inplace = 0;   // outputs aliased onto a dying operand's region
   int64_t num_prepacked = 0;  // constant GEMM weights packed at freeze time
   int64_t num_regions = 0;   // arena regions after aliasing
@@ -82,11 +82,13 @@ class CompiledPlan {
   // The forward to freeze: takes the request batch, returns the reply.
   using ForwardFn = std::function<Tensor(const Tensor&)>;
 
-  // Records one interpreted run of `fn` on `example`, builds the schedule +
-  // memory plan, and validates it by replaying `example` and memcmp-ing
-  // against the interpreted output. Returns null — with a reason in
-  // `why_not` when provided — if the trace hit an unsupported op or the
-  // validation replay was not bit-identical. With options.quantize, a
+  // Records interpreted runs of `fn` on `example` (R = example.dim(0) rows)
+  // and on its first row, builds the schedule + memory plan from the R-row
+  // run, and validates it by replaying both inputs and memcmp-ing against
+  // the interpreted outputs. Returns null — with a reason in `why_not` when
+  // provided — if the trace hit an unsupported op, the two runs disagree or
+  // a buffer is not batch-outer (the reason names the op), or a validation
+  // replay was not bit-identical. With options.quantize, a
   // quantization pass then runs AFTER that fp32 validation: each prepacked
   // GEMM step is re-executed int8 against the example and adopted only when
   // its output stays within options.quant_max_rel_error of the fp32 step
@@ -98,14 +100,13 @@ class CompiledPlan {
       std::string* why_not = nullptr,
       const CompileOptions& options = CompileOptions());
 
-  // Replays the schedule on `input` (must match input_shape()). The reply
-  // tensor is backed by a recycled result block, not the tensor pool.
-  // Callers must serialize calls per plan (see thread-safety note above).
+  // Replays the schedule on `input`: the example's shape with any leading
+  // dim r in 1..R. The reply tensor is backed by a recycled result block,
+  // not the tensor pool. Callers must serialize calls per plan (see
+  // thread-safety note above).
   Tensor Execute(const Tensor& input);
 
   const PlanStats& stats() const { return stats_; }
-  const Shape& input_shape() const { return input_shape_; }
-  const Shape& output_shape() const { return output_shape_; }
 
   // Region table for the planner tests.
   std::vector<RegionInfo> Regions() const;
@@ -121,15 +122,29 @@ class CompiledPlan {
   // reply tensor can outlive the plan (its deleter keeps the pool alive).
   class ResultPool;
 
-  // One schedule entry: a kernel kind plus prebuilt operand/output views
-  // into the arena (or directly into pinned constant buffers).
+  // One schedule entry: a kernel kind plus its attributes and freeze-time
+  // packed weights.
   struct Step;
+
+  // A step's operand/output views at one row count: arena-region prefixes,
+  // or the pinned constant buffers themselves.
+  struct Operands {
+    Tensor a, b, c;  // b/c undefined where the kind takes fewer
+    Tensor out;
+  };
+
+  // Every view a replay of r rows touches, built at freeze time.
+  struct RowViews {
+    Tensor input;   // staging region prefix
+    Tensor output;  // final region prefix
+    std::vector<Operands> steps;  // parallel to steps_
+  };
 
   CompiledPlan();
 
   // Runs one schedule step (the Execute switch body); shared between
   // Execute and the quantization pass's calibration replay.
-  void RunStep(Step& s);
+  void RunStep(const Step& s, Operands& v);
 
   // The quantization pass (options.quantize): replays `example` step by
   // step in fp32, re-executes each prepacked GEMM step int8 into scratch,
@@ -138,11 +153,9 @@ class CompiledPlan {
   // fp32 results in the arena), so per-step error never compounds.
   void QuantizePass(const Tensor& example, float max_rel_error);
 
-  Tensor input_view_;   // staging region, input_shape_
-  Tensor output_view_;  // final region, output_shape_
-  Shape input_shape_;
-  Shape output_shape_;
   std::vector<Step> steps_;
+  // Index r-1 replays r rows; the last entry is the traced R-row layout.
+  std::vector<RowViews> rows_;
   // Pinned constant tensors (weights, scaler stats, traced literals); holding
   // them keeps every non-arena operand buffer alive for the plan's lifetime.
   std::vector<Tensor> constants_;

@@ -39,7 +39,7 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
   const char* quant_env = std::getenv("MSD_QUANT");
   session->use_quant_ = quant_env != nullptr ? std::string(quant_env) != "0"
                                              : config.quantize;
-  Status planned = session->BuildPlans();
+  Status planned = session->BuildPlan();
   if (!planned.ok()) return planned;
   static obs::Counter& sessions =
       obs::MetricsRegistry::Global().GetCounter("serve/sessions_created");
@@ -68,9 +68,9 @@ Status InferenceSession::ValidateBatch(const Tensor& batch) const {
 
 Tensor InferenceSession::RunPlanned(const Tensor& batch) {
   MSD_SPAN("serve/predict_batch");
-  CompiledPlan& plan = *plans_[static_cast<size_t>(batch.dim(0)) - 1];
   // The session mutex is the plan's exclusion domain: Execute mutates the
-  // arena, so forwards on one session serialize.
+  // arena (every batch size replays into the same regions), so forwards on
+  // one session serialize.
   std::lock_guard<std::mutex> lock(model_mu_);
   if (config_.synthetic_compute_us > 0) {
     // Busy-spin (not sleep) so the emulated slow model occupies the forward
@@ -80,69 +80,63 @@ Tensor InferenceSession::RunPlanned(const Tensor& batch) {
     while (ServeClock::now() < until) {
     }
   }
-  return plan.Execute(batch);
+  return plan_->Execute(batch);
 }
 
-Status InferenceSession::BuildPlans() {
+Status InferenceSession::BuildPlan() {
   Rng rng(config_.seed + 1);
-  plans_.resize(static_cast<size_t>(config_.max_batch));
-  int64_t total_arena = 0;
-  int64_t total_quant_arena = 0;
+  // Random (not zero) example inputs so the freeze-time memcmp validation
+  // cannot pass by accident on degenerate all-zero intermediates.
+  const Tensor example = Tensor::RandNormal(
+      {config_.max_batch, config_.model.channels, config_.model.input_length},
+      0.0f, 1.0f, rng);
   CompileOptions options;
   options.quantize = use_quant_;
   options.quant_max_rel_error = config_.quant_max_rel_error;
-  for (int64_t b = 1; b <= config_.max_batch; ++b) {
-    // Random (not zero) example inputs so the freeze-time memcmp validation
-    // cannot pass by accident on degenerate all-zero intermediates.
-    Tensor example = Tensor::RandNormal(
-        {b, config_.model.channels, config_.model.input_length}, 0.0f, 1.0f,
-        rng);
-    std::string why_not;
-    plans_[static_cast<size_t>(b) - 1] = CompiledPlan::Compile(
-        [this](const Tensor& in) {
-          NoGradGuard guard;
-          // The plan covers the whole reply chain, not just the module
-          // graph: normalize, forward, and (for forecast heads)
-          // denormalize all freeze into one schedule.
-          const Tensor scaled =
-              config_.scaler.fitted() ? config_.scaler.Transform(in) : in;
-          Tensor out = mixer_->Run(Variable(scaled)).prediction.value();
-          if (config_.model.task == TaskType::kForecast &&
-              config_.scaler.fitted()) {
-            out = config_.scaler.InverseTransform(out);
-          }
-          return out;
-        },
-        example, &why_not, options);
-    const CompiledPlan* plan = plans_[static_cast<size_t>(b) - 1].get();
-    if (plan == nullptr) {
-      // No stdio in src/serve: the refusal surfaces as this counter and as
-      // the failed Create() carrying the planner's reason.
-      static obs::Counter& refused =
-          obs::MetricsRegistry::Global().GetCounter("serve/plan_build_refused");
-      refused.Add(1);
-      return Status::Internal("no plan for batch size " + std::to_string(b) +
-                              ": " + why_not);
-    }
-    total_arena += plan->stats().arena_bytes;
-    total_quant_arena += plan->stats().quant_arena_bytes;
-    if (use_quant_) {
-      // Freeze-time facts, surfaced once per plan: how many GEMM steps
-      // adopted int8 and how many the calibration gate kept fp32.
-      static obs::Counter& quant_steps =
-          obs::MetricsRegistry::Global().GetCounter("serve/quant_steps");
-      static obs::Counter& quant_fallbacks =
-          obs::MetricsRegistry::Global().GetCounter("serve/quant_fallbacks");
-      quant_steps.Add(plan->stats().num_quantized);
-      quant_fallbacks.Add(plan->stats().num_quant_fallbacks);
-    }
+  std::string why_not;
+  plan_ = CompiledPlan::Compile(
+      [this](const Tensor& in) {
+        NoGradGuard guard;
+        // The plan covers the whole reply chain, not just the module graph:
+        // normalize, forward, and (for forecast heads) denormalize all
+        // freeze into one schedule.
+        const Tensor scaled =
+            config_.scaler.fitted() ? config_.scaler.Transform(in) : in;
+        Tensor out = mixer_->Run(Variable(scaled)).prediction.value();
+        if (config_.model.task == TaskType::kForecast &&
+            config_.scaler.fitted()) {
+          out = config_.scaler.InverseTransform(out);
+        }
+        return out;
+      },
+      example, &why_not, options);
+  if (plan_ == nullptr) {
+    // No stdio in src/serve: the refusal surfaces as this counter and as
+    // the failed Create() carrying the planner's reason.
+    static obs::Counter& refused =
+        obs::MetricsRegistry::Global().GetCounter("serve/plan_build_refused");
+    refused.Add(1);
+    return Status::Internal("no plan for max_batch " +
+                            std::to_string(config_.max_batch) + ": " +
+                            why_not);
+  }
+  const PlanStats& stats = plan_->stats();
+  if (use_quant_) {
+    // Freeze-time facts: how many GEMM steps adopted int8 and how many the
+    // calibration gate kept fp32.
+    static obs::Counter& quant_steps =
+        obs::MetricsRegistry::Global().GetCounter("serve/quant_steps");
+    static obs::Counter& quant_fallbacks =
+        obs::MetricsRegistry::Global().GetCounter("serve/quant_fallbacks");
+    quant_steps.Add(stats.num_quantized);
+    quant_fallbacks.Add(stats.num_quant_fallbacks);
   }
   obs::MetricsRegistry::Global()
       .GetGauge("serve/arena_bytes")
-      .Set(static_cast<double>(total_arena));
+      .Set(static_cast<double>(stats.arena_bytes));
   obs::MetricsRegistry::Global()
       .GetGauge("serve/quant_arena_bytes")
-      .Set(static_cast<double>(total_quant_arena));
+      .Set(static_cast<double>(stats.quant_arena_bytes));
   return Status::OK();
 }
 

@@ -18,13 +18,14 @@
 //  * Deterministic: outputs are bit-identical for any MSD_THREADS value and
 //    for any batch composition — row b of PredictBatch equals the
 //    single-request Predict of window b (tests/serve_test.cc).
-//  * Planned: Create() freezes one CompiledPlan per batch size
-//    (1..max_batch) — a flat kernel schedule over a single arena allocation
-//    (serve/plan.h, docs/COMPILER.md) — and every request replays a plan;
-//    the module graph is never interpreted per request. Planned outputs are
-//    bit-identical to the interpreted forward (enforced by a freeze-time
-//    memcmp and by the differential test in tests/plan_test.cc). A batch
-//    size whose plan is refused fails Create() with the planner's reason.
+//  * Planned: Create() freezes ONE CompiledPlan at max_batch rows — a flat
+//    kernel schedule over a single arena allocation (serve/plan.h,
+//    docs/COMPILER.md) — and every request of B rows replays the row-B
+//    prefix of that plan; the module graph is never interpreted per
+//    request. Planned outputs are bit-identical to the interpreted forward
+//    at every B (enforced by freeze-time memcmps at max_batch and one row,
+//    and by the differential test in tests/plan_test.cc). A refused plan
+//    fails Create() with the planner's reason.
 //
 // Shape contract per task head (C = channels, L = input_length):
 //   kForecast        [C, L] -> [C, horizon]        (original units)
@@ -37,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/msd_mixer.h"
@@ -56,7 +56,8 @@ struct InferenceSessionConfig {
   // Optional per-channel standardization applied to inputs; forecast
   // outputs are mapped back through InverseTransform. Unfitted = identity.
   StandardScaler scaler;
-  // Upper bound on rows per PredictBatch call; one plan per size 1..max_batch.
+  // Upper bound on rows per PredictBatch call; the plan is compiled at this
+  // many rows and serves every smaller batch from a row prefix.
   int64_t max_batch = 32;
   // Seed for the throwaway weight init that the checkpoint overwrites.
   uint64_t seed = 1;
@@ -77,8 +78,8 @@ struct InferenceSessionConfig {
 
 class InferenceSession {
  public:
-  // Builds the model, restores `checkpoint_path`, freezes one plan per batch
-  // size. Fails (with the planner's reason) if any plan is refused.
+  // Builds the model, restores `checkpoint_path`, freezes the plan. Fails
+  // (with the planner's reason) if the plan is refused.
   static StatusOr<std::unique_ptr<InferenceSession>> Create(
       const InferenceSessionConfig& config, const std::string& checkpoint_path);
 
@@ -105,28 +106,25 @@ class InferenceSession {
   const MsdMixerConfig& model_config() const { return config_.model; }
   int64_t max_batch() const { return config_.max_batch; }
 
-  // True when plans were compiled with the quantization pass requested
+  // True when the plan was compiled with the quantization pass requested
   // (config.quantize, overridden by MSD_QUANT when set). Individual steps
   // may still have fallen back fp32; see PlanStats::num_quantized.
   bool quantized() const { return use_quant_; }
-  // The frozen plan serving batch size `b`, or null outside
-  // [1, max_batch]. Exposed for tests and the selftest's int8 check.
-  const CompiledPlan* plan_for(int64_t b) const {
-    if (b < 1 || b > static_cast<int64_t>(plans_.size())) return nullptr;
-    return plans_[static_cast<size_t>(b) - 1].get();
-  }
+  // The frozen plan serving every batch size. Exposed for tests, benches and
+  // the selftest's int8 check.
+  const CompiledPlan& plan() const { return *plan_; }
 
  private:
   explicit InferenceSession(const InferenceSessionConfig& config);
 
   Status ValidateBatch(const Tensor& batch) const;
-  // The locked planned forward: replays the batch size's frozen schedule
-  // (which bakes in the scaler transform and, for forecast heads, the
-  // inverse transform) on a validated [B, C, L] batch.
+  // The locked planned forward: replays the frozen schedule (which bakes in
+  // the scaler transform and, for forecast heads, the inverse transform) on
+  // a validated [B, C, L] batch.
   Tensor RunPlanned(const Tensor& batch);
-  // Freezes one CompiledPlan per batch size 1..max_batch and publishes the
-  // serve/arena_bytes gauge. Fails on the first size the planner refuses.
-  Status BuildPlans();
+  // Freezes the CompiledPlan at max_batch rows and publishes the
+  // serve/arena_bytes gauge. Fails if the planner refuses.
+  Status BuildPlan();
 
   InferenceSessionConfig config_;
   // Keeps the activation free-lists alive between requests.
@@ -135,8 +133,7 @@ class InferenceSession {
   std::mutex model_mu_;
   // Resolved quantization request (config.quantize / MSD_QUANT override).
   bool use_quant_ = false;
-  // Index b-1 serves batch size b.
-  std::vector<std::unique_ptr<CompiledPlan>> plans_;
+  std::unique_ptr<CompiledPlan> plan_;
 };
 
 // Convenience for checkpoints written by ForecastPipeline::Save: reads the

@@ -283,93 +283,6 @@ Tensor ZipKernel(const Tensor& a, const Tensor& b, F f) {
   return out;
 }
 
-// Zip3KernelInto: fused ternary op out = g(f(a, b), c), the kernel behind
-// the planner's SubDiv/MulAdd peepholes. Evaluated in TWO chunk-local
-// passes: pass 1 writes f(a, b) into the output chunk, pass 2 folds c in
-// reading the stored value back. The memory round-trip forces f's result to
-// a rounded float32 exactly like the unfused op pair did, so the fusion is
-// bit-identical by construction — a single-expression g(f(a,b),c) would let
-// the compiler contract a*b+c into an FMA (-ffp-contract) and change bits.
-// The chunk (<= kElementwiseGrain elements) stays cache-resident between
-// passes, which is where the fusion's bandwidth win comes from.
-template <typename F, typename G>
-void Zip3KernelInto(const Tensor& a, const Tensor& b, const Tensor& c,
-                    Tensor& out, F f, G g) {
-  MSD_CHECK(a.defined());
-  MSD_CHECK(b.defined());
-  MSD_CHECK(c.defined());
-  MSD_CHECK(out.defined());
-  MSD_DEBUG_VALIDATE_TENSOR(a, "Zip3Kernel");
-  MSD_DEBUG_VALIDATE_TENSOR(b, "Zip3Kernel");
-  MSD_DEBUG_VALIDATE_TENSOR(c, "Zip3Kernel");
-  // Pass 2 reads c after pass 1 overwrote the output chunk, so c may never
-  // alias the output (the planner only reuses the first operand's slot).
-  MSD_DEBUG_CHECK_INTO_ALIAS(out, a, "Zip3Kernel");
-  MSD_DEBUG_CHECK_NO_ALIAS(out, b, "Zip3Kernel");
-  MSD_DEBUG_CHECK_NO_ALIAS(out, c, "Zip3Kernel");
-  const Shape out_shape =
-      BroadcastShapes(BroadcastShapes(a.shape(), b.shape()), c.shape());
-  MSD_CHECK(out.shape() == out_shape)
-      << "Zip3KernelInto output shape " << ShapeToString(out.shape())
-      << " != broadcast " << ShapeToString(out_shape);
-  const auto sa = BroadcastStrides(a.shape(), out_shape);
-  const auto sb = BroadcastStrides(b.shape(), out_shape);
-  const auto sc = BroadcastStrides(c.shape(), out_shape);
-  const int64_t rank = static_cast<int64_t>(out_shape.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const float* pc = c.data();
-  float* po = out.data();
-  // Contiguity (stride pattern == full row-major) lets a pass run as a
-  // dense loop instead of the odometer.
-  const auto dense = RowMajorStrides(out_shape);
-  const bool a_dense = sa == dense;
-  const bool b_dense = sb == dense;
-  const bool c_dense = sc == dense;
-  runtime::ParallelFor(0, out.numel(), kElementwiseGrain,
-                       [&](int64_t cb, int64_t ce) {
-    std::vector<int64_t> index(static_cast<size_t>(rank), 0);
-    // Pass 1: out[i] = f(a, b) over the chunk.
-    if (a_dense && b_dense) {
-      for (int64_t i = cb; i < ce; ++i) po[i] = f(pa[i], pb[i]);
-    } else {
-      int64_t oa = UnflattenOffset(cb, out_shape, sa, index);
-      int64_t ob = UnflattenOffset(cb, out_shape, sb, index);
-      for (int64_t i = cb; i < ce; ++i) {
-        po[i] = f(pa[oa], pb[ob]);
-        for (int64_t axis = rank - 1; axis >= 0; --axis) {
-          const size_t u = static_cast<size_t>(axis);
-          ++index[u];
-          oa += sa[u];
-          ob += sb[u];
-          if (index[u] < out_shape[u]) break;
-          oa -= sa[u] * out_shape[u];
-          ob -= sb[u] * out_shape[u];
-          index[u] = 0;
-        }
-      }
-    }
-    // Pass 2: out[i] = g(out[i], c) over the same (cache-hot) chunk.
-    if (c_dense) {
-      for (int64_t i = cb; i < ce; ++i) po[i] = g(po[i], pc[i]);
-    } else {
-      std::fill(index.begin(), index.end(), 0);
-      int64_t oc = UnflattenOffset(cb, out_shape, sc, index);
-      for (int64_t i = cb; i < ce; ++i) {
-        po[i] = g(po[i], pc[oc]);
-        for (int64_t axis = rank - 1; axis >= 0; --axis) {
-          const size_t u = static_cast<size_t>(axis);
-          ++index[u];
-          oc += sc[u];
-          if (index[u] < out_shape[u]) break;
-          oc -= sc[u] * out_shape[u];
-          index[u] = 0;
-        }
-      }
-    }
-  });
-}
-
 // ReduceKernel: whole-tensor reduction. Per-chunk partials are combined with
 // runtime::ParallelReduce's fixed-order tree, so the result is bit-identical
 // for every MSD_THREADS value. T must not be bool (std::vector<bool> packs

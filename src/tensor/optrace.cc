@@ -51,9 +51,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kSlice: return "Slice";
     case OpKind::kPad: return "Pad";
     case OpKind::kCopy: return "Copy";
-    case OpKind::kSubDivFused: return "SubDivFused";
-    case OpKind::kMulAddFused: return "MulAddFused";
-    case OpKind::kSliceSubFused: return "SliceSubFused";
   }
   return "?";
 }

@@ -29,9 +29,8 @@
 namespace msd {
 namespace optrace {
 
-// Leaf kernels the plan executor can replay. The k*Fused kinds are never
-// recorded by tensor_ops; the planner's peephole pass rewrites pairs of
-// recorded ops into them (see serve/plan.cc and docs/COMPILER.md).
+// Leaf kernels the plan executor can replay (see serve/plan.cc and
+// docs/COMPILER.md).
 enum class OpKind {
   // Elementwise binary (broadcasting).
   kAdd,
@@ -61,11 +60,7 @@ enum class OpKind {
   kSlice,
   kPad,
   // Straight buffer copy (Tensor::Clone during capture).
-  kCopy,
-  // Planner-synthesized fusions (never recorded directly).
-  kSubDivFused,   // (a - b) / c
-  kMulAddFused,   // a * b + c
-  kSliceSubFused  // a - Slice(src, dim, start, length)
+  kCopy
 };
 
 const char* OpKindName(OpKind kind);
@@ -89,15 +84,15 @@ struct RecordedOp {
   gemm::Activation act = gemm::Activation::kIdentity;  // kMatMulEx
 
   // Module path ("layer3/decoder/...") active when the op recorded; purely
-  // diagnostic (plan DebugString, fusion reports).
+  // diagnostic (plan DebugString, refusal reasons).
   std::string region;
 };
 
 struct Trace {
   std::vector<RecordedOp> ops;
   // Names of capture-breaking calls hit during the run; non-empty means the
-  // planner must refuse this trace and the session falls back to the
-  // interpreted path.
+  // planner must refuse this trace, which fails InferenceSession::Create
+  // (there is no interpreted fallback).
   std::vector<std::string> unsupported;
 };
 

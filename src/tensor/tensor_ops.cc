@@ -22,7 +22,6 @@ using kernel::MapKernelInto;
 using kernel::ReduceKernel;
 using kernel::ZipKernel;
 using kernel::ZipKernelInto;
-using kernel::Zip3KernelInto;
 
 namespace {
 
@@ -143,8 +142,8 @@ Tensor ReduceTo(const Tensor& t, const Shape& target) {
   return reduced.Reshape(target);
 }
 
-// The per-element lambdas live in one place so the allocating op, its *Into
-// twin, and the planner's fused kernels all apply identical arithmetic.
+// The per-element lambdas live in one place so the allocating op and its
+// *Into twin apply identical arithmetic.
 namespace lam {
 inline constexpr auto add = [](float x, float y) { return x + y; };
 inline constexpr auto sub = [](float x, float y) { return x - y; };
@@ -219,19 +218,6 @@ void SigmoidInto(const Tensor& a, Tensor& out) {
 // msd-hot-path-safe: same contract as AddInto.
 void TanhInto(const Tensor& a, Tensor& out) {
   MapKernelInto(a, out, [](float x) { return std::tanh(x); });
-}
-
-// msd-hot-path-safe: fused (a - b) / c; two chunk-local passes round the
-// subtraction through memory, so bits match the unfused Sub+Div pair.
-void SubDivInto(const Tensor& a, const Tensor& b, const Tensor& c,
-                Tensor& out) {
-  Zip3KernelInto(a, b, c, out, lam::sub, lam::div);
-}
-// msd-hot-path-safe: fused a * b + c; same rounding contract as SubDivInto
-// (the memory round-trip defeats FMA contraction).
-void MulAddInto(const Tensor& a, const Tensor& b, const Tensor& c,
-                Tensor& out) {
-  Zip3KernelInto(a, b, c, out, lam::mul, lam::add);
 }
 
 namespace {
@@ -929,45 +915,6 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t length) {
     optrace::Record(std::move(op));
   }
   return out;
-}
-
-// msd-hot-path-safe: same contract as AddInto. Fused
-// out = a - Slice(src, dim, start, length): the residual-subtract chain
-// without materializing the sliced component. The subtraction reads src
-// directly at the sliced offsets, so per element it is bitwise the
-// unfused Slice-then-SubInto pair (same two operands, one fsub).
-void SliceSubInto(const Tensor& a, const Tensor& src, int64_t dim,
-                  int64_t start, int64_t length, Tensor& out) {
-  const int64_t rank = src.rank();
-  dim = NormalizeDim(dim, rank);
-  CheckSliceArgs(src, dim, start, length);
-  Shape slice_shape = src.shape();
-  slice_shape[static_cast<size_t>(dim)] = length;
-  MSD_CHECK(a.shape() == slice_shape)
-      << "SliceSubInto: minuend shape " << ShapeToString(a.shape())
-      << " != slice shape " << ShapeToString(slice_shape);
-  MSD_CHECK(out.shape() == slice_shape)
-      << "SliceSubInto output shape mismatch: " << ShapeToString(out.shape());
-  MSD_DEBUG_CHECK_INTO_ALIAS(out, a, "SliceSubInto");
-  MSD_DEBUG_CHECK_NO_ALIAS(out, src, "SliceSubInto");
-  int64_t outer = 1;
-  for (int64_t i = 0; i < dim; ++i) outer *= src.dim(i);
-  int64_t inner = 1;
-  for (int64_t i = dim + 1; i < rank; ++i) inner *= src.dim(i);
-  const int64_t in_dim = src.dim(dim);
-  if (out.numel() == 0) return;
-  const float* pa = a.data();
-  const float* ps = src.data();
-  float* po = out.data();
-  runtime::ParallelFor(0, outer, GrainForWork(length * inner),
-                       [&](int64_t cb, int64_t ce) {
-    for (int64_t o = cb; o < ce; ++o) {
-      const float* row_a = pa + o * length * inner;
-      const float* row_s = ps + (o * in_dim + start) * inner;
-      float* dst = po + o * length * inner;
-      for (int64_t i = 0; i < length * inner; ++i) dst[i] = row_a[i] - row_s[i];
-    }
-  });
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {

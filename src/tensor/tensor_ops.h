@@ -159,21 +159,6 @@ void PadInto(const Tensor& a, int64_t dim, int64_t before, int64_t after,
 // Straight element copy (same numel; shapes may differ by reshape).
 void CopyInto(const Tensor& a, Tensor& out);
 
-// Fused peephole kernels (plan-only; tensor_ops never records these — the
-// planner rewrites recorded pairs into them). Each is bit-identical to the
-// unfused pair: the first stage's result is rounded through the output
-// buffer before the second stage reads it (see kernels.h Zip3KernelInto).
-// (a - b) / c — the RevIN/scaler normalize chain.
-void SubDivInto(const Tensor& a, const Tensor& b, const Tensor& c,
-                Tensor& out);
-// a * b + c — the denormalize / inverse-transform chain.
-void MulAddInto(const Tensor& a, const Tensor& b, const Tensor& c,
-                Tensor& out);
-// a - Slice(src, dim, start, length) — the per-scale residual-subtract
-// chain, without materializing the sliced component.
-void SliceSubInto(const Tensor& a, const Tensor& src, int64_t dim,
-                  int64_t start, int64_t length, Tensor& out);
-
 // ---- Testing utilities --------------------------------------------------------
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-4f);

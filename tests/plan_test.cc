@@ -1,9 +1,11 @@
 // Session-freeze inference compiler tests (docs/COMPILER.md): bit-identity
 // of served output against the interpreted oracle (an MsdMixer restored from
-// the same checkpoint) across task heads, thread counts, batch sizes and
-// scaler presence; arena lifetime edge cases (in-place aliasing, zero-numel
-// intermediates, max_batch=1 degenerate plans); region disjointness under
-// overlapping lifetimes; and the zero-pool-traffic steady-state contract.
+// the same checkpoint) across task heads, thread counts, every batch size of
+// the one per-session plan, and scaler presence; row-prefix replay and the
+// refusal of forwards that are not batch-outer; arena lifetime edge cases
+// (in-place aliasing, zero-numel intermediates, max_batch=1 degenerate
+// plans); region disjointness under overlapping lifetimes; and the
+// zero-pool-traffic steady-state contract.
 #include "serve/plan.h"
 
 #include <algorithm>
@@ -128,9 +130,10 @@ Tensor RandomBatch(uint64_t seed, int64_t b) {
 // ---- Differential test against the interpreter ------------------------------
 
 // The hard contract: served output (PredictBatch, and AnomalyScores for
-// reconstruction) is memcmp-identical to the interpreted forward at batch 1
-// and max_batch, for MSD_THREADS 1 and 4 — including the degenerate
-// max_batch=1 session.
+// reconstruction) is memcmp-identical to the interpreted forward at every
+// batch size 1..max_batch, for MSD_THREADS 1 and 4 — including the
+// degenerate max_batch=1 session. Compile() validates only max_batch rows
+// and one row, so this sweep is the check on the row prefixes in between.
 void ExpectMatchesInterpreter(TaskType task, bool with_scaler) {
   for (int64_t max_batch : {int64_t{1}, int64_t{4}}) {
     SCOPED_TRACE(::testing::Message()
@@ -138,7 +141,7 @@ void ExpectMatchesInterpreter(TaskType task, bool with_scaler) {
                  << max_batch);
     const SessionAndOracle s =
         MakeSessionAndOracle(task, max_batch, with_scaler, "diff");
-    for (int64_t b : {int64_t{1}, max_batch}) {
+    for (int64_t b = 1; b <= max_batch; ++b) {
       const Tensor batch = RandomBatch(7 + static_cast<uint64_t>(b), b);
       const Tensor want = Interpreted(s, batch);
       const Tensor scaled =
@@ -172,7 +175,7 @@ TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
 }
 
 // Without a fitted scaler the planned chain is the bare module graph; the
-// contract must hold there too (no normalize/denormalize fusion sites).
+// contract must hold there too (no normalize/denormalize steps).
 TEST(PlanBitIdentityTest, MatchesInterpreterWithoutScaler) {
   for (TaskType task : kAllTasks) {
     ExpectMatchesInterpreter(task, /*with_scaler=*/false);
@@ -183,8 +186,8 @@ TEST(PlanBitIdentityTest, MatchesInterpreterWithoutScaler) {
 
 TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
   // input_length 30 with patch sizes {8, 4, 1}: two scales pad (30 -> 32),
-  // so Unpatch emits a Slice and the residual subtract has SliceSub sites
-  // in addition to the scaler's SubDiv / MulAdd pair.
+  // so Unpatch emits a Slice ahead of the residual subtract, next to the
+  // scaler's normalize / denormalize chains.
   MsdMixerConfig config = SmallConfig(TaskType::kForecast);
   config.input_length = 30;
   Rng rng(17);
@@ -199,13 +202,10 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
   std::remove(path.c_str());
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
   auto session = std::move(session_or).value();
-  const serve::CompiledPlan* plan = session->plan_for(2);
-  ASSERT_NE(plan, nullptr);
+  const serve::CompiledPlan* plan = &session->plan();
   const serve::PlanStats& stats = plan->stats();
-  // Scaler normalize (SubDiv) + forecast denormalize (MulAdd) + the two
-  // padded scales' residual subtracts (SliceSub).
-  EXPECT_GE(stats.num_fused, 4) << plan->DebugString();
-  EXPECT_EQ(stats.num_ops, stats.traced_ops - stats.num_fused);
+  // The schedule is the trace: one step per recorded op.
+  EXPECT_EQ(stats.num_ops, stats.traced_ops) << plan->DebugString();
   EXPECT_GT(stats.num_inplace, 0) << plan->DebugString();
   // Every Linear weight is a frozen rank-2 constant: all of them prepack.
   EXPECT_GT(stats.num_prepacked, 0) << plan->DebugString();
@@ -215,33 +215,32 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
 }
 
 TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {
+  // Regions are placed at max_batch rows; every smaller batch replays a
+  // prefix of each, so disjointness here covers all row counts.
   auto session = MakeSession(TaskType::kForecast, /*max_batch=*/3,
                              /*with_scaler=*/true, "regions");
-  for (int64_t b = 1; b <= 3; ++b) {
-    const serve::CompiledPlan* plan = session->plan_for(b);
-    ASSERT_NE(plan, nullptr);
-    const std::vector<serve::RegionInfo> regions = plan->Regions();
-    ASSERT_FALSE(regions.empty());
-    int64_t arena_end = 0;
-    for (const serve::RegionInfo& r : regions) {
-      EXPECT_GE(r.offset, 0);
-      EXPECT_EQ(r.offset % arena::kAlignment, 0);
-      arena_end = std::max(arena_end, r.offset + r.bytes);
-    }
-    EXPECT_EQ(arena_end, plan->stats().arena_bytes);
-    for (size_t i = 0; i < regions.size(); ++i) {
-      for (size_t j = i + 1; j < regions.size(); ++j) {
-        const serve::RegionInfo& a = regions[i];
-        const serve::RegionInfo& c = regions[j];
-        if (a.bytes == 0 || c.bytes == 0) continue;
-        const bool lifetimes_overlap =
-            a.first_def <= c.last_use && c.first_def <= a.last_use;
-        if (!lifetimes_overlap) continue;
-        const bool bytes_overlap =
-            a.offset < c.offset + c.bytes && c.offset < a.offset + a.bytes;
-        EXPECT_FALSE(bytes_overlap)
-            << "regions " << i << "/" << j << " share bytes while both live";
-      }
+  const serve::CompiledPlan& plan = session->plan();
+  const std::vector<serve::RegionInfo> regions = plan.Regions();
+  ASSERT_FALSE(regions.empty());
+  int64_t arena_end = 0;
+  for (const serve::RegionInfo& r : regions) {
+    EXPECT_GE(r.offset, 0);
+    EXPECT_EQ(r.offset % arena::kAlignment, 0);
+    arena_end = std::max(arena_end, r.offset + r.bytes);
+  }
+  EXPECT_EQ(arena_end, plan.stats().arena_bytes);
+  for (size_t i = 0; i < regions.size(); ++i) {
+    for (size_t j = i + 1; j < regions.size(); ++j) {
+      const serve::RegionInfo& a = regions[i];
+      const serve::RegionInfo& c = regions[j];
+      if (a.bytes == 0 || c.bytes == 0) continue;
+      const bool lifetimes_overlap =
+          a.first_def <= c.last_use && c.first_def <= a.last_use;
+      if (!lifetimes_overlap) continue;
+      const bool bytes_overlap =
+          a.offset < c.offset + c.bytes && c.offset < a.offset + a.bytes;
+      EXPECT_FALSE(bytes_overlap)
+          << "regions " << i << "/" << j << " share bytes while both live";
     }
   }
 }
@@ -251,9 +250,10 @@ TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {
 TEST(PlanSteadyStateTest, PlannedPathDoesNotTouchTheTensorPool) {
   auto session = MakeSession(TaskType::kForecast, /*max_batch=*/2,
                              /*with_scaler=*/true, "pool");
-  const Tensor batch = RandomBatch(31, 2);
+  // Full batches and one-row prefixes alternate: both replay prebuilt views.
+  const Tensor batches[] = {RandomBatch(31, 2), RandomBatch(32, 1)};
   // One call settles the result-block free list.
-  ASSERT_TRUE(session->PredictBatch(batch).ok());
+  ASSERT_TRUE(session->PredictBatch(batches[0]).ok());
   obs::Counter& hits =
       obs::MetricsRegistry::Global().GetCounter("tensor/pool_hits");
   obs::Counter& misses =
@@ -265,13 +265,13 @@ TEST(PlanSteadyStateTest, PlannedPathDoesNotTouchTheTensorPool) {
   const int64_t ops0 = plan_ops.value();
   constexpr int kCalls = 16;
   for (int i = 0; i < kCalls; ++i) {
-    auto out = session->PredictBatch(batch);
+    auto out = session->PredictBatch(batches[i % 2]);
     ASSERT_TRUE(out.ok());
   }
   EXPECT_EQ(hits.value(), hits0) << "planned path drew from the tensor pool";
   EXPECT_EQ(misses.value(), misses0) << "planned path allocated via the pool";
   EXPECT_EQ(plan_ops.value() - ops0,
-            kCalls * session->plan_for(2)->stats().num_ops);
+            kCalls * session->plan().stats().num_ops);
 }
 
 // ---- Compile() edge cases ---------------------------------------------------
@@ -320,6 +320,60 @@ TEST(PlanCompileTest, ZeroLengthIntermediates) {
   EXPECT_TRUE(saw_zero_byte_region);
 }
 
+// One plan compiled at five rows replays every row prefix of its example
+// bit-identically: reshapes that fold the row axis into the GEMM rows,
+// constant broadcasts, and in-place elementwise steps all cut to r rows.
+TEST(PlanCompileTest, ReplaysEveryRowPrefix) {
+  Rng rng(9);
+  const Tensor x = Tensor::RandNormal({5, 4, 6}, 0.0f, 1.0f, rng);
+  const Tensor w = Tensor::RandNormal({6, 3}, 0.0f, 1.0f, rng);
+  const Tensor bias = Tensor::RandNormal({4, 1}, 0.0f, 1.0f, rng);
+  auto fn = [&](const Tensor& in) {
+    const Tensor h = MatMul(in.Reshape({in.dim(0) * 4, 6}), w);
+    return Add(Relu(h).Reshape({in.dim(0), 4, 3}), bias);
+  };
+  std::string why_not;
+  auto plan = serve::CompiledPlan::Compile(fn, x, &why_not);
+  ASSERT_NE(plan, nullptr) << why_not;
+  for (int64_t r = 5; r >= 1; --r) {
+    const Tensor prefix = Slice(x, 0, 0, r);
+    EXPECT_TRUE(BitIdentical(plan->Execute(prefix), fn(prefix)))
+        << r << " rows";
+  }
+}
+
+// A forward that mixes rows cannot be replayed on a row prefix: Compile
+// refuses it, naming the first op whose buffers are not batch-outer.
+TEST(PlanCompileTest, RefusesForwardsThatAreNotBatchOuter) {
+  Rng rng(10);
+  const Tensor x = Tensor::RandNormal({3, 8}, 0.0f, 1.0f, rng);
+  struct Case {
+    const char* op;
+    serve::CompiledPlan::ForwardFn fn;
+  };
+  const Case cases[] = {
+      // Sums over the row axis.
+      {"Sum",
+       [](const Tensor& in) {
+         return Mul(in, Sum(in, {0}, /*keepdim=*/true));
+       }},
+      // Moves the row axis inward.
+      {"Permute", [](const Tensor& in) { return Permute(in, {1, 0}); }},
+      // Scales by a constant that counts the rows.
+      {"Mul",
+       [](const Tensor& in) {
+         return Mul(in, Tensor::Full({1}, static_cast<float>(in.dim(0))));
+       }},
+  };
+  for (const Case& c : cases) {
+    std::string why_not;
+    auto plan = serve::CompiledPlan::Compile(c.fn, x, &why_not);
+    EXPECT_EQ(plan, nullptr) << c.op;
+    EXPECT_NE(why_not.find(std::string("op %0 ") + c.op), std::string::npos)
+        << c.op << ": " << why_not;
+  }
+}
+
 // Unsupported ops must poison the trace: Compile refuses with a reason
 // instead of freezing a wrong schedule.
 TEST(PlanCompileTest, UnsupportedOpRefusesWithReason) {
@@ -332,13 +386,12 @@ TEST(PlanCompileTest, UnsupportedOpRefusesWithReason) {
   EXPECT_NE(why_not.find("Maximum"), std::string::npos) << why_not;
 }
 
-// max_batch = 1: the degenerate single-plan session still plans and
-// rejects anything larger (its output is in the differential test above).
+// max_batch = 1: the degenerate one-row plan still plans and rejects
+// anything larger (its output is in the differential test above).
 TEST(PlanCompileTest, MaxBatchOneDegeneratePlan) {
   auto session = MakeSession(TaskType::kReconstruction, /*max_batch=*/1,
                              /*with_scaler=*/true, "b1");
-  ASSERT_NE(session->plan_for(1), nullptr);
-  EXPECT_EQ(session->plan_for(2), nullptr);
+  EXPECT_GT(session->plan().stats().num_ops, 0);
   EXPECT_TRUE(session->PredictBatch(RandomBatch(41, 1)).ok());
   EXPECT_FALSE(session->PredictBatch(RandomBatch(42, 2)).ok());
 }

@@ -380,10 +380,10 @@ int SelfTest(int argc, char** argv) {
     const serve::InferenceSession* alpha_session =
         registry.Get("alpha").value()->session();
     const bool quant = alpha_session->quantized();
-    if (quant && alpha_session->plan_for(1)->stats().num_quantized == 0) {
+    if (quant && alpha_session->plan().stats().num_quantized == 0) {
       std::fprintf(stderr,
-                   "selftest: MSD_QUANT=1 but the batch-1 plan adopted no "
-                   "int8 steps (all fell back to fp32)\n");
+                   "selftest: MSD_QUANT=1 but the plan adopted no int8 "
+                   "steps (all fell back to fp32)\n");
       ++failures;
     }
     const float tol = quant ? 2e-2f : 1e-3f;
