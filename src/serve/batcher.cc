@@ -49,55 +49,26 @@ void MicroBatcher::Stop() {
   cv_.notify_all();
   workers_.Join();
   for (Request& request : drained) {
-    Resolve(&request,
-            Status::Cancelled("micro-batcher stopped before the request ran"));
+    request.done(
+        Status::Cancelled("micro-batcher stopped before the request ran"));
     DecInflight();
   }
-}
-
-void MicroBatcher::Resolve(Request* request, StatusOr<Tensor> result) {
-  if (request->done) {
-    request->done(std::move(result));
-  } else {
-    request->promise.set_value(std::move(result));
-  }
-}
-
-Status MicroBatcher::Submit(Tensor window, ResultFuture* result,
-                            int64_t timeout_us) {
-  MSD_CHECK(result != nullptr);
-  Request request;
-  request.input = std::move(window);
-  // The future is handed out only once admission is certain (Admit moves
-  // the request away only on OK), so a rejected Submit never leaves the
-  // caller a broken promise.
-  ResultFuture future = request.promise.get_future();
-  request.deadline = Clock::time_point::max();
-  Status admitted = AdmitWithTimeout(std::move(request), timeout_us);
-  if (admitted.ok()) *result = std::move(future);
-  return admitted;
 }
 
 Status MicroBatcher::SubmitAsync(Tensor window, ResultCallback done,
                                  int64_t timeout_us) {
   MSD_CHECK(done != nullptr);
-  Request request;
-  request.input = std::move(window);
-  request.done = std::move(done);
-  return AdmitWithTimeout(std::move(request), timeout_us);
-}
-
-Status MicroBatcher::AdmitWithTimeout(Request request, int64_t timeout_us) {
-  if (!request.input.defined() || request.input.rank() != 2 ||
-      request.input.dim(0) != session_->model_config().channels ||
-      request.input.dim(1) != session_->model_config().input_length) {
+  if (!window.defined() || window.rank() != 2 ||
+      window.dim(0) != session_->model_config().channels ||
+      window.dim(1) != session_->model_config().input_length) {
     return Status::InvalidArgument(
         "window must be [" +
         std::to_string(session_->model_config().channels) + ", " +
         std::to_string(session_->model_config().input_length) + "]");
   }
-  if (timeout_us < 0) timeout_us = config_.default_timeout_us;
-
+  Request request;
+  request.input = std::move(window);
+  request.done = std::move(done);
   // Minting assigns the monotonic request id, the 1-in-N sampling bit and
   // the enqueue timestamp every downstream phase is measured against.
   request.trace = MintTraceContext();
@@ -187,8 +158,8 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
       Instruments().timeouts.Add(1);
       // serve/deadline_miss counts exactly the kDeadlineExceeded outcomes.
       Instruments().deadline_miss.Add(1);
-      Resolve(&request, Status::DeadlineExceeded(
-                            "request timed out in the batch queue"));
+      request.done(
+          Status::DeadlineExceeded("request timed out in the batch queue"));
       DecInflight();
     } else {
       live.push_back(std::move(request));
@@ -211,7 +182,7 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
 
   if (!outputs.ok()) {
     for (Request& request : live) {
-      Resolve(&request, outputs.status());
+      request.done(outputs.status());
       DecInflight();
     }
     return;
@@ -237,7 +208,7 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
     // Telemetry must land before the request resolves: a client that reads
     // STATS/TRACE immediately after its reply must see its own request's
     // histograms and spans, not race this thread for them.
-    Resolve(&live[i], row.Reshape(std::move(squeezed)));
+    live[i].done(row.Reshape(std::move(squeezed)));
     DecInflight();
   }
 }

@@ -4,26 +4,27 @@
 // (runtime::WorkerGroup) coalesce pending requests into a batch when either
 // `max_batch` requests are waiting or the oldest request has waited
 // `max_delay_us`, then run one InferenceSession::PredictBatch and resolve
-// each request's future (Submit) or completion callback (SubmitAsync —
-// the path the epoll front-end in serve/netio.h uses, so no thread is
-// parked per in-flight request) with its own row.
+// each request's completion callback with its own row. SubmitAsync is the
+// only way in, so no thread is parked per in-flight request (the epoll
+// front-end in serve/netio.h); a caller that wants to wait blocks on a
+// promise its callback fulfils.
 //
 // Policies:
-//  * Admission control: Submit() on a full queue fails fast with
+//  * Admission control: SubmitAsync() on a full queue fails fast with
 //    kResourceExhausted — callers get backpressure, requests are never
 //    dropped on the floor.
 //  * Timeout: a request that is still queued past its deadline resolves
 //    with kDeadlineExceeded at dequeue time (it never occupies batch space).
 //  * Cancellation: Stop() drains the queue and resolves every pending
-//    request with kCancelled before joining the workers; no future is ever
-//    left unresolved.
+//    request with kCancelled before joining the workers; no callback is
+//    ever left unfired.
 //
 // This file is serving hot-path code: the repo lint rule
 // no-blocking-io-in-serve-hot-path forbids file/stdio calls anywhere in
 // src/serve so a batch cycle stays compute-only.
 //
 // Telemetry (docs/OBSERVABILITY.md taxonomy, serve/trace.h handles): every
-// request carries a TraceContext minted at Submit(), so each reply is
+// request carries a TraceContext minted at SubmitAsync(), so each reply is
 // decomposed into the serve/queue_us, serve/batch_assembly_us,
 // serve/compute_us and serve/e2e_us histograms; counters
 // serve/requests_total, serve/rejected_total, serve/timeouts_total,
@@ -39,7 +40,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 
 #include "common/status.h"
@@ -56,17 +56,15 @@ struct MicroBatcherConfig {
   // (Clamped to the session's max_batch.)
   int64_t max_batch = 8;
   int64_t max_delay_us = 2000;
-  // Bounded queue; Submit() beyond this rejects with kResourceExhausted.
+  // Bounded queue; SubmitAsync() beyond this rejects with
+  // kResourceExhausted.
   int64_t queue_capacity = 64;
   // Dedicated batch-assembly threads. One is enough to saturate the GEMM
   // engine (PredictBatch fans out over the MSD_THREADS pool); a second
   // overlaps batch assembly with compute.
   int64_t num_workers = 1;
-  // Default per-request timeout; <= 0 means no deadline.
-  int64_t default_timeout_us = 0;
 };
 
-using ResultFuture = std::future<StatusOr<Tensor>>;
 // Completion for SubmitAsync: invoked exactly once per admitted request,
 // on a batcher worker thread (success, inference error, deadline) or on the
 // Stop()ing thread (kCancelled). Must not block — the epoll front-end's
@@ -82,27 +80,24 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Spawns the worker threads. Submit() before Start() is allowed — requests
-  // queue up (subject to capacity) and are served once workers exist.
+  // Spawns the worker threads. SubmitAsync() before Start() is allowed —
+  // requests queue up (subject to capacity) and are served once workers
+  // exist.
   void Start();
 
   // Drains the queue (pending requests resolve with kCancelled), joins the
   // workers. Idempotent.
   void Stop();
 
-  // Enqueues one window ([channels, length]). On OK, *result resolves with
-  // the per-request output or an error produced later in the cycle. Non-OK
-  // return means the request was NOT admitted: kResourceExhausted when the
-  // queue is full, kCancelled after Stop(), kInvalidArgument on bad shape.
-  // timeout_us: <0 uses config.default_timeout_us; 0 means no deadline.
-  Status Submit(Tensor window, ResultFuture* result, int64_t timeout_us = -1);
-
-  // Callback twin of Submit, for front-ends that must not park a thread per
-  // request (the epoll loop in serve/netio.h). Same admission contract; on
-  // OK, `done` fires exactly once with the result. A non-OK return means
-  // `done` was NOT taken and will never fire.
+  // Enqueues one window ([channels, length]). On OK, `done` fires exactly
+  // once with the per-request output or an error produced later in the
+  // cycle. A non-OK return means the request was NOT admitted and `done`
+  // will never fire: kResourceExhausted when the queue is full, kCancelled
+  // after Stop(), kInvalidArgument on bad shape. A request still queued
+  // `timeout_us` after admission resolves kDeadlineExceeded; timeout_us <= 0
+  // means no deadline.
   Status SubmitAsync(Tensor window, ResultCallback done,
-                     int64_t timeout_us = -1);
+                     int64_t timeout_us = 0);
 
   int64_t queue_depth() const;
   const MicroBatcherConfig& config() const { return config_; }
@@ -112,9 +107,7 @@ class MicroBatcher {
 
   struct Request {
     Tensor input;
-    std::promise<StatusOr<Tensor>> promise;
-    // Non-empty for SubmitAsync requests: resolution calls this instead of
-    // fulfilling the promise.
+    // Fired exactly once with the request's outcome.
     ResultCallback done;
     // Carries request id, sampling bit and the enqueue/dequeue/compute
     // timestamps; trace.enqueue doubles as the admission time the deadline
@@ -128,11 +121,6 @@ class MicroBatcher {
   // Resolves every member of `batch`: expired requests with
   // kDeadlineExceeded, the rest with rows of one PredictBatch call.
   void ProcessBatch(std::vector<Request> batch);
-  // Single admission path shared by Submit and SubmitAsync: validates the
-  // window, mints the trace context, derives the deadline, enqueues.
-  Status AdmitWithTimeout(Request request, int64_t timeout_us);
-  // The one place a request resolves: callback or promise, never both.
-  static void Resolve(Request* request, StatusOr<Tensor> result);
   // One request left the pipeline (resolved, any status).
   void DecInflight();
 

@@ -582,12 +582,12 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   // Runs only after the fp32 plan has passed its memcmp gate, so every step
   // a candidate falls back to is the validated fp32 schedule.
   if (options.quantize) {
-    plan->QuantizePass(example, options.quant_max_rel_error);
+    plan->QuantizePass(example);
   }
   return plan;
 }
 
-void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
+void CompiledPlan::QuantizePass(const Tensor& example) {
   // Calibration replays the example through the R-row views.
   RowViews& views = rows_.back();
   // Eligible: a prepacked constant-weight rank-2 GEMM whose inner dimension
@@ -655,8 +655,8 @@ void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
     }
     // Relative Frobenius error; an exactly-zero fp32 output accepts only an
     // exactly-zero quantized output.
-    const bool ok =
-        num == 0.0 || (den > 0.0 && std::sqrt(num / den) <= max_rel_error);
+    const bool ok = num == 0.0 ||
+                    (den > 0.0 && std::sqrt(num / den) <= kQuantMaxRelError);
     if (ok) {
       s.quantized = true;
       s.q_weights = std::move(qw);

@@ -54,18 +54,19 @@ struct PlanStats {
   int64_t quant_arena_bytes = 0;    // activation-quant scratch arena
 };
 
+// Int8 calibration gate: a quantization candidate whose output deviates from
+// the fp32 step output on the freeze example by more than this relative
+// Frobenius error stays fp32 (counted in num_quant_fallbacks).
+constexpr float kQuantMaxRelError = 0.05f;
+
 // Knobs for CompiledPlan::Compile. Defaults reproduce the fp32 plan exactly.
 struct CompileOptions {
   // Rewrite eligible constant-weight rank-2 GEMM steps to the int8 kernels
   // (tensor/qgemm.h): weights quantize at freeze time, activations per
   // request. Every candidate is calibrated against the fp32 step it
-  // replaces; see quant_max_rel_error. Off by default — an fp32 plan stays
+  // replaces; see kQuantMaxRelError. Off by default — an fp32 plan stays
   // bit-identical to the interpreted forward.
   bool quantize = false;
-  // Calibration gate: a candidate whose quantized output deviates from the
-  // fp32 step output on the freeze example by more than this relative
-  // Frobenius error stays fp32 (counted in num_quant_fallbacks).
-  float quant_max_rel_error = 0.05f;
 };
 
 // One arena region's placement and lifetime, exposed for the planner tests
@@ -91,7 +92,7 @@ class CompiledPlan {
   // replay was not bit-identical. With options.quantize, a
   // quantization pass then runs AFTER that fp32 validation: each prepacked
   // GEMM step is re-executed int8 against the example and adopted only when
-  // its output stays within options.quant_max_rel_error of the fp32 step
+  // its output stays within kQuantMaxRelError of the fp32 step
   // (per-step fallback otherwise) — so a quantized plan's fp32 remainder is
   // still the validated schedule, and the bit-identity contract narrows to
   // "identical except the adopted int8 steps".
@@ -148,10 +149,10 @@ class CompiledPlan {
 
   // The quantization pass (options.quantize): replays `example` step by
   // step in fp32, re-executes each prepacked GEMM step int8 into scratch,
-  // and adopts candidates within `max_rel_error` of their fp32 output.
+  // and adopts candidates within kQuantMaxRelError of their fp32 output.
   // Calibration always compares against fp32 *inputs* (the replay keeps
   // fp32 results in the arena), so per-step error never compounds.
-  void QuantizePass(const Tensor& example, float max_rel_error);
+  void QuantizePass(const Tensor& example);
 
   std::vector<Step> steps_;
   // Index r-1 replays r rows; the last entry is the traced R-row layout.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -240,22 +241,18 @@ void ServedModel::ReleaseQuota() {
       inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
 }
 
-StatusOr<Tensor> ServedModel::Handle(const Tensor& window, int64_t timeout_us) {
-  Status admitted = AdmitQuota();
-  if (!admitted.ok()) return admitted;
-  ResultFuture future;
-  Status submitted = batcher_.Submit(Tensor(window), &future, timeout_us);
-  if (!submitted.ok()) {
-    ReleaseQuota();
-    return submitted;
-  }
-  StatusOr<Tensor> result = future.get();
-  ReleaseQuota();
-  return result;
+StatusOr<Tensor> ServedModel::Handle(const Tensor& window) {
+  std::promise<StatusOr<Tensor>> reply;
+  std::future<StatusOr<Tensor>> result = reply.get_future();
+  Status submitted =
+      SubmitAsync(Tensor(window), [&reply](StatusOr<Tensor> r) {
+        reply.set_value(std::move(r));
+      });
+  if (!submitted.ok()) return submitted;
+  return result.get();
 }
 
-Status ServedModel::SubmitAsync(Tensor window, ResultCallback done,
-                                int64_t timeout_us) {
+Status ServedModel::SubmitAsync(Tensor window, ResultCallback done) {
   Status admitted = AdmitQuota();
   if (!admitted.ok()) return admitted;
   Status submitted = batcher_.SubmitAsync(
@@ -265,8 +262,7 @@ Status ServedModel::SubmitAsync(Tensor window, ResultCallback done,
       [this, done = std::move(done)](StatusOr<Tensor> result) {
         ReleaseQuota();
         done(std::move(result));
-      },
-      timeout_us);
+      });
   if (!submitted.ok()) ReleaseQuota();
   return submitted;
 }
@@ -555,19 +551,11 @@ StatusOr<std::shared_ptr<ServedModel>> ModelService::Route(
 }
 
 std::string ModelService::HandleLine(const std::string& line) {
-  const std::string trimmed = TrimmedLine(line);
-  std::string reply;
-  if (MaybeAdmin(trimmed, &reply)) return reply;
-  std::string payload;
-  StatusOr<std::shared_ptr<ServedModel>> model = Route(trimmed, &payload);
-  if (!model.ok()) return "ERROR " + model.status().ToString();
-  const MsdMixerConfig& mc = model.value()->session()->model_config();
-  StatusOr<Tensor> window =
-      ParseWindowLine(payload, mc.channels, mc.input_length);
-  if (!window.ok()) return "ERROR " + window.status().ToString();
-  StatusOr<Tensor> result = model.value()->Handle(window.value());
-  if (!result.ok()) return "ERROR " + result.status().ToString();
-  return FormatTensorLine(result.value());
+  std::promise<std::string> reply;
+  std::future<std::string> answered = reply.get_future();
+  HandleLineAsync(line,
+                  [&reply](std::string r) { reply.set_value(std::move(r)); });
+  return answered.get();
 }
 
 // msd-hot-path: the multi-tenant request path every socket line runs

@@ -39,7 +39,9 @@
 // and the admin commands LIST, RELOAD <name> <checkpoint>, STATS,
 // TRACE <path>. HandleLineAsync is the epoll path (serve/netio.h):
 // data lines resolve through MicroBatcher::SubmitAsync so no thread is
-// parked per in-flight request.
+// parked per in-flight request. The blocking HandleLine and
+// ServedModel::Handle wait on a promise their async twin fulfils, so every
+// request completes one way.
 #ifndef MSDMIXER_SERVE_REGISTRY_H_
 #define MSDMIXER_SERVE_REGISTRY_H_
 
@@ -111,16 +113,15 @@ class ServedModel {
   ServedModel(const ServedModel&) = delete;
   ServedModel& operator=(const ServedModel&) = delete;
 
-  // Synchronous submit-and-wait (bench clients, stdin front-end). Applies
-  // the quota, then blocks on the batcher future.
-  StatusOr<Tensor> Handle(const Tensor& window, int64_t timeout_us = -1);
+  // Synchronous submit-and-wait (bench clients, tests): SubmitAsync, then a
+  // blocking wait on the promise its completion fulfils.
+  StatusOr<Tensor> Handle(const Tensor& window);
 
-  // Callback twin for the epoll front-end. Same admission contract as
-  // MicroBatcher::SubmitAsync: on OK `done` fires exactly once (it must not
+  // Applies the quota, then MicroBatcher::SubmitAsync with no deadline. Same
+  // admission contract: on OK `done` fires exactly once (it must not
   // block); a non-OK return means `done` will never fire. The quota slot is
   // released when `done` runs.
-  Status SubmitAsync(Tensor window, ResultCallback done,
-                     int64_t timeout_us = -1);
+  Status SubmitAsync(Tensor window, ResultCallback done);
 
   const ManifestEntry& entry() const { return entry_; }
   const std::string& name() const { return entry_.name; }
@@ -225,8 +226,9 @@ class ModelService {
   // Attaches the exporter TRACE dumps route through (may be null).
   void SetExporter(obs::TelemetryExporter* exporter) { exporter_ = exporter; }
 
-  // Parses one protocol line, answers synchronously (stdin front-end,
-  // selftest). Data lines block on the model's batcher future.
+  // Answers one protocol line synchronously (stdin front-end, selftest):
+  // HandleLineAsync, then a blocking wait on the promise its `done`
+  // fulfils.
   std::string HandleLine(const std::string& line);
 
   // The epoll path: admin lines and admission failures answer `done`

@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "nn/serialize.h"
@@ -11,6 +10,10 @@
 
 namespace msd {
 namespace serve {
+
+// Seeds the throwaway weight init that the checkpoint overwrites; the plan's
+// freeze-time example inputs draw from kInitSeed + 1.
+constexpr uint64_t kInitSeed = 1;
 
 InferenceSession::InferenceSession(const InferenceSessionConfig& config)
     : config_(config) {}
@@ -29,16 +32,11 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
         "scaler channel count does not match the model");
   }
   std::unique_ptr<InferenceSession> session(new InferenceSession(config));
-  Rng rng(config.seed);
+  Rng rng(kInitSeed);
   session->mixer_ = std::make_unique<MsdMixer>(config.model, rng);
   Status loaded = LoadCheckpoint(*session->mixer_, checkpoint_path);
   if (!loaded.ok()) return loaded;
   session->mixer_->SetTraining(false);
-  // MSD_QUANT, when set, overrides the config field: "0" pins fp32, any
-  // other value requests the int8 quantization pass (docs/PERFORMANCE.md).
-  const char* quant_env = std::getenv("MSD_QUANT");
-  session->use_quant_ = quant_env != nullptr ? std::string(quant_env) != "0"
-                                             : config.quantize;
   Status planned = session->BuildPlan();
   if (!planned.ok()) return planned;
   static obs::Counter& sessions =
@@ -84,15 +82,14 @@ Tensor InferenceSession::RunPlanned(const Tensor& batch) {
 }
 
 Status InferenceSession::BuildPlan() {
-  Rng rng(config_.seed + 1);
+  Rng rng(kInitSeed + 1);
   // Random (not zero) example inputs so the freeze-time memcmp validation
   // cannot pass by accident on degenerate all-zero intermediates.
   const Tensor example = Tensor::RandNormal(
       {config_.max_batch, config_.model.channels, config_.model.input_length},
       0.0f, 1.0f, rng);
   CompileOptions options;
-  options.quantize = use_quant_;
-  options.quant_max_rel_error = config_.quant_max_rel_error;
+  options.quantize = config_.quantize;
   std::string why_not;
   plan_ = CompiledPlan::Compile(
       [this](const Tensor& in) {
@@ -121,7 +118,7 @@ Status InferenceSession::BuildPlan() {
                             why_not);
   }
   const PlanStats& stats = plan_->stats();
-  if (use_quant_) {
+  if (config_.quantize) {
     // Freeze-time facts: how many GEMM steps adopted int8 and how many the
     // calibration gate kept fp32.
     static obs::Counter& quant_steps =

@@ -59,8 +59,6 @@ struct InferenceSessionConfig {
   // Upper bound on rows per PredictBatch call; the plan is compiled at this
   // many rows and serves every smaller batch from a row prefix.
   int64_t max_batch = 32;
-  // Seed for the throwaway weight init that the checkpoint overwrites.
-  uint64_t seed = 1;
   // Test/bench hook: busy-spin this long inside the locked forward pass to
   // emulate a slower model. 0 (the default) disables the hook; real
   // deployments never set it.
@@ -68,12 +66,9 @@ struct InferenceSessionConfig {
   // Int8 inference (docs/PERFORMANCE.md): ask the planner to rewrite
   // eligible constant-weight GEMM steps to the quantized kernels
   // (tensor/qgemm.h). Per-step calibration against the fp32 plan decides
-  // adoption; see CompileOptions. The MSD_QUANT environment variable, when
-  // set, overrides this field ("0" forces off, anything else forces on).
+  // adoption; see kQuantMaxRelError. This field is the only int8 switch.
   // Off by default — the fp32 path stays bit-identical to prior releases.
   bool quantize = false;
-  // Calibration gate forwarded to CompileOptions::quant_max_rel_error.
-  float quant_max_rel_error = 0.05f;
 };
 
 class InferenceSession {
@@ -107,9 +102,9 @@ class InferenceSession {
   int64_t max_batch() const { return config_.max_batch; }
 
   // True when the plan was compiled with the quantization pass requested
-  // (config.quantize, overridden by MSD_QUANT when set). Individual steps
-  // may still have fallen back fp32; see PlanStats::num_quantized.
-  bool quantized() const { return use_quant_; }
+  // (config.quantize). Individual steps may still have fallen back fp32; see
+  // PlanStats::num_quantized.
+  bool quantized() const { return config_.quantize; }
   // The frozen plan serving every batch size. Exposed for tests, benches and
   // the selftest's int8 check.
   const CompiledPlan& plan() const { return *plan_; }
@@ -131,8 +126,6 @@ class InferenceSession {
   pool::MemoryScope memory_scope_;
   std::unique_ptr<MsdMixer> mixer_;
   std::mutex model_mu_;
-  // Resolved quantization request (config.quantize / MSD_QUANT override).
-  bool use_quant_ = false;
   std::unique_ptr<CompiledPlan> plan_;
 };
 
@@ -148,7 +141,7 @@ struct ForecastSessionOptions {
   bool use_instance_norm = true;
   int64_t max_batch = 32;
   // Forwarded to InferenceSessionConfig::quantize (int8 plan rewriting,
-  // docs/PERFORMANCE.md); MSD_QUANT still overrides when set.
+  // docs/PERFORMANCE.md).
   bool quantize = false;
 };
 

@@ -2,7 +2,7 @@
 // docs/OBSERVABILITY.md).
 //
 // A TraceContext is minted once per request at an admission point —
-// MicroBatcher::Submit/SubmitAsync (the ModelService path) or a direct
+// MicroBatcher::SubmitAsync (the ModelService path) or a direct
 // InferenceSession::PredictBatch call — and carried with the request through
 // the batching pipeline, so every reply decomposes into
 //
@@ -22,7 +22,7 @@
 // Everything here is hot-path instrumentation: minting is one relaxed
 // fetch_add, instrument handles are created once and cached (function-local
 // static), and all updates are relaxed atomics — no locks are added to
-// Submit/PredictBatch beyond the ones they already hold.
+// SubmitAsync/PredictBatch beyond the ones they already hold.
 #ifndef MSDMIXER_SERVE_TRACE_H_
 #define MSDMIXER_SERVE_TRACE_H_
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -28,15 +27,6 @@
 
 namespace msd {
 namespace {
-
-// This suite asserts fp32 bit-exactness (planned == interpreted). Pin the
-// int8 quantization pass off so a harness-level MSD_QUANT=1 sweep (the
-// check.sh quantized ctest leg) cannot turn these fixtures into quantized
-// sessions; the quantized contracts live in tests/quant_plan_test.cc.
-const bool kQuantPinnedOff = [] {
-  ::setenv("MSD_QUANT", "0", /*overwrite=*/1);
-  return true;
-}();
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "plan_test_" + std::to_string(::getpid()) +

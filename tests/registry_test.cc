@@ -2,8 +2,9 @@
 // (duplicates, version regressions, bad keys), ServedModel admission
 // quotas, atomic hot-swap semantics — in-flight requests finish on the
 // session they were admitted to while new requests route to the
-// replacement — plus a concurrent Get/Swap hammer the TSan leg runs, and
-// the ModelService text protocol (MODEL prefix, LIST, RELOAD, STATS).
+// replacement — plus a concurrent Get/Swap hammer the TSan leg runs, the
+// ModelService text protocol (MODEL prefix, LIST, RELOAD, STATS), and
+// per-model int8 selection through the manifest's quantize key.
 #include "serve/registry.h"
 
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,13 +32,6 @@
 
 namespace msd {
 namespace {
-
-// Quantization decisions depend on per-step calibration; pin the pass off so
-// a harness-level MSD_QUANT=1 sweep cannot perturb the bit-identity checks.
-const bool kQuantPinnedOff = [] {
-  ::setenv("MSD_QUANT", "0", /*overwrite=*/1);
-  return true;
-}();
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "registry_test_" +
@@ -465,6 +460,86 @@ TEST(ModelRegistryTest, ReloadBuildsNextVersionFromCheckpoint) {
   std::remove((ckpt_v1 + ".meta").c_str());
   std::remove(ckpt_v2.c_str());
   std::remove((ckpt_v2 + ".meta").c_str());
+}
+
+// Int8 is chosen per model by the manifest's quantize key: one checkpoint
+// served as an fp32 tenant and an int8 tenant yields exactly one quantized
+// session, each tenant answers with the bytes of a direct session built with
+// its own quantize setting, and RELOAD keeps the tenant int8.
+TEST(ModelRegistryTest, ManifestQuantizeSelectsInt8PerModel) {
+  const Tensor series = ReloadSeries(43);
+  ForecastPipelineConfig pc;
+  pc.lookback = 32;
+  pc.horizon = 8;
+  pc.trainer.epochs = 1;
+  pc.trainer.batch_size = 16;
+  pc.trainer.max_batches_per_epoch = 4;
+  pc.trainer.early_stop_patience = 0;
+  ForecastPipeline pipe(pc, /*seed=*/7);
+  pipe.Fit(series);
+  const std::string ckpt = TempPath("tenants.msdckpt");
+  ASSERT_TRUE(pipe.Save(ckpt).ok());
+
+  const std::string keys = " checkpoint=" + ckpt +
+                           " lookback=32 horizon=8 max_batch=4";
+  auto manifest = serve::ParseManifest(
+      "model name=fp version=1" + keys + "\n" +
+      "model name=q version=1" + keys + " quantize=1\n");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  {
+    serve::ModelRegistry registry(FastBatcher());
+    ASSERT_TRUE(registry.Load(manifest.value()).ok());
+    serve::ModelService service(&registry);
+
+    obs::JsonValue list;
+    ASSERT_TRUE(obs::JsonParse(service.HandleLine("LIST"), &list));
+    std::map<std::string, bool> quantized;
+    for (const obs::JsonValue& model : list.Find("models")->array) {
+      quantized[model.Find("name")->str] = model.Find("quantized")->boolean;
+    }
+    EXPECT_EQ(quantized, (std::map<std::string, bool>{{"fp", false},
+                                                      {"q", true}}));
+    EXPECT_EQ(registry.Get("fp").value()->session()->plan().stats()
+                  .num_quantized,
+              0);
+    EXPECT_GT(registry.Get("q").value()->session()->plan().stats()
+                  .num_quantized,
+              0);
+
+    // Oracles share the tenants' max_batch, so the int8 oracle calibrates on
+    // the same freeze example and adopts the same steps.
+    const Tensor window = Slice(series, 1, 0, pc.lookback);
+    auto expect = [&](bool quantize) {
+      serve::ForecastSessionOptions so;
+      so.lookback = 32;
+      so.horizon = 8;
+      so.max_batch = 4;
+      so.quantize = quantize;
+      auto oracle = serve::CreateForecastSession(ckpt, so);
+      EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+      return oracle.value()->Predict(window).value();
+    };
+    const Tensor want_fp = expect(false);
+    const Tensor want_q = expect(true);
+    EXPECT_FALSE(BitIdentical(want_fp, want_q));
+    auto served_fp = registry.Get("fp").value()->Handle(window);
+    auto served_q = registry.Get("q").value()->Handle(window);
+    ASSERT_TRUE(served_fp.ok() && served_q.ok());
+    EXPECT_TRUE(BitIdentical(served_fp.value(), want_fp));
+    EXPECT_TRUE(BitIdentical(served_q.value(), want_q));
+
+    ASSERT_TRUE(registry.Reload("q", ckpt).ok());
+    auto reloaded = registry.Get("q");
+    ASSERT_TRUE(reloaded.ok());
+    EXPECT_EQ(reloaded.value()->version(), 2);
+    EXPECT_TRUE(reloaded.value()->session()->quantized());
+    EXPECT_GT(reloaded.value()->session()->plan().stats().num_quantized, 0);
+    auto served_v2 = reloaded.value()->Handle(window);
+    ASSERT_TRUE(served_v2.ok());
+    EXPECT_TRUE(BitIdentical(served_v2.value(), want_q));
+  }
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".meta").c_str());
 }
 
 // ---- ModelService protocol -----------------------------------------------

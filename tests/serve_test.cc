@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -33,15 +34,6 @@
 
 namespace msd {
 namespace {
-
-// This suite asserts fp32 identities (session == pipeline, batch-composition
-// invariance across plans). Pin the int8 quantization pass off so a
-// harness-level MSD_QUANT=1 sweep cannot change which plans quantize; the
-// quantized contracts live in tests/quant_plan_test.cc.
-const bool kQuantPinnedOff = [] {
-  ::setenv("MSD_QUANT", "0", /*overwrite=*/1);
-  return true;
-}();
 
 // Parallel ctest runs each test as its own process in a shared temp
 // directory, so paths must be pid-unique or concurrent tests truncate each
@@ -95,6 +87,22 @@ std::unique_ptr<serve::InferenceSession> MakeSession(
 Tensor RandomWindow(uint64_t seed, int64_t channels = 2, int64_t length = 32) {
   Rng rng(seed);
   return Tensor::RandNormal({channels, length}, 0.0f, 1.0f, rng);
+}
+
+using ResultFuture = std::future<StatusOr<Tensor>>;
+
+// MicroBatcher::SubmitAsync with a future its completion fulfils. *result is
+// set only when the request was admitted.
+Status Submit(serve::MicroBatcher& batcher, const Tensor& window,
+              ResultFuture* result, int64_t timeout_us = 0) {
+  auto promise = std::make_shared<std::promise<StatusOr<Tensor>>>();
+  ResultFuture future = promise->get_future();
+  Status admitted = batcher.SubmitAsync(
+      Tensor(window),
+      [promise](StatusOr<Tensor> r) { promise->set_value(std::move(r)); },
+      timeout_us);
+  if (admitted.ok()) *result = std::move(future);
+  return admitted;
 }
 
 // A one-entry registry serving MakeSession's forecast model as the default:
@@ -246,10 +254,10 @@ TEST(MicroBatcherTest, BatchedResultsMatchDirectSession) {
   batcher.Start();
 
   std::vector<Tensor> windows;
-  std::vector<serve::ResultFuture> futures(12);
+  std::vector<ResultFuture> futures(12);
   for (uint64_t s = 0; s < futures.size(); ++s) {
     windows.push_back(RandomWindow(200 + s));
-    ASSERT_TRUE(batcher.Submit(windows.back(), &futures[s]).ok());
+    ASSERT_TRUE(Submit(batcher, windows.back(), &futures[s]).ok());
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     StatusOr<Tensor> got = futures[i].get();
@@ -270,12 +278,12 @@ TEST(MicroBatcherTest, FullQueueRejectsWithResourceExhaustedThenDrains) {
 
   serve::MicroBatcher batcher(session.get(), config);
   // Not started: the queue can only fill.
-  std::vector<serve::ResultFuture> admitted(config.queue_capacity);
+  std::vector<ResultFuture> admitted(config.queue_capacity);
   for (auto& f : admitted) {
-    ASSERT_TRUE(batcher.Submit(window, &f).ok());
+    ASSERT_TRUE(Submit(batcher, window, &f).ok());
   }
-  serve::ResultFuture overflow;
-  Status rejected = batcher.Submit(window, &overflow);
+  ResultFuture overflow;
+  Status rejected = Submit(batcher, window, &overflow);
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
 
   // Backpressure is not drop: everything admitted completes once workers
@@ -284,8 +292,8 @@ TEST(MicroBatcherTest, FullQueueRejectsWithResourceExhaustedThenDrains) {
   for (auto& f : admitted) {
     EXPECT_TRUE(f.get().ok());
   }
-  serve::ResultFuture after;
-  ASSERT_TRUE(batcher.Submit(window, &after).ok());
+  ResultFuture after;
+  ASSERT_TRUE(Submit(batcher, window, &after).ok());
   EXPECT_TRUE(after.get().ok());
   batcher.Stop();
 }
@@ -298,15 +306,15 @@ TEST(MicroBatcherTest, ExpiredRequestsResolveWithDeadlineExceeded) {
 
   // Deterministic expiry: enqueue with a 1ms deadline while no worker is
   // running, let it lapse, then start the workers.
-  serve::ResultFuture expired;
-  ASSERT_TRUE(batcher.Submit(window, &expired, /*timeout_us=*/1000).ok());
+  ResultFuture expired;
+  ASSERT_TRUE(Submit(batcher, window, &expired, /*timeout_us=*/1000).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   batcher.Start();
   EXPECT_EQ(expired.get().status().code(), StatusCode::kDeadlineExceeded);
 
   // A request with a generous deadline still succeeds.
-  serve::ResultFuture live;
-  ASSERT_TRUE(batcher.Submit(window, &live, /*timeout_us=*/5000000).ok());
+  ResultFuture live;
+  ASSERT_TRUE(Submit(batcher, window, &live, /*timeout_us=*/5000000).ok());
   EXPECT_TRUE(live.get().ok());
   batcher.Stop();
 }
@@ -319,15 +327,15 @@ TEST(MicroBatcherTest, StopCancelsPendingAndRejectsNewWork) {
   const Tensor window = RandomWindow(3);
 
   // Never Start()ed: a full queue's worth of requests must not be lost.
-  std::vector<serve::ResultFuture> pending(config.queue_capacity);
-  for (auto& f : pending) ASSERT_TRUE(batcher.Submit(window, &f).ok());
+  std::vector<ResultFuture> pending(config.queue_capacity);
+  for (auto& f : pending) ASSERT_TRUE(Submit(batcher, window, &f).ok());
   batcher.Stop();
   for (auto& f : pending) {
     EXPECT_EQ(f.get().status().code(), StatusCode::kCancelled);
   }
 
-  serve::ResultFuture rejected;
-  EXPECT_EQ(batcher.Submit(window, &rejected).code(), StatusCode::kCancelled);
+  ResultFuture rejected;
+  EXPECT_EQ(Submit(batcher, window, &rejected).code(), StatusCode::kCancelled);
   batcher.Stop();  // idempotent
 }
 
@@ -335,10 +343,10 @@ TEST(MicroBatcherTest, SubmitValidatesWindowShape) {
   auto session = MakeSession(TaskType::kForecast);
   serve::MicroBatcherConfig config;
   serve::MicroBatcher batcher(session.get(), config);
-  serve::ResultFuture future;
-  EXPECT_EQ(batcher.Submit(Tensor::Zeros({2, 31}), &future).code(),
+  ResultFuture future;
+  EXPECT_EQ(Submit(batcher, Tensor::Zeros({2, 31}), &future).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(batcher.Submit(Tensor::Zeros({1, 2, 32}), &future).code(),
+  EXPECT_EQ(Submit(batcher, Tensor::Zeros({1, 2, 32}), &future).code(),
             StatusCode::kInvalidArgument);
   batcher.Stop();
 }
@@ -423,15 +431,15 @@ TEST(MicroBatcherTest, TimingDecompositionSeparatesQueueFromCompute) {
   const int64_t compute_before = serve::Instruments().compute_us.count();
   const int64_t e2e_before = serve::Instruments().e2e_us.count();
 
-  serve::ResultFuture first;
-  ASSERT_TRUE(batcher.Submit(RandomWindow(400), &first).ok());
+  ResultFuture first;
+  ASSERT_TRUE(Submit(batcher, RandomWindow(400), &first).ok());
   // Let the worker pick up the first request (max_delay 5ms) and enter its
   // 50ms compute before lining up the coalesced pair behind it.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  serve::ResultFuture second;
-  serve::ResultFuture third;
-  ASSERT_TRUE(batcher.Submit(RandomWindow(401), &second).ok());
-  ASSERT_TRUE(batcher.Submit(RandomWindow(402), &third).ok());
+  ResultFuture second;
+  ResultFuture third;
+  ASSERT_TRUE(Submit(batcher, RandomWindow(401), &second).ok());
+  ASSERT_TRUE(Submit(batcher, RandomWindow(402), &third).ok());
   ASSERT_TRUE(first.get().ok());
   ASSERT_TRUE(second.get().ok());
   ASSERT_TRUE(third.get().ok());
@@ -473,15 +481,15 @@ TEST(MicroBatcherTest, DeadlineMissCounterTracksExpiredRequests) {
   // Same deterministic-expiry setup as ExpiredRequestsResolveWithDeadline-
   // Exceeded: the lapsed request must bump serve/deadline_miss exactly once,
   // and the successful one must not move it.
-  serve::ResultFuture expired;
-  ASSERT_TRUE(batcher.Submit(window, &expired, /*timeout_us=*/1000).ok());
+  ResultFuture expired;
+  ASSERT_TRUE(Submit(batcher, window, &expired, /*timeout_us=*/1000).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   batcher.Start();
   ASSERT_EQ(expired.get().status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(serve::Instruments().deadline_miss.value(), misses_before + 1);
 
-  serve::ResultFuture live;
-  ASSERT_TRUE(batcher.Submit(window, &live, /*timeout_us=*/5000000).ok());
+  ResultFuture live;
+  ASSERT_TRUE(Submit(batcher, window, &live, /*timeout_us=*/5000000).ok());
   ASSERT_TRUE(live.get().ok());
   batcher.Stop();
   EXPECT_EQ(serve::Instruments().deadline_miss.value(), misses_before + 1);

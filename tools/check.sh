@@ -16,9 +16,10 @@
 #                 chain), so a lost call edge from a serving root cannot
 #                 silently shrink what "0 findings" vouches for.
 #   release       default configuration (MSD_NATIVE_ARCH=ON, checks OFF);
-#                 full ctest run TWICE — fp32 plans (the default) and
-#                 MSD_QUANT=1 (the int8 quantized plans, docs/PERFORMANCE.md)
-#                 — including analyze_check and gradcheck_sweep, plus a
+#                 one full ctest run — including analyze_check,
+#                 gradcheck_sweep, and the per-model int8 tenants
+#                 (docs/PERFORMANCE.md) that registry_test,
+#                 msd_serve_selftest and bench_serving_smoke serve — plus a
 #                 quickstart run whose training losses are captured, a
 #                 thread-scaling bench snapshot (BENCH_threads.json), a
 #                 serving load snapshot (BENCH_serve.json from
@@ -28,8 +29,8 @@
 #                 profile — 128 concurrent socket connections over two
 #                 models with a mid-run RELOAD hot-swap, zero failed and
 #                 zero version-crossed replies required, latencies in the
-#                 serve/multi_latency_* gauges), and msd_serve --selftest
-#                 passes — fp32 and MSD_QUANT=1 — that validate the
+#                 serve/multi_latency_* gauges), and one msd_serve
+#                 --selftest run (fp32 alpha, int8 beta) that validates the
 #                 telemetry exporter's JSONL output end to end.
 #   debug-checks  MSD_DEBUG_CHECKS=ON; full ctest, and the quickstart losses
 #                 must be bit-identical to the release leg — the invariant
@@ -43,8 +44,9 @@
 #                 clients, registry_test's concurrent Get/Swap hammer,
 #                 netio_test's multi-connection epoll loop, exporter_test's
 #                 trace-ring writer/reader races, msd_serve_selftest,
-#                 bench_serving_smoke incl. the churn hot-swap phase) run on
-#                 a real multi-threaded pool under the race detector.
+#                 bench_serving_smoke incl. the int8 and churn hot-swap
+#                 phases) run on a real multi-threaded pool under the race
+#                 detector.
 #   perfbench     python3 perfbench/test_perfbench.py: builds the benchmark
 #                 (BENCHMARK.json) from this checkout, which compiles
 #                 against the serve/ APIs, and runs its short-mode checks
@@ -182,26 +184,9 @@ run_release_like_leg() {  # leg-name extra-cmake-flag...
   if ! configure_and_build "${builddir}" -- "$@"; then
     fail_leg "${leg}" "build failed"; return
   fi
-  if [[ "${leg}" == "release" ]]; then
-    note "leg ${leg}: ctest"
-    if ! (cd "${builddir}" && ctest --output-on-failure -j "${JOBS}"); then
-      fail_leg "${leg}" "ctest failures"; return
-    fi
-    # Second pass under the int8 quantization pass (docs/PERFORMANCE.md):
-    # plans rewrite eligible GEMMs to the quantized kernels. Suites that
-    # assert fp32 bit-exactness pin MSD_QUANT=0 themselves; everything else
-    # must hold — including the dedicated quant suites, which now exercise
-    # the env-on direction for free.
-    note "leg ${leg}: ctest (MSD_QUANT=1)"
-    if ! (cd "${builddir}" &&
-          MSD_QUANT=1 ctest --output-on-failure -j "${JOBS}"); then
-      fail_leg "${leg}" "ctest failures (MSD_QUANT=1)"; return
-    fi
-  else
-    note "leg ${leg}: ctest"
-    if ! (cd "${builddir}" && ctest --output-on-failure -j "${JOBS}"); then
-      fail_leg "${leg}" "ctest failures"; return
-    fi
+  note "leg ${leg}: ctest"
+  if ! (cd "${builddir}" && ctest --output-on-failure -j "${JOBS}"); then
+    fail_leg "${leg}" "ctest failures"; return
   fi
   note "leg ${leg}: quickstart"
   if ! quickstart_losses "${builddir}" "${builddir}/quickstart_losses.txt"; then
@@ -288,27 +273,15 @@ for leg in "${LEGS[@]}"; do
         # Serving telemetry self-check: --selftest drives the STATS / TRACE
         # admin commands against a live server and validates every JSONL
         # line the exporter wrote (ts_ms/seq/metrics schema, parsed with
-        # src/obs/json.h) before exiting.
+        # src/obs/json.h) before exiting. Its beta tenant is int8, so the
+        # run also asserts int8 adoption and the quantization accuracy
+        # contract against the fp32 pipeline.
         note "leg release: msd_serve selftest + telemetry validation"
         if "${CHECK_DIR}/release/tools/msd_serve" --selftest \
             --telemetry-out "${CHECK_DIR}/release/selftest_telemetry.jsonl"; then
           DETAIL[release]="${DETAIL[release]}; telemetry JSONL validated"
         else
           fail_leg release "msd_serve selftest / telemetry validation failed"
-        fi
-      fi
-      if [[ "${STATUS[release]}" == "PASS" ]]; then
-        # Same selftest with every session on the int8 path: replies must
-        # stay within the quantization accuracy contract against the fp32
-        # pipeline's own Predict, and the plan must have adopted int8 steps
-        # (the selftest asserts both itself under MSD_QUANT=1).
-        note "leg release: msd_serve selftest (MSD_QUANT=1)"
-        if MSD_QUANT=1 "${CHECK_DIR}/release/tools/msd_serve" --selftest \
-            --telemetry-out \
-            "${CHECK_DIR}/release/selftest_quant_telemetry.jsonl"; then
-          DETAIL[release]="${DETAIL[release]}; int8 selftest clean"
-        else
-          fail_leg release "msd_serve selftest failed under MSD_QUANT=1"
         fi
       fi
       if [[ "${STATUS[release]}" == "PASS" && -n "${SERVE_BASELINE}" ]]; then

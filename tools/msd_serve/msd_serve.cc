@@ -33,10 +33,11 @@
 // routing, LIST, a live RELOAD hot-swap, STATS (global and per-model), a
 // TRACE dump, a malformed line, and a round trip over a real SocketServer
 // connection. Every data reply is memcmp'd against a direct oracle session
-// over the same checkpoint and checked against the pipeline's own Predict
-// (to %.6g text precision, or the 2% quantization accuracy contract under
-// MSD_QUANT=1, where the plans must also have adopted int8 steps). Exits
-// nonzero on any mismatch — this is the msd_serve_selftest ctest.
+// over the same checkpoint and checked against the pipeline's own Predict:
+// alpha serves fp32 (to %.6g text precision), beta is the manifest's
+// quantize=1 tenant (its plan must have adopted int8 steps, and it answers
+// within the 2% quantization accuracy contract). Exits nonzero on any
+// mismatch — this is the msd_serve_selftest ctest.
 //
 // Telemetry: a background obs::TelemetryExporter appends a JSONL registry
 // snapshot to --telemetry-out every --telemetry-interval-ms and services
@@ -297,7 +298,7 @@ int SelfTest(int argc, char** argv) {
                  "model name=alpha version=1 checkpoint=%s lookback=32 "
                  "horizon=8 default=1\n"
                  "model name=beta version=1 checkpoint=%s lookback=32 "
-                 "horizon=4 max_inflight=64\n",
+                 "horizon=4 max_inflight=64 quantize=1\n",
                  ckpt_a.c_str(), ckpt_b.c_str());
     std::fclose(mf);
   }
@@ -314,14 +315,15 @@ int SelfTest(int argc, char** argv) {
     return 1;
   }
 
-  // Oracles: direct sessions over the same checkpoints (same MSD_QUANT
-  // environment as the served sessions, so replies match bytes).
+  // Oracles: direct sessions over the same checkpoints with the tenants'
+  // quantize settings, so replies match bytes.
   serve::ForecastSessionOptions oa;
   oa.lookback = 32;
   oa.horizon = 8;
   serve::ForecastSessionOptions ob;
   ob.lookback = 32;
   ob.horizon = 4;
+  ob.quantize = true;
   auto oracle_a = serve::CreateForecastSession(ckpt_a, oa);
   auto oracle_a2 = serve::CreateForecastSession(ckpt_a2, oa);
   auto oracle_b = serve::CreateForecastSession(ckpt_b, ob);
@@ -374,19 +376,27 @@ int SelfTest(int argc, char** argv) {
     }
     service.SetExporter(&exporter);
 
-    // MSD_QUANT=1 flips every session to the int8 path; the plan must then
-    // have adopted int8 steps, and replies agree with the fp32 pipeline to
-    // quantization accuracy only.
-    const serve::InferenceSession* alpha_session =
-        registry.Get("alpha").value()->session();
-    const bool quant = alpha_session->quantized();
-    if (quant && alpha_session->plan().stats().num_quantized == 0) {
+    // beta is the int8 tenant: its plan must have adopted int8 steps, and
+    // its replies agree with the fp32 pipeline to quantization accuracy
+    // only.
+    const serve::InferenceSession* beta_session =
+        registry.Get("beta").value()->session();
+    if (!beta_session->quantized() ||
+        beta_session->plan().stats().num_quantized == 0) {
       std::fprintf(stderr,
-                   "selftest: MSD_QUANT=1 but the plan adopted no int8 "
-                   "steps (all fell back to fp32)\n");
+                   "selftest: beta is quantize=1 but its plan adopted no "
+                   "int8 steps\n");
       ++failures;
     }
-    const float tol = quant ? 2e-2f : 1e-3f;
+    // The served reply tracks the pipeline's own Predict, to the %.6g text
+    // precision for fp32 alpha and the int8 accuracy budget for beta.
+    auto tracks_pipeline = [](const std::string& reply, const Tensor& window,
+                              int64_t horizon, ForecastPipeline& pipe,
+                              float tol) {
+      auto parsed = serve::ParseWindowLine(reply, window.dim(0), horizon);
+      return parsed.ok() && AllClose(parsed.value(), pipe.Predict(window),
+                                     /*atol=*/tol, /*rtol=*/tol);
+    };
 
     for (int64_t offset = 0; offset < 64; offset += 16) {
       const Tensor window_a = Slice(series_a, 1, offset, pa.lookback);
@@ -404,11 +414,7 @@ int SelfTest(int argc, char** argv) {
                      got_a.c_str(), want_a.c_str());
         ++failures;
       }
-      // The served reply also tracks the pipeline's own Predict, to the
-      // %.6g text precision (or the int8 accuracy budget).
-      auto parsed = serve::ParseWindowLine(got_a, window_a.dim(0), pa.horizon);
-      if (!parsed.ok() || !AllClose(parsed.value(), pipe_a.Predict(window_a),
-                                    /*atol=*/tol, /*rtol=*/tol)) {
+      if (!tracks_pipeline(got_a, window_a, pa.horizon, pipe_a, 1e-3f)) {
         std::fprintf(stderr,
                      "selftest: alpha reply diverges from pipeline Predict: "
                      "%s\n",
@@ -417,6 +423,13 @@ int SelfTest(int argc, char** argv) {
       }
       if (got_b != want_b) {
         std::fprintf(stderr, "selftest: MODEL beta reply mismatch\n");
+        ++failures;
+      }
+      if (!tracks_pipeline(got_b, window_b, pb.horizon, pipe_b, 2e-2f)) {
+        std::fprintf(stderr,
+                     "selftest: int8 beta reply diverges from pipeline "
+                     "Predict: %s\n",
+                     got_b.c_str());
         ++failures;
       }
       if (got_default != want_a) {
