@@ -4,6 +4,7 @@
 //
 // Models: MSD-Mixer (classification head), 1-NN DTW-D (the classical
 // baseline), and a flatten-MLP classifier.
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -115,16 +116,13 @@ int main(int argc, char** argv) {
     row.insert(row.end(), cells.begin(), cells.end());
     table.PrintRow(row);
     std::fflush(stdout);
-    double best = -1.0;
-    std::string best_model;
+    // Every model tied for the row best takes a first place, the same
+    // rule MarkBest uses for the row's stars.
+    const double best = *std::max_element(values.begin(), values.end());
     for (const auto& r : results) {
       acc_sum[r.model] += r.accuracy;
-      if (r.accuracy > best) {
-        best = r.accuracy;
-        best_model = r.model;
-      }
+      if (r.accuracy == best) first_counts[r.model]++;
     }
-    first_counts[best_model]++;
   }
   table.PrintRule();
 

@@ -1,0 +1,268 @@
+#include "tensor/gelu.h"
+
+#include <algorithm>
+#include <cmath>
+
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
+namespace msd {
+namespace kernel {
+
+namespace {
+
+constexpr float kInvSqrt2 = 0.70710678118654752f;
+constexpr float kInvSqrt2Pi = 0.39894228040143267f;
+
+}  // namespace
+
+#if defined(__AVX2__) && defined(__FMA__)
+
+namespace {
+
+// Every helper below is one IEEE operation, and the code performs them in the
+// order glibc 2.36's compiled erff / __expf_fma do, so each lane rounds
+// exactly where libm rounds. That only holds because this file is built with
+// -ffp-contract=off (src/tensor/CMakeLists.txt): GCC lowers _mm256_mul_ps /
+// _mm256_add_ps to plain vector arithmetic and would otherwise fuse them.
+__m256 F(float v) { return _mm256_set1_ps(v); }
+__m256 Add(__m256 a, __m256 b) { return _mm256_add_ps(a, b); }
+__m256 Sub(__m256 a, __m256 b) { return _mm256_sub_ps(a, b); }
+__m256 Mul(__m256 a, __m256 b) { return _mm256_mul_ps(a, b); }
+__m256 Div(__m256 a, __m256 b) { return _mm256_div_ps(a, b); }
+// mask ? a : b, per lane.
+__m256 Select(__m256 mask, __m256 a, __m256 b) {
+  return _mm256_blendv_ps(b, a, mask);
+}
+bool Any(__m256 mask) { return _mm256_movemask_ps(mask) != 0; }
+// Lanes whose |x| bit pattern is below `bound` (both non-negative as int32).
+__m256 Below(__m256i ix, int32_t bound) {
+  return _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(bound), ix));
+}
+
+// Horner's rule as libm's source spells it, c[0] the highest degree:
+// ((c[0]*s + c[1])*s + c[2])*s + ... + c[N-1], every step rounded.
+template <size_t N>
+__m256 Poly(__m256 s, const __m256 (&c)[N]) {
+  __m256 acc = Add(Mul(c[0], s), c[1]);
+  for (size_t i = 2; i < N; ++i) acc = Add(Mul(acc, s), c[i]);
+  return acc;
+}
+template <size_t N>
+__m256 Poly(__m256 s, const float (&c)[N]) {
+  __m256 v[N];
+  for (size_t i = 0; i < N; ++i) v[i] = F(c[i]);
+  return Poly(s, v);
+}
+
+// ---- expf -------------------------------------------------------------------
+// glibc 2.36's __expf_fma, the expf its run-time dispatcher picks on AVX2+FMA
+// machines (Arm optimized-routines' expf, MIT licensed), evaluated in double:
+// with k = round(x * 32/ln2) and r the remainder, exp(x) = 2^(k/32) * 2^(r/32),
+// a 32-entry table for the first factor and a cubic in r for the second.
+constexpr double kInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln 2
+constexpr double kShift = 0x1.8p+52;  // adding it rounds to an integer
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+// bits(2^(i/32)) - (i << 47): adding k << 47 gives bits(2^(k/32)).
+alignas(32) constexpr long long kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+// Four lanes of the in-range path.
+__m128 Expf4(__m128 x) {
+  const __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kShift);
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, _mm256_sub_pd(kd, shift));
+  const __m256i t = _mm256_add_epi64(
+      _mm256_i64gather_epi64(
+          kExp2Table, _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
+      _mm256_slli_epi64(ki, 47));
+  const __m256d z =
+      _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
+}
+
+// expf on 8 lanes, with libm's result below log(2^-150): 0. NaN stays NaN.
+// Every argument here is below 1 (<= 0 in GeluGrad), far from expf's
+// overflow threshold, so that special case is not reproduced.
+__m256 Expf8(__m256 x) {
+  const __m256 y = _mm256_set_m128(Expf4(_mm256_extractf128_ps(x, 1)),
+                                   Expf4(_mm256_castps256_ps128(x)));
+  return _mm256_andnot_ps(_mm256_cmp_ps(x, F(-0x1.9fe368p6f), _CMP_LT_OQ), y);
+}
+
+// ---- erff -------------------------------------------------------------------
+// fdlibm's s_erff.c, as glibc 2.36 compiles it. Coefficients are the source's
+// (Copyright (C) 1993 by Sun Microsystems, Inc.; "Permission to use, copy,
+// modify, and distribute this software is freely granted, provided that this
+// notice is preserved."), highest degree first.
+constexpr float kErx = 0x1.b0ac16p-1f;
+constexpr float kEfx = 0x1.06eba8p-3f;
+constexpr float kEfx16 = 0x1.06eba8p+1f;  // 16 * efx, exactly
+// |x| < 0.84375: erf = x + x * pp(x^2) / qq(x^2).
+constexpr float kPp[] = {-0x1.8ead62p-16f, -0x1.7a2912p-8f, -0x1.d2a51ep-6f,
+                         -0x1.4cd7d6p-2f, 0x1.06eba8p-3f};
+constexpr float kQq[] = {-0x1.09c434p-18f, 0x1.15dc92p-13f, 0x1.4d022cp-8f,
+                         0x1.0a54c6p-4f, 0x1.97779cp-2f, 1.0f};
+// 0.84375 <= |x| < 1.25: erf = erx + pa(|x|-1) / qa(|x|-1).
+constexpr float kPa[] = {-0x1.1bf38p-9f,  0x1.22a366p-5f, -0x1.c63984p-4f,
+                         0x1.45fca8p-2f,  -0x1.7d241p-2f, 0x1.a8d00ap-2f,
+                         -0x1.359b8cp-9f};
+constexpr float kQa[] = {0x1.88b546p-7f, 0x1.bedc26p-7f, 0x1.02660ep-3f,
+                         0x1.2635cep-4f, 0x1.14af0ap-1f, 0x1.b3e662p-4f, 1.0f};
+// 1.25 <= |x| < 6: erf = 1 - exp(-z*z - 0.5625) * exp((z-|x|)(z+|x|) + R/S)
+// / |x|, with R, S polynomials in 1/x^2 whose coefficients switch at
+// |x| = 1/0.35 (ra/sa below, rb/sb above). rb and sb lack the top term; a
+// leading zero makes 0*s + c == c, so one Horner chain serves both sets.
+constexpr float kRa[] = {-0x1.3a0efcp+3f, -0x1.452656p+6f, -0x1.7135cep+7f,
+                         -0x1.44cb18p+7f, -0x1.f300aep+5f, -0x1.51e044p+3f,
+                         -0x1.63416ep-1f, -0x1.434126p-7f};
+constexpr float kSa[] = {-0x1.eeff2ep-5f, 0x1.a47ef8p+2f, 0x1.b28a3ep+6f,
+                         0x1.ad0216p+8f,  0x1.42b192p+9f, 0x1.b290dep+8f,
+                         0x1.1350c6p+7f,  0x1.3a6b9cp+4f, 1.0f};
+constexpr float kRb[] = {0.0f,            -0x1.e384eap+8f, -0x1.004616p+10f,
+                         -0x1.3ec882p+9f, -0x1.4145d4p+7f, -0x1.1c2096p+4f,
+                         -0x1.993ba8p-1f, -0x1.434124p-7f};
+constexpr float kSb[] = {0.0f,           -0x1.670e24p+4f, 0x1.da874ep+8f,
+                         0x1.3f219cp+11f, 0x1.8ffb76p+11f, 0x1.802eb2p+10f,
+                         0x1.45cae2p+8f,  0x1.e568b2p+4f,  1.0f};
+
+// Coefficient set `a` where `use_a`, else `b`, per lane.
+template <size_t N>
+void SelectCoefficients(__m256 use_a, const float (&a)[N], const float (&b)[N],
+                        __m256 (&out)[N]) {
+  for (size_t i = 0; i < N; ++i) out[i] = Select(use_a, F(a[i]), F(b[i]));
+}
+
+// libm's four |x| ranges become lane masks. Every lane starts at the
+// |x| >= 6 answer; each other range is evaluated only when some lane is in
+// it, then blended in.
+__m256 Erff8(__m256 x) {
+  const __m256i ix =
+      _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fffffff));
+  const __m256 ax = _mm256_castsi256_ps(ix);
+  const __m256 sign = _mm256_andnot_ps(ax, x);
+  // |x| >= 6 and +-inf: +-1 (libm: one - tiny, rounded). NaN stays NaN.
+  __m256 y = Select(_mm256_cmp_ps(x, x, _CMP_UNORD_Q), x,
+                    _mm256_or_ps(sign, F(1.0f)));
+  const __m256 below_mid = Below(ix, 0x3f580000);   // |x| < 0.84375
+  const __m256 below_big = Below(ix, 0x3fa00000);   // |x| < 1.25
+  const __m256 below_huge = Below(ix, 0x40c00000);  // |x| < 6
+  const __m256 mid = _mm256_andnot_ps(below_mid, below_big);
+  const __m256 big = _mm256_andnot_ps(below_big, below_huge);
+  if (Any(below_mid)) {
+    const __m256 z = Mul(x, x);
+    __m256 small = Add(x, Mul(x, Div(Poly(z, kPp), Poly(z, kQq))));
+    // |x| < 2^-28: x + efx*x; below 2^-119 scaled by 16 to dodge underflow.
+    small = Select(Below(ix, 0x31800000), Add(x, Mul(F(kEfx), x)), small);
+    small = Select(Below(ix, 0x04000000),
+                   Mul(Add(Mul(F(16.0f), x), Mul(F(kEfx16), x)), F(0.0625f)),
+                   small);
+    y = Select(below_mid, small, y);
+  }
+  if (Any(mid)) {
+    const __m256 s = Sub(ax, F(1.0f));
+    const __m256 e = Add(F(kErx), Div(Poly(s, kPa), Poly(s, kQa)));
+    y = Select(mid, _mm256_or_ps(sign, e), y);
+  }
+  if (Any(big)) {
+    const __m256 s = Div(F(1.0f), Mul(ax, ax));
+    const __m256 near = Below(ix, 0x4036db6e);  // |x| < 1/0.35
+    __m256 r_coef[8];
+    __m256 s_coef[9];
+    SelectCoefficients(near, kRa, kRb, r_coef);
+    SelectCoefficients(near, kSa, kSb, s_coef);
+    const __m256 rs = Div(Poly(s, r_coef), Poly(s, s_coef));
+    // z: |x| with the low 12 mantissa bits cleared.
+    const __m256 z = _mm256_castsi256_ps(_mm256_and_si256(
+        ix, _mm256_set1_epi32(static_cast<int32_t>(0xfffff000))));
+    const __m256 neg_z = _mm256_xor_ps(z, F(-0.0f));
+    const __m256 r =
+        Mul(Expf8(Sub(Mul(neg_z, z), F(0.5625f))),
+            Expf8(Add(Mul(Sub(z, ax), Add(z, ax)), rs)));
+    y = Select(big, _mm256_or_ps(sign, Sub(F(1.0f), Div(r, ax))), y);
+  }
+  return y;
+}
+
+__m256 Gelu8(__m256 x) {
+  const __m256 e = Erff8(Mul(x, F(kInvSqrt2)));
+  return Mul(Mul(F(0.5f), x), Add(F(1.0f), e));
+}
+
+// The final add stays unfused, as in the scalar build: 0.5f * (1 + e) is
+// exact, so fusing it changes nothing, while fma(x, phi_small, phi_big)
+// would skip rounding x * phi_small.
+__m256 GeluGrad8(__m256 x) {
+  const __m256 phi_big =
+      Mul(F(0.5f), Add(F(1.0f), Erff8(Mul(x, F(kInvSqrt2)))));
+  const __m256 phi_small =
+      Mul(Expf8(Mul(Mul(F(-0.5f), x), x)), F(kInvSqrt2Pi));
+  return Add(phi_big, Mul(x, phi_small));
+}
+
+// Maps op over whole 8-float vectors; the tail runs the same vector code on
+// a zero-padded copy.
+template <typename Op>
+void Map8(const float* x, float* y, int64_t n, Op op) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, op(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    alignas(32) float tail[8] = {};
+    std::copy(x + i, x + n, tail);
+    _mm256_store_ps(tail, op(_mm256_load_ps(tail)));
+    std::copy(tail, tail + (n - i), y + i);
+  }
+}
+
+}  // namespace
+
+void GeluSpan(const float* x, float* y, int64_t n) { Map8(x, y, n, Gelu8); }
+
+void GeluGradSpan(const float* x, float* y, int64_t n) {
+  Map8(x, y, n, GeluGrad8);
+}
+
+#else  // scalar libm
+
+void GeluSpan(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    y[i] = 0.5f * v * (1.0f + std::erf(v * kInvSqrt2));
+  }
+}
+
+void GeluGradSpan(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float phi_big = 0.5f * (1.0f + std::erf(v * kInvSqrt2));
+    const float phi_small = std::exp(-0.5f * v * v) * kInvSqrt2Pi;
+    y[i] = phi_big + v * phi_small;
+  }
+}
+
+#endif
+
+}  // namespace kernel
+}  // namespace msd

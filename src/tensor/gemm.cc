@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/pool.h"
 
@@ -23,6 +24,11 @@ constexpr int64_t kNr = 8;
 // 8 KiB) and the A panel stay resident in L1/L2 across the tile.
 constexpr int64_t kMc = 64;
 constexpr int64_t kKc = 256;
+// Fewest multiply-adds one parallel chunk may carry. 2^15 of them take about
+// 3 us on one AVX2 core, no more than the CPU one pool dispatch costs (about
+// 3 us back to back, several times that when the workers sleep between
+// calls), so a GEMM that small runs inline instead of splitting its tiles.
+constexpr int64_t kGemmChunkMacs = int64_t{1} << 15;
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -128,10 +134,11 @@ float* APackScratch(int64_t floats) {
 }  // namespace
 
 // Bias add + activation over `rows` finished C rows, applied while the tile
-// is cache-hot. Formulas are byte-for-byte those of tensor_ops.cc's Relu /
-// Gelu / Sigmoid / Tanh kernels. `pre` (optional) receives the post-bias
-// pre-activation values. Public (gemm.h) so the quantized kernel's dequant
-// output runs through the very same expressions.
+// is cache-hot. Relu / Sigmoid / Tanh are byte-for-byte tensor_ops.cc's
+// expressions; Gelu is the one function tensor_ops.cc's Gelu also calls
+// (tensor/gelu.h). `pre` (optional) receives the post-bias pre-activation
+// values. Public (gemm.h) so the quantized kernel's dequant output runs
+// through the very same code.
 void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
                      const float* bias, Activation act) {
   for (int64_t r = 0; r < rows; ++r) {
@@ -152,10 +159,7 @@ void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
         }
         break;
       case Activation::kGelu:
-        for (int64_t j = 0; j < n; ++j) {
-          const float x = row[j];
-          row[j] = 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
-        }
+        kernel::GeluSpan(row, row, n);
         break;
       case Activation::kTanh:
         for (int64_t j = 0; j < n; ++j) row[j] = std::tanh(row[j]);
@@ -201,8 +205,11 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
   const int64_t n_panels = CeilDiv(n, kNr);
   // One whole row tile per loop iteration: the chunk partition (a pure
   // function of row_tiles and the grain) decides only which thread runs a
-  // tile, never how the tile accumulates.
-  runtime::ParallelFor(0, row_tiles, 1, [&](int64_t tb, int64_t te) {
+  // tile, never how the tile accumulates. A chunk holds at least
+  // kGemmChunkMacs multiply-adds, so a GEMM smaller than that runs inline.
+  const int64_t tile_macs = kMc * std::max<int64_t>(k, 1) * n;
+  const int64_t grain = std::max<int64_t>(1, kGemmChunkMacs / tile_macs);
+  runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
     float* a_pack = APackScratch(kMc * std::min(k, kKc));
     for (int64_t t = tb; t < te; ++t) {
       const int64_t i0 = t * kMc;

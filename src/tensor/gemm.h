@@ -21,9 +21,10 @@
 namespace msd {
 namespace gemm {
 
-// Epilogue activation fused into the GEMM output pass. Formulas match the
-// elementwise kernels in tensor_ops.cc exactly (same expressions, so a fused
-// layer and a composed MatMul+Add+Act agree to the last code path).
+// Epilogue activation fused into the GEMM output pass. It runs the elementwise
+// kernels of tensor_ops.cc exactly: the same expressions for Relu, Tanh and
+// Sigmoid, and one function for Gelu (tensor/gelu.h), so a fused layer and a
+// composed MatMul+Add+Act agree to the last code path.
 enum class Activation { kIdentity, kRelu, kGelu, kTanh, kSigmoid };
 
 // C[m,n] = act(A[m,k] @ B[k,n] + bias[n]).

@@ -2,7 +2,7 @@
 // that route every tensor kernel through the parallel runtime
 // (runtime/parallel.h, docs/RUNTIME.md).
 //
-// MapKernel   — out[i] = f(a[i])
+// MapKernel   — out[i] = f(a[i]) (MapSpanInto: span(in, out, n) per chunk)
 // ZipKernel   — broadcasted out[i] = f(a[...], b[...])
 // ReduceKernel— whole-tensor reduction with fixed-order tree combine
 //
@@ -149,11 +149,12 @@ inline int64_t UnflattenOffset(int64_t i, const Shape& shape,
   return off;
 }
 
-// MapKernelInto: elementwise unary op into a caller-owned output (same
-// shape). The allocating MapKernel below delegates here, so the interpreted
-// and planned paths execute the same loop — bit-identity by construction.
-template <typename F>
-void MapKernelInto(const Tensor& a, Tensor& out, F f) {
+// MapSpanInto: elementwise unary op into a caller-owned output (same shape),
+// for a kernel that maps a whole contiguous span at a time:
+// span(in, out, count), e.g. the vectorized GELU (tensor/gelu.h). It is
+// called once per kElementwiseGrain chunk.
+template <typename S>
+void MapSpanInto(const Tensor& a, Tensor& out, S span) {
   MSD_CHECK(a.defined());
   MSD_CHECK(out.defined());
   MSD_DEBUG_VALIDATE_TENSOR(a, "MapKernel");
@@ -165,8 +166,18 @@ void MapKernelInto(const Tensor& a, Tensor& out, F f) {
   float* po = out.data();
   runtime::ParallelFor(0, a.numel(), kElementwiseGrain,
                        [&](int64_t cb, int64_t ce) {
-                         for (int64_t i = cb; i < ce; ++i) po[i] = f(pa[i]);
+                         span(pa + cb, po + cb, ce - cb);
                        });
+}
+
+// MapKernelInto: MapSpanInto for a per-element f. The allocating MapKernel
+// below delegates here, so the interpreted and planned paths execute the
+// same loop — bit-identity by construction.
+template <typename F>
+void MapKernelInto(const Tensor& a, Tensor& out, F f) {
+  MapSpanInto(a, out, [&f](const float* in, float* o, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) o[i] = f(in[i]);
+  });
 }
 
 // MapKernel: elementwise unary op, parallel over fixed chunks.

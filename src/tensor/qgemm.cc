@@ -198,11 +198,12 @@ inline __m256 Exp8NonPos(__m256 z) {
 // Vectorized gelu for the quantized epilogue: the tanh form
 // 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))) with tanh evaluated via
 // Exp8NonPos on -2|y|. Absolute error vs the exact erf gelu is ~3e-4 — an
-// order of magnitude below the int8 quantization noise — where the scalar
-// std::erf epilogue costs ~65 cycles per element and would otherwise
-// dominate every gelu layer, erasing the int8 win (docs/PERFORMANCE.md).
-// Only the quantized path uses it; the fp32 kernels keep the exact formula
-// and their fp32 bit-identity contract.
+// order of magnitude below the int8 quantization noise. The exact gelu
+// (tensor/gelu.h) is vectorized as well, but its libm-faithful erff/expf
+// port costs many times this per element and would eat most of the int8
+// win on gelu layers (docs/PERFORMANCE.md). Only the quantized path uses
+// it; the fp32 kernels keep the exact formula and their fp32 bit-identity
+// contract.
 inline __m256 Gelu8(__m256 x) {
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
   const __m256 one = _mm256_set1_ps(1.0f);

@@ -14,8 +14,9 @@
 // cache-hot — no int32 intermediate ever round-trips memory. The quantized
 // epilogue shares gemm::EpilogueBiasAct except for gelu, where it uses a
 // vectorized tanh-form approximation (~3e-4 absolute error, an order of
-// magnitude below the int8 quantization noise) instead of the scalar
-// std::erf that would otherwise dominate every gelu layer.
+// magnitude below the int8 quantization noise) instead of the exact erf
+// GELU of tensor/gelu.h, which is vectorized too but costs many times more
+// per element (docs/PERFORMANCE.md).
 //
 // Determinism contract (docs/RUNTIME.md): integer accumulation is exact, so
 // blocking and thread count cannot change a single bit; the dequant and

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/optrace.h"
 
@@ -207,9 +208,7 @@ void ReluInto(const Tensor& a, Tensor& out) {
 }
 // msd-hot-path-safe: same contract as AddInto.
 void GeluInto(const Tensor& a, Tensor& out) {
-  MapKernelInto(a, out, [](float x) {
-    return 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
-  });
+  kernel::MapSpanInto(a, out, kernel::GeluSpan);
 }
 // msd-hot-path-safe: same contract as AddInto.
 void SigmoidInto(const Tensor& a, Tensor& out) {
@@ -351,12 +350,10 @@ Tensor Sign(const Tensor& a) {
 }
 Tensor GeluGrad(const Tensor& a) {
   if (optrace::Active()) optrace::RecordUnsupported("GeluGrad");
-  return MapKernel(a, [](float x) {
-    const float phi_big = 0.5f * (1.0f + std::erf(x * 0.70710678118654752f));
-    const float phi_small =
-        std::exp(-0.5f * x * x) * 0.39894228040143267f;  // 1/sqrt(2*pi)
-    return phi_big + x * phi_small;
-  });
+  MSD_CHECK(a.defined());
+  Tensor out = Tensor::Uninitialized(a.shape());
+  kernel::MapSpanInto(a, out, kernel::GeluGradSpan);
+  return out;
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -1041,7 +1038,8 @@ Tensor Stack(const std::vector<Tensor>& parts) {
   const int64_t chunk = parts[0].numel();
   float* po = out.data();
   runtime::ParallelFor(
-      0, static_cast<int64_t>(parts.size()), 1, [&](int64_t cb, int64_t ce) {
+      0, static_cast<int64_t>(parts.size()), GrainForWork(chunk),
+      [&](int64_t cb, int64_t ce) {
         for (int64_t i = cb; i < ce; ++i) {
           MSD_CHECK(parts[static_cast<size_t>(i)].shape() == base)
               << "stack shape mismatch";

@@ -49,14 +49,16 @@ Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Square(const Tensor& a);
 Tensor Relu(const Tensor& a);
-// Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+// Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Runs tensor/gelu.h, the
+// same function as the fused GEMM epilogue (gemm::Activation::kGelu):
+// vectorized on AVX2+FMA builds and bit-identical to the scalar libm form.
 Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 // -1, 0, or +1 per element.
 Tensor Sign(const Tensor& a);
-// Derivative of exact GELU: Phi(x) + x * phi(x).
+// Derivative of exact GELU: Phi(x) + x * phi(x), also from tensor/gelu.h.
 Tensor GeluGrad(const Tensor& a);
 
 // ---- Matrix multiplication -------------------------------------------------

@@ -2,7 +2,7 @@
 // quantizer round-trip properties, the packed kernel against a naive integer
 // reference across edge geometries, bit-identity across thread counts, and
 // — satellite coverage — the fp32 gemm::GemmPrepacked against a triple-loop
-// reference on tile- and block-boundary shapes.
+// reference on tile- and block-boundary shapes, and its chunk sizing.
 #include "tensor/qgemm.h"
 
 #include <cmath>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "runtime/parallel.h"
 #include "tensor/gemm.h"
 
@@ -367,6 +368,43 @@ TEST(GemmPrepackedEdgeTest, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(
         std::memcmp(got.data(), base.data(), base.size() * sizeof(float)), 0)
         << t << " threads";
+  }
+}
+
+// A parallel chunk carries at least 2^15 multiply-adds: row tiles of a small
+// GEMM are grouped, down to one inline chunk, while tiles that size or
+// larger still go one per chunk. Handing a few-microsecond tile to a pool
+// worker costs as much CPU as the tile itself.
+TEST(GemmPrepackedEdgeTest, ChunksCarryAtLeastTwoToTheFifteenMacs) {
+  struct Case {
+    Geometry g;
+    int64_t chunks;
+  };
+  const Case cases[] = {
+      {{256, 2, 32}, 1},    // 4 tiles of 4,096 MACs
+      {{512, 32, 1}, 1},    // 8 tiles of 2,048 MACs
+      {{384, 32, 2}, 1},    // 6 tiles of 4,096 MACs
+      {{640, 8, 16}, 3},    // 10 tiles of 8,192 MACs, 4 per chunk
+      {{896, 16, 32}, 14},  // 32,768 MACs per tile: one each
+      {{130, 300, 45}, 3},  // 3 tiles of 864,000 MACs
+  };
+  obs::Counter& executed =
+      obs::MetricsRegistry::Global().GetCounter("runtime/chunks_executed");
+  runtime::ScopedThreads threads(4);
+  for (const Case& c : cases) {
+    const Geometry& g = c.g;
+    SCOPED_TRACE("m=" + std::to_string(g.m) + " k=" + std::to_string(g.k) +
+                 " n=" + std::to_string(g.n));
+    std::vector<float> a = RandomVec(static_cast<size_t>(g.m * g.k), 61);
+    std::vector<float> b = RandomVec(static_cast<size_t>(g.k * g.n), 62);
+    std::vector<float> packed(
+        static_cast<size_t>(gemm::PackedBPanelFloats(g.k, g.n)));
+    gemm::PackB(b.data(), g.k, g.n, packed.data());
+    std::vector<float> c_out(static_cast<size_t>(g.m * g.n));
+    const int64_t before = executed.value();
+    gemm::GemmPrepacked(a.data(), packed.data(), c_out.data(), g.m, g.k, g.n,
+                        nullptr, gemm::Activation::kGelu, nullptr);
+    EXPECT_EQ(executed.value() - before, c.chunks);
   }
 }
 

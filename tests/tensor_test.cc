@@ -1,13 +1,26 @@
 // Unit and property tests for the tensor library.
 #include "tensor/tensor.h"
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
+
 #include <gtest/gtest.h>
 
+#include "runtime/parallel.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -180,6 +193,197 @@ TEST(TensorOpsTest, GeluKnownValues) {
   EXPECT_NEAR(y.at({2}), 0.0f, 1e-4f);
   // GELU(1) ~ 0.841345 with exact erf formulation.
   EXPECT_NEAR(Gelu(Tensor({1}, {1.0f})).at({0}), 0.841345f, 1e-5f);
+}
+
+// ---- Exact GELU bit identity ----------------------------------------------
+// Gelu, GeluGrad and the fused GEMM GELU epilogue run one function
+// (tensor/gelu.h); AVX2+FMA builds vectorize it with a port of glibc 2.36's
+// erff/expf. These tests pin all three, bit for bit (NaN by class), to the
+// scalar libm expressions below.
+
+float ScalarGelu(float x) {
+  return 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
+}
+
+// x * phi_small goes through a volatile so the compiler cannot fuse it into
+// the final add: the scalar kernel rounded it (it fused only the exact
+// 0.5f * (1 + erf) product, which changes nothing).
+float ScalarGeluGrad(float x) {
+  const float phi_big = 0.5f * (1.0f + std::erf(x * 0.70710678118654752f));
+  const float phi_small = std::exp(-0.5f * x * x) * 0.39894228040143267f;
+  const volatile float x_phi_small = x * phi_small;
+  return phi_big + x_phi_small;
+}
+
+float FloatFromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+uint32_t BitsOf(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+bool SameFloat(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return BitsOf(a) == BitsOf(b);
+}
+
+// Inputs go through the kernels in groups of 17 blocks. Block j of a group
+// holds kGeluRows rows of width j + 1, so the epilogue meets every row tail
+// and the elementwise kernels every chunk tail of their 8-float vectors.
+constexpr int64_t kGeluRows = 256;
+constexpr int64_t kGeluGroup = kGeluRows * (17 * 18 / 2);
+
+struct GeluMismatches {
+  std::atomic<int64_t> gelu{0};
+  std::atomic<int64_t> grad{0};
+  std::atomic<int64_t> epilogue{0};
+  std::mutex mu;
+  std::string first;  // the first few mismatches, for the failure message
+};
+
+// Feeds input(0 .. groups * kGeluGroup - 1) through Gelu (in place, via
+// GeluInto), GeluGrad and gemm::EpilogueBiasAct(kGelu) (in place), blocks in
+// parallel, and counts results that differ from the scalar expressions.
+template <typename Input>
+void CountGeluMismatches(int64_t groups, Input input, GeluMismatches& out) {
+  runtime::ParallelFor(0, groups * 17, 1, [&](int64_t bb, int64_t be) {
+    for (int64_t block = bb; block < be; ++block) {
+      const int64_t width = 1 + block % 17;
+      const int64_t start =
+          (block / 17) * kGeluGroup + kGeluRows * (width - 1) * width / 2;
+      std::vector<float> in(static_cast<size_t>(kGeluRows * width));
+      for (size_t i = 0; i < in.size(); ++i) {
+        in[i] = input(start + static_cast<int64_t>(i));
+      }
+      Tensor gelu({kGeluRows, width}, in);
+      GeluInto(gelu, gelu);
+      const Tensor grad = GeluGrad(Tensor({kGeluRows, width}, in));
+      std::vector<float> epilogue = in;
+      gemm::EpilogueBiasAct(epilogue.data(), nullptr, kGeluRows, width,
+                            nullptr, gemm::Activation::kGelu);
+      for (size_t i = 0; i < in.size(); ++i) {
+        const float x = in[i];
+        const float want = ScalarGelu(x);
+        const float want_grad = ScalarGeluGrad(x);
+        const struct {
+          const char* name;
+          float got;
+          float want;
+          std::atomic<int64_t>* count;
+        } checks[] = {
+            {"Gelu", gelu.data()[i], want, &out.gelu},
+            {"GeluGrad", grad.data()[i], want_grad, &out.grad},
+            {"EpilogueBiasAct(kGelu)", epilogue[i], want, &out.epilogue},
+        };
+        for (const auto& c : checks) {
+          if (SameFloat(c.got, c.want)) continue;
+          if (c.count->fetch_add(1) < 8) {
+            char line[160];
+            std::snprintf(line, sizeof(line), "%s(%a) = %a, scalar %a\n",
+                          c.name, x, c.got, c.want);
+            std::lock_guard<std::mutex> lock(out.mu);
+            out.first += line;
+          }
+        }
+      }
+    }
+  });
+}
+
+// The port reproduces one libm; elsewhere its results may legitimately
+// differ from the system's erff/expf by an ulp.
+bool IsPortedLibm() {
+#if defined(__GLIBC__)
+  return std::string(gnu_get_libc_version()) == "2.36";
+#else
+  return false;
+#endif
+}
+
+constexpr const char* kNotPortedLibm =
+    "needs glibc 2.36, the libm whose erff/expf the vector GELU ports";
+
+// Scrambles the lane order: an odd multiplier is a bijection on 32-bit
+// patterns, so consecutive indices land in unrelated |x| ranges and every
+// 8-lane vector mixes erf's branches.
+float ScrambledPattern(int64_t i) {
+  return FloatFromBits(static_cast<uint32_t>(i) * 2654435761u);
+}
+
+TEST(TensorOpsTest, GeluKernelsMatchScalarErfFormulas) {
+  if (!IsPortedLibm()) GTEST_SKIP() << kNotPortedLibm;
+  // Part 1: at least 2^24 scrambled bit patterns.
+  GeluMismatches patterns;
+  const int64_t groups = ((int64_t{1} << 24) + kGeluGroup - 1) / kGeluGroup;
+  CountGeluMismatches(groups, ScrambledPattern, patterns);
+  EXPECT_EQ(patterns.gelu.load(), 0) << patterns.first;
+  EXPECT_EQ(patterns.grad.load(), 0) << patterns.first;
+  EXPECT_EQ(patterns.epilogue.load(), 0) << patterns.first;
+
+  // Part 2: special values, and the 64 floats either side of each x where
+  // x * (1/sqrt 2) crosses one of erff's |u| branch edges, or where
+  // GeluGrad's exp argument -x*x/2 crosses expf's underflow cut-offs.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> edges = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              std::numeric_limits<float>::min(),
+                              -std::numeric_limits<float>::min(),
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max(),
+                              inf,
+                              -inf,
+                              std::numeric_limits<float>::quiet_NaN()};
+  std::vector<double> crossings;
+  for (uint32_t edge : {0x04000000u, 0x31800000u, 0x3f580000u, 0x3fa00000u,
+                        0x4036db6eu, 0x40c00000u}) {
+    crossings.push_back(FloatFromBits(edge) / double{0.70710678118654752f});
+  }
+  for (float cut : {0x1.9fe368p6f, 0x1.9d1d9ep6f}) {
+    crossings.push_back(std::sqrt(2.0 * cut));
+  }
+  for (double crossing : crossings) {
+    const uint32_t center = BitsOf(static_cast<float>(crossing));
+    for (uint32_t bits = center - 64; bits <= center + 64; ++bits) {
+      edges.push_back(FloatFromBits(bits));
+      edges.push_back(-FloatFromBits(bits));
+    }
+  }
+  GeluMismatches at_edges;
+  const int64_t edge_count = static_cast<int64_t>(edges.size());
+  const int64_t edge_groups = (edge_count + kGeluGroup - 1) / kGeluGroup;
+  CountGeluMismatches(
+      edge_groups,
+      [&](int64_t i) { return edges[static_cast<size_t>(i % edge_count)]; },
+      at_edges);
+  EXPECT_EQ(at_edges.gelu.load(), 0) << at_edges.first;
+  EXPECT_EQ(at_edges.grad.load(), 0) << at_edges.first;
+  EXPECT_EQ(at_edges.epilogue.load(), 0) << at_edges.first;
+}
+
+// All 2^32 bit patterns (about a minute on 4 threads). tools/check.sh's
+// release leg runs it with --gtest_also_run_disabled_tests.
+TEST(TensorOpsTest, DISABLED_GeluKernelsExhaustive) {
+  if (!IsPortedLibm()) GTEST_SKIP() << kNotPortedLibm;
+  GeluMismatches all;
+  // Index i feeds pattern (uint32) i * odd; the last group wraps around, so
+  // every pattern is covered at least once.
+  const int64_t groups = ((int64_t{1} << 32) + kGeluGroup - 1) / kGeluGroup;
+  CountGeluMismatches(groups, ScrambledPattern, all);
+  EXPECT_EQ(all.gelu.load(), 0) << all.first;
+  EXPECT_EQ(all.grad.load(), 0) << all.first;
+  EXPECT_EQ(all.epilogue.load(), 0) << all.first;
+  std::printf("gelu mismatches over 2^32 patterns: Gelu %lld, GeluGrad %lld, "
+              "epilogue %lld\n",
+              static_cast<long long>(all.gelu.load()),
+              static_cast<long long>(all.grad.load()),
+              static_cast<long long>(all.epilogue.load()));
 }
 
 TEST(TensorOpsTest, ClampBounds) {

@@ -20,8 +20,13 @@
 #                 gradcheck_sweep, and the per-model int8 tenants
 #                 (docs/PERFORMANCE.md) that registry_test,
 #                 msd_serve_selftest and bench_serving_smoke serve — plus a
-#                 quickstart run whose training losses are captured, a
-#                 thread-scaling bench snapshot (BENCH_threads.json), a
+#                 quickstart run whose training losses are captured, one
+#                 timed run of tensor_test's disabled exhaustive GELU sweep
+#                 (all 2^32 float patterns through Gelu, GeluGrad and the
+#                 fused GEMM epilogue, bit-compared with the scalar libm
+#                 formulas; tier-1 ctest runs only its 2^24-pattern
+#                 sibling), a thread-scaling bench snapshot
+#                 (BENCH_threads.json), a
 #                 serving load snapshot (BENCH_serve.json from
 #                 bench_serving --threads 4 --quantize --churn, including
 #                 the serve/* histogram telemetry, the int8 leg's
@@ -237,13 +242,28 @@ for leg in "${LEGS[@]}"; do
     release)
       run_release_like_leg release
       if [[ "${STATUS[release]}" == "PASS" ]]; then
+        # Exhaustive exact-GELU sweep (tensor/gelu.h): every float bit
+        # pattern, so a vector-port rounding slip cannot hide between the
+        # 2^24 patterns the ctest sibling samples.
+        note "leg release: exhaustive GELU bit-identity sweep"
+        sweep_start=${SECONDS}
+        if "${CHECK_DIR}/release/tests/tensor_test" \
+            --gtest_also_run_disabled_tests \
+            --gtest_filter='*GeluKernelsExhaustive*'; then
+          sweep_s=$((SECONDS - sweep_start))
+          DETAIL[release]="${DETAIL[release]}; GELU 2^32 sweep clean (${sweep_s} s)"
+        else
+          fail_leg release "exhaustive GELU sweep found mismatches"
+        fi
+      fi
+      if [[ "${STATUS[release]}" == "PASS" ]]; then
         # Thread-scaling snapshot: the BM_*Threads family at pool sizes
         # 1/2/4, with kernel-level telemetry, recorded as BENCH_threads.json.
         note "leg release: thread-scaling bench snapshot"
         if "${CHECK_DIR}/release/bench/bench_micro_kernels" \
             --benchmark_filter='Threads' --benchmark_min_time=0.02 \
             --metrics-out "${CHECK_DIR}/release/BENCH_threads.json"; then
-          DETAIL[release]="full ctest clean; BENCH_threads.json recorded"
+          DETAIL[release]="${DETAIL[release]}; BENCH_threads.json recorded"
         else
           fail_leg release "thread-scaling bench snapshot failed"
         fi
