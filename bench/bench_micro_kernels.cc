@@ -205,9 +205,9 @@ void BM_MatMulThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// GEMM shape family at the layer shapes BM_MixerTrainStep actually runs
-// (B=32, C=7, L=96, patch 24, d=16, h=32, horizon 96), with the fused
-// bias/activation epilogues the model uses at each site.
+// GEMM shape family at sizes of BM_MixerTrainStep's configuration (B=32,
+// C=7, L=96, patch 24, d=16, h=32, horizon 96), with fused bias/activation
+// epilogues.
 
 // Patch embedding: [B, C, L', p] x [p, d] + bias (shared-B flatten path).
 void BM_GemmPatchEmbedThreads(benchmark::State& state) {
@@ -224,7 +224,10 @@ void BM_GemmPatchEmbedThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPatchEmbedThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// Mixing MLP first layer: [B, C, L', d] x [d, h] + bias + gelu, fused.
+// A fused GEMM + GELU of [B*C*L', d] x [d, h] = 896x16x32. No MSD-Mixer layer
+// has this shape: the mixer has no MLP over d, and its channel MLP has
+// k = C = 7 (bench_qgemm's 3072x7x64). The name stays for the recorded
+// baselines.
 void BM_GemmChannelMixThreads(benchmark::State& state) {
   runtime::ScopedThreads scoped(state.range(0));
   Rng rng(1);
@@ -252,6 +255,36 @@ void BM_GemmHeadThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32 * 7 * 64 * 96);
 }
 BENCHMARK(BM_GemmHeadThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// Thin shapes: the p = 1 intra-patch MLP as offline_fp32 runs it, 16
+// windows x 7 channels x 96 patches = 10752 rows of width 1 against a hidden
+// layer of 64. fc1 has k = 1 and a fused GELU; fc2 has n = 1.
+void BM_GemmThinFc1Threads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  Tensor a = Tensor::RandNormal({10752, 1}, 0, 1, rng);
+  Tensor w = Tensor::RandNormal({1, 64}, 0, 1, rng);
+  Tensor bias = Tensor::RandNormal({64}, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulEx(a, w, bias, gemm::Activation::kGelu));
+  }
+  state.SetItemsProcessed(state.iterations() * 10752 * 64);
+}
+BENCHMARK(BM_GemmThinFc1Threads)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_GemmThinFc2Threads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  Tensor a = Tensor::RandNormal({10752, 64}, 0, 1, rng);
+  Tensor w = Tensor::RandNormal({64, 1}, 0, 1, rng);
+  Tensor bias = Tensor::RandNormal({1}, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        MatMulEx(a, w, bias, gemm::Activation::kIdentity));
+  }
+  state.SetItemsProcessed(state.iterations() * 10752 * 64);
+}
+BENCHMARK(BM_GemmThinFc2Threads)->Arg(1)->Arg(2)->Arg(4);
 
 // Channel-parallel real-input FFT (period detection path): per-channel rfft
 // fans out across the pool, merge order is fixed, so outputs stay

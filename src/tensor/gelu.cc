@@ -1,10 +1,15 @@
 #include "tensor/gelu.h"
 
-#include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+// GCC 12's avx512fintrin.h reads _mm512_undefined_* values that, once
+// inlined, trip -Werror=(maybe-)uninitialized (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace msd {
@@ -17,41 +22,42 @@ constexpr float kInvSqrt2Pi = 0.39894228040143267f;
 
 }  // namespace
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+static_assert(kGeluLanes == 16);
 
 namespace {
 
 // Every helper below is one IEEE operation, and the code performs them in the
 // order glibc 2.36's compiled erff / __expf_fma do, so each lane rounds
 // exactly where libm rounds. That only holds because this file is built with
-// -ffp-contract=off (src/tensor/CMakeLists.txt): GCC lowers _mm256_mul_ps /
-// _mm256_add_ps to plain vector arithmetic and would otherwise fuse them.
-__m256 F(float v) { return _mm256_set1_ps(v); }
-__m256 Add(__m256 a, __m256 b) { return _mm256_add_ps(a, b); }
-__m256 Sub(__m256 a, __m256 b) { return _mm256_sub_ps(a, b); }
-__m256 Mul(__m256 a, __m256 b) { return _mm256_mul_ps(a, b); }
-__m256 Div(__m256 a, __m256 b) { return _mm256_div_ps(a, b); }
+// -ffp-contract=off (src/tensor/CMakeLists.txt): GCC lowers _mm512_mul_ps /
+// _mm512_add_ps to plain vector arithmetic and would otherwise fuse them.
+__m512 F(float v) { return _mm512_set1_ps(v); }
+__m512 Add(__m512 a, __m512 b) { return _mm512_add_ps(a, b); }
+__m512 Sub(__m512 a, __m512 b) { return _mm512_sub_ps(a, b); }
+__m512 Mul(__m512 a, __m512 b) { return _mm512_mul_ps(a, b); }
+__m512 Div(__m512 a, __m512 b) { return _mm512_div_ps(a, b); }
 // mask ? a : b, per lane.
-__m256 Select(__m256 mask, __m256 a, __m256 b) {
-  return _mm256_blendv_ps(b, a, mask);
+__m512 Select(__mmask16 mask, __m512 a, __m512 b) {
+  return _mm512_mask_blend_ps(mask, b, a);
 }
-bool Any(__m256 mask) { return _mm256_movemask_ps(mask) != 0; }
 // Lanes whose |x| bit pattern is below `bound` (both non-negative as int32).
-__m256 Below(__m256i ix, int32_t bound) {
-  return _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(bound), ix));
+__mmask16 Below(__m512i ix, int32_t bound) {
+  return _mm512_cmplt_epi32_mask(ix, _mm512_set1_epi32(bound));
 }
 
 // Horner's rule as libm's source spells it, c[0] the highest degree:
 // ((c[0]*s + c[1])*s + c[2])*s + ... + c[N-1], every step rounded.
 template <size_t N>
-__m256 Poly(__m256 s, const __m256 (&c)[N]) {
-  __m256 acc = Add(Mul(c[0], s), c[1]);
+__m512 Poly(__m512 s, const __m512 (&c)[N]) {
+  __m512 acc = Add(Mul(c[0], s), c[1]);
   for (size_t i = 2; i < N; ++i) acc = Add(Mul(acc, s), c[i]);
   return acc;
 }
 template <size_t N>
-__m256 Poly(__m256 s, const float (&c)[N]) {
-  __m256 v[N];
+__m512 Poly(__m512 s, const float (&c)[N]) {
+  __m512 v[N];
   for (size_t i = 0; i < N; ++i) v[i] = F(c[i]);
   return Poly(s, v);
 }
@@ -67,7 +73,7 @@ constexpr double kExpC0 = 0x1.c6af84b912394p-20;
 constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
 constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
 // bits(2^(i/32)) - (i << 47): adding k << 47 gives bits(2^(k/32)).
-alignas(32) constexpr long long kExp2Table[32] = {
+alignas(64) constexpr long long kExp2Table[32] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
     0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
     0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
@@ -81,33 +87,35 @@ alignas(32) constexpr long long kExp2Table[32] = {
     0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
 };
 
-// Four lanes of the in-range path.
-__m128 Expf4(__m128 x) {
-  const __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
-  const __m256d shift = _mm256_set1_pd(kShift);
-  const __m256d xd = _mm256_cvtps_pd(x);
-  const __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
-  const __m256i ki = _mm256_castpd_si256(kd);
-  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, _mm256_sub_pd(kd, shift));
-  const __m256i t = _mm256_add_epi64(
-      _mm256_i64gather_epi64(
-          kExp2Table, _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
-      _mm256_slli_epi64(ki, 47));
-  const __m256d z =
-      _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
-  y = _mm256_fmadd_pd(z, r2, y);
-  return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
+// Eight lanes of the in-range path, widened to double.
+__m256 Expf8(__m256 x) {
+  const __m512d inv_ln2n = _mm512_set1_pd(kInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kShift);
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d kd = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, _mm512_sub_pd(kd, shift));
+  const __m512i t = _mm512_add_epi64(
+      _mm512_i64gather_epi64(_mm512_and_si512(ki, _mm512_set1_epi64(31)),
+                             kExp2Table, 8),
+      _mm512_slli_epi64(ki, 47));
+  const __m512d z =
+      _mm512_fmadd_pd(_mm512_set1_pd(kExpC0), r, _mm512_set1_pd(kExpC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kExpC2), r, _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  return _mm512_cvtpd_ps(_mm512_mul_pd(y, _mm512_castsi512_pd(t)));
 }
 
-// expf on 8 lanes, with libm's result below log(2^-150): 0. NaN stays NaN.
+// expf on 16 lanes, with libm's result below log(2^-150): 0. NaN stays NaN.
 // Every argument here is below 1 (<= 0 in GeluGrad), far from expf's
 // overflow threshold, so that special case is not reproduced.
-__m256 Expf8(__m256 x) {
-  const __m256 y = _mm256_set_m128(Expf4(_mm256_extractf128_ps(x, 1)),
-                                   Expf4(_mm256_castps256_ps128(x)));
-  return _mm256_andnot_ps(_mm256_cmp_ps(x, F(-0x1.9fe368p6f), _CMP_LT_OQ), y);
+__m512 Expf16(__m512 x) {
+  const __m512 y =
+      _mm512_insertf32x8(_mm512_castps256_ps512(Expf8(_mm512_castps512_ps256(x))),
+                         Expf8(_mm512_extractf32x8_ps(x, 1)), 1);
+  return _mm512_maskz_mov_ps(
+      _mm512_cmp_ps_mask(x, F(-0x1.9fe368p6f), _CMP_NLT_UQ), y);
 }
 
 // ---- erff -------------------------------------------------------------------
@@ -148,30 +156,30 @@ constexpr float kSb[] = {0.0f,           -0x1.670e24p+4f, 0x1.da874ep+8f,
 
 // Coefficient set `a` where `use_a`, else `b`, per lane.
 template <size_t N>
-void SelectCoefficients(__m256 use_a, const float (&a)[N], const float (&b)[N],
-                        __m256 (&out)[N]) {
+void SelectCoefficients(__mmask16 use_a, const float (&a)[N],
+                        const float (&b)[N], __m512 (&out)[N]) {
   for (size_t i = 0; i < N; ++i) out[i] = Select(use_a, F(a[i]), F(b[i]));
 }
 
 // libm's four |x| ranges become lane masks. Every lane starts at the
 // |x| >= 6 answer; each other range is evaluated only when some lane is in
 // it, then blended in.
-__m256 Erff8(__m256 x) {
-  const __m256i ix =
-      _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fffffff));
-  const __m256 ax = _mm256_castsi256_ps(ix);
-  const __m256 sign = _mm256_andnot_ps(ax, x);
+__m512 Erff16(__m512 x) {
+  const __m512i ix = _mm512_and_si512(_mm512_castps_si512(x),
+                                      _mm512_set1_epi32(0x7fffffff));
+  const __m512 ax = _mm512_castsi512_ps(ix);
+  const __m512 sign = _mm512_andnot_ps(ax, x);
   // |x| >= 6 and +-inf: +-1 (libm: one - tiny, rounded). NaN stays NaN.
-  __m256 y = Select(_mm256_cmp_ps(x, x, _CMP_UNORD_Q), x,
-                    _mm256_or_ps(sign, F(1.0f)));
-  const __m256 below_mid = Below(ix, 0x3f580000);   // |x| < 0.84375
-  const __m256 below_big = Below(ix, 0x3fa00000);   // |x| < 1.25
-  const __m256 below_huge = Below(ix, 0x40c00000);  // |x| < 6
-  const __m256 mid = _mm256_andnot_ps(below_mid, below_big);
-  const __m256 big = _mm256_andnot_ps(below_big, below_huge);
-  if (Any(below_mid)) {
-    const __m256 z = Mul(x, x);
-    __m256 small = Add(x, Mul(x, Div(Poly(z, kPp), Poly(z, kQq))));
+  __m512 y = Select(_mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), x,
+                    _mm512_or_ps(sign, F(1.0f)));
+  const __mmask16 below_mid = Below(ix, 0x3f580000);   // |x| < 0.84375
+  const __mmask16 below_big = Below(ix, 0x3fa00000);   // |x| < 1.25
+  const __mmask16 below_huge = Below(ix, 0x40c00000);  // |x| < 6
+  const __mmask16 mid = _kandn_mask16(below_mid, below_big);
+  const __mmask16 big = _kandn_mask16(below_big, below_huge);
+  if (below_mid != 0) {
+    const __m512 z = Mul(x, x);
+    __m512 small = Add(x, Mul(x, Div(Poly(z, kPp), Poly(z, kQq))));
     // |x| < 2^-28: x + efx*x; below 2^-119 scaled by 16 to dodge underflow.
     small = Select(Below(ix, 0x31800000), Add(x, Mul(F(kEfx), x)), small);
     small = Select(Below(ix, 0x04000000),
@@ -179,72 +187,72 @@ __m256 Erff8(__m256 x) {
                    small);
     y = Select(below_mid, small, y);
   }
-  if (Any(mid)) {
-    const __m256 s = Sub(ax, F(1.0f));
-    const __m256 e = Add(F(kErx), Div(Poly(s, kPa), Poly(s, kQa)));
-    y = Select(mid, _mm256_or_ps(sign, e), y);
+  if (mid != 0) {
+    const __m512 s = Sub(ax, F(1.0f));
+    const __m512 e = Add(F(kErx), Div(Poly(s, kPa), Poly(s, kQa)));
+    y = Select(mid, _mm512_or_ps(sign, e), y);
   }
-  if (Any(big)) {
-    const __m256 s = Div(F(1.0f), Mul(ax, ax));
-    const __m256 near = Below(ix, 0x4036db6e);  // |x| < 1/0.35
-    __m256 r_coef[8];
-    __m256 s_coef[9];
+  if (big != 0) {
+    const __m512 s = Div(F(1.0f), Mul(ax, ax));
+    const __mmask16 near = Below(ix, 0x4036db6e);  // |x| < 1/0.35
+    __m512 r_coef[8];
+    __m512 s_coef[9];
     SelectCoefficients(near, kRa, kRb, r_coef);
     SelectCoefficients(near, kSa, kSb, s_coef);
-    const __m256 rs = Div(Poly(s, r_coef), Poly(s, s_coef));
+    const __m512 rs = Div(Poly(s, r_coef), Poly(s, s_coef));
     // z: |x| with the low 12 mantissa bits cleared.
-    const __m256 z = _mm256_castsi256_ps(_mm256_and_si256(
-        ix, _mm256_set1_epi32(static_cast<int32_t>(0xfffff000))));
-    const __m256 neg_z = _mm256_xor_ps(z, F(-0.0f));
-    const __m256 r =
-        Mul(Expf8(Sub(Mul(neg_z, z), F(0.5625f))),
-            Expf8(Add(Mul(Sub(z, ax), Add(z, ax)), rs)));
-    y = Select(big, _mm256_or_ps(sign, Sub(F(1.0f), Div(r, ax))), y);
+    const __m512 z = _mm512_castsi512_ps(_mm512_and_si512(
+        ix, _mm512_set1_epi32(static_cast<int32_t>(0xfffff000))));
+    const __m512 neg_z = _mm512_xor_ps(z, F(-0.0f));
+    const __m512 r =
+        Mul(Expf16(Sub(Mul(neg_z, z), F(0.5625f))),
+            Expf16(Add(Mul(Sub(z, ax), Add(z, ax)), rs)));
+    y = Select(big, _mm512_or_ps(sign, Sub(F(1.0f), Div(r, ax))), y);
   }
   return y;
 }
 
-__m256 Gelu8(__m256 x) {
-  const __m256 e = Erff8(Mul(x, F(kInvSqrt2)));
+__m512 Gelu16(__m512 x) {
+  const __m512 e = Erff16(Mul(x, F(kInvSqrt2)));
   return Mul(Mul(F(0.5f), x), Add(F(1.0f), e));
 }
 
 // The final add stays unfused, as in the scalar build: 0.5f * (1 + e) is
 // exact, so fusing it changes nothing, while fma(x, phi_small, phi_big)
 // would skip rounding x * phi_small.
-__m256 GeluGrad8(__m256 x) {
-  const __m256 phi_big =
-      Mul(F(0.5f), Add(F(1.0f), Erff8(Mul(x, F(kInvSqrt2)))));
-  const __m256 phi_small =
-      Mul(Expf8(Mul(Mul(F(-0.5f), x), x)), F(kInvSqrt2Pi));
+__m512 GeluGrad16(__m512 x) {
+  const __m512 phi_big =
+      Mul(F(0.5f), Add(F(1.0f), Erff16(Mul(x, F(kInvSqrt2)))));
+  const __m512 phi_small =
+      Mul(Expf16(Mul(Mul(F(-0.5f), x), x)), F(kInvSqrt2Pi));
   return Add(phi_big, Mul(x, phi_small));
 }
 
-// Maps op over whole 8-float vectors; the tail runs the same vector code on
-// a zero-padded copy.
+// Maps op over whole 16-float vectors; the tail runs the same vector code
+// under a lane mask, its missing lanes loaded as zero and never stored.
 template <typename Op>
-void Map8(const float* x, float* y, int64_t n, Op op) {
+void Map16(const float* x, float* y, int64_t n, Op op) {
   int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, op(_mm256_loadu_ps(x + i)));
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, op(_mm512_loadu_ps(x + i)));
   }
   if (i < n) {
-    alignas(32) float tail[8] = {};
-    std::copy(x + i, x + n, tail);
-    _mm256_store_ps(tail, op(_mm256_load_ps(tail)));
-    std::copy(tail, tail + (n - i), y + i);
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1);
+    _mm512_mask_storeu_ps(y + i, tail, op(_mm512_maskz_loadu_ps(tail, x + i)));
   }
 }
 
 }  // namespace
 
-void GeluSpan(const float* x, float* y, int64_t n) { Map8(x, y, n, Gelu8); }
+void GeluSpan(const float* x, float* y, int64_t n) { Map16(x, y, n, Gelu16); }
 
 void GeluGradSpan(const float* x, float* y, int64_t n) {
-  Map8(x, y, n, GeluGrad8);
+  Map16(x, y, n, GeluGrad16);
 }
 
 #else  // scalar libm
+
+static_assert(kGeluLanes == 1);
 
 void GeluSpan(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {

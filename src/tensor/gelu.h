@@ -6,13 +6,13 @@
 //   GeluGradSpan:  y = 0.5f * (1 + erf(x / sqrt 2))
 //                      + x * exp(-0.5f * x * x) / sqrt(2 pi)
 //
-// Builds without AVX2+FMA evaluate those expressions per element with libm's
-// float erf and exp. AVX2+FMA builds evaluate 8 lanes at a time through a
+// AVX-512 builds (AVX512F + AVX512DQ) evaluate 16 lanes at a time through a
 // vector port of glibc 2.36's erff and its FMA expf, and are bit-identical to
 // the scalar form linked against that libm (tests/tensor_test.cc sweeps the
-// float bit patterns; docs/PERFORMANCE.md). `y` may equal `x` (in place) but
-// must not otherwise overlap it.
-// Internal header: tensor kernels (gemm.cc, tensor_ops.cc) only.
+// float bit patterns; docs/PERFORMANCE.md). Every other build evaluates those
+// expressions per element with libm's float erf and exp. `y` may equal `x`
+// (in place) but must not otherwise overlap it.
+// Internal header: tensor kernels (gemm.cc, tensor_ops.cc) and their tests.
 #ifndef MSDMIXER_TENSOR_GELU_H_
 #define MSDMIXER_TENSOR_GELU_H_
 
@@ -20,6 +20,16 @@
 
 namespace msd {
 namespace kernel {
+
+// Lanes the spans evaluate at once: 16 on AVX-512 builds, 1 where the
+// scalar libm loop runs. The exhaustive sweep prints it, so a build that
+// lost its vector path cannot pass the sweep by comparing the scalar loop
+// with itself unnoticed (tools/check.sh).
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+inline constexpr int kGeluLanes = 16;
+#else
+inline constexpr int kGeluLanes = 1;
+#endif
 
 void GeluSpan(const float* x, float* y, int64_t n);
 void GeluGradSpan(const float* x, float* y, int64_t n);

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <memory>
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/gelu.h"
@@ -15,8 +19,7 @@ namespace gemm {
 
 namespace {
 
-// Register tile: 8 rows x 8 columns of C accumulate in registers (one
-// 8-float vector per row on AVX2+; GCC vectorizes the fixed-bound j loops).
+// Register tile: 8 rows x 8 columns of C accumulate in registers.
 constexpr int64_t kMr = 8;
 constexpr int64_t kNr = 8;
 // Cache blocking: kMc rows of C per parallel tile (the unit ParallelFor
@@ -32,23 +35,203 @@ constexpr int64_t kGemmChunkMacs = int64_t{1} << 15;
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Packs the [mc, kc] block of A starting at `a` (row stride `lda`) into
-// kMr-row panels: panel ip holds columns kk = 0..kc-1 as 8 consecutive
-// row values, zero-padded past mc so the micro-kernel never branches on row
-// count (padded rows compute into accumulator lanes that are never stored).
-void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* packed) {
-  const int64_t panels = CeilDiv(mc, kMr);
-  for (int64_t ip = 0; ip < panels; ++ip) {
-    float* dst = packed + ip * kMr * kc;
-    const int64_t rows = std::min(kMr, mc - ip * kMr);
-    for (int64_t ii = 0; ii < rows; ++ii) {
-      const float* src = a + (ip * kMr + ii) * lda;
-      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kMr + ii] = src[kk];
+// Every kernel below keeps one contract, which is what makes the result
+// bit-identical whichever kernel runs: each C element is one chain of fused
+// multiply-adds in ascending k, starting from +0 on the first kKc slice and
+// from C's stored value on later slices. fma(a, b, acc) == fma(b, a, acc),
+// so a kernel may vectorize over rows or over columns.
+
+#if defined(__AVX2__) && defined(__FMA__)
+
+// In-register transpose of eight 8-float rows: r[j][i] <- r[i][j].
+[[gnu::always_inline]] inline void Transpose8x8(__m256 (&r)[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Packs whole 8x8 blocks of one full 8-row A panel (rows at `src`, stride
+// lda) by in-register transposes. Returns how many columns it packed; PackA
+// copies the rest one element at a time.
+int64_t PackFullPanelBlocks(const float* src, int64_t lda, int64_t kc,
+                            float* dst) {
+  int64_t kk = 0;
+  for (; kk + 8 <= kc; kk += 8) {
+    __m256 r[8];
+    for (int64_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lda + kk);
+    Transpose8x8(r);
+    for (int64_t j = 0; j < 8; ++j) _mm256_storeu_ps(dst + (kk + j) * kMr, r[j]);
+  }
+  return kk;
+}
+
+// Lanes [0, n) set, for maskload / maskstore.
+__m256i LaneMask(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Row i of a C tile, or zero past the mr rows that exist.
+[[gnu::always_inline]] inline __m256 LoadRow(const float* c, int64_t ldc,
+                                             int64_t i, int64_t mr) {
+  return i < mr ? _mm256_loadu_ps(c + i * ldc) : _mm256_setzero_ps();
+}
+[[gnu::always_inline]] inline void StoreRow(float* c, int64_t ldc, int64_t i,
+                                            int64_t mr, __m256 v) {
+  if (i < mr) _mm256_storeu_ps(c + i * ldc, v);
+}
+
+// 8x8 micro-kernel for a full column panel: C_tile (+)= Ap @ Bp over a
+// kc-deep slice, the 64 accumulators held in eight named registers. Each k
+// step broadcasts A[i][kk] into a fused multiply-add with B's row, the
+// instruction the fallback's `acc[i] += arow[i] * bv` compiles to. `first`
+// marks the k=0 slice: accumulators start at +0 and C (possibly
+// uninitialized) is not read. Rows past mr compute against PackA's zero
+// padding and are not stored.
+[[gnu::always_inline]] inline void Tile8x8(const float* ap, const float* bp,
+                                           int64_t kc, float* c, int64_t ldc,
+                                           bool first, int64_t mr) {
+  __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0, c4 = c0,
+         c5 = c0, c6 = c0, c7 = c0;
+  if (!first) {
+    c0 = LoadRow(c, ldc, 0, mr);
+    c1 = LoadRow(c, ldc, 1, mr);
+    c2 = LoadRow(c, ldc, 2, mr);
+    c3 = LoadRow(c, ldc, 3, mr);
+    c4 = LoadRow(c, ldc, 4, mr);
+    c5 = LoadRow(c, ldc, 5, mr);
+    c6 = LoadRow(c, ldc, 6, mr);
+    c7 = LoadRow(c, ldc, 7, mr);
+  }
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 b = _mm256_loadu_ps(bp + kk * kNr);
+    const float* ak = ap + kk * kMr;
+    c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 0), b, c0);
+    c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 1), b, c1);
+    c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 2), b, c2);
+    c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 3), b, c3);
+    c4 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 4), b, c4);
+    c5 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 5), b, c5);
+    c6 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 6), b, c6);
+    c7 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 7), b, c7);
+  }
+  StoreRow(c, ldc, 0, mr, c0);
+  StoreRow(c, ldc, 1, mr, c1);
+  StoreRow(c, ldc, 2, mr, c2);
+  StoreRow(c, ldc, 3, mr, c3);
+  StoreRow(c, ldc, 4, mr, c4);
+  StoreRow(c, ldc, 5, mr, c5);
+  StoreRow(c, ldc, 6, mr, c6);
+  StoreRow(c, ldc, 7, mr, c7);
+}
+
+// Moves an [mr x cols] C tile between memory and column vectors (lane i =
+// row i). With ldc == 1 (n == 1) the one column is contiguous in C; wider
+// tiles go through Transpose8x8 and lane-masked row accesses.
+[[gnu::always_inline]] inline void LoadColumns(const float* c, int64_t ldc,
+                                               int64_t mr, int64_t cols,
+                                               __m256 (&v)[8]) {
+  if (ldc == 1) {
+    v[0] = _mm256_maskload_ps(c, LaneMask(mr));
+    return;
+  }
+  const __m256i lanes = LaneMask(cols);
+  for (int64_t i = 0; i < 8; ++i) {
+    v[i] = i < mr ? _mm256_maskload_ps(c + i * ldc, lanes)
+                  : _mm256_setzero_ps();
+  }
+  Transpose8x8(v);
+}
+[[gnu::always_inline]] inline void StoreColumns(float* c, int64_t ldc,
+                                                int64_t mr, int64_t cols,
+                                                __m256 (&v)[8]) {
+  if (ldc == 1) {
+    if (mr == kMr) {
+      _mm256_storeu_ps(c, v[0]);
+    } else {
+      _mm256_maskstore_ps(c, LaneMask(mr), v[0]);
     }
-    for (int64_t ii = rows; ii < kMr; ++ii) {
-      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kMr + ii] = 0.0f;
+    return;
+  }
+  Transpose8x8(v);
+  const __m256i lanes = LaneMask(cols);
+  for (int64_t i = 0; i < mr; ++i) _mm256_maskstore_ps(c + i * ldc, lanes, v[i]);
+}
+
+// Micro-kernel for a column panel narrower than 8: vectorizes over the A
+// panel's 8 packed rows and broadcasts B[kk][j], so a k step costs one
+// fused multiply-add per real column instead of eight lanes per row.
+template <int64_t kCols>
+[[gnu::always_inline]] inline void NarrowTile(const float* ap, const float* bp,
+                                              int64_t kc, float* c,
+                                              int64_t ldc, bool first,
+                                              int64_t mr) {
+  __m256 acc[8];
+  for (__m256& v : acc) v = _mm256_setzero_ps();
+  if (!first) LoadColumns(c, ldc, mr, kCols, acc);
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 a = _mm256_loadu_ps(ap + kk * kMr);
+    const float* bk = bp + kk * kNr;
+    for (int64_t j = 0; j < kCols; ++j) {
+      acc[j] = _mm256_fmadd_ps(a, _mm256_broadcast_ss(bk + j), acc[j]);
     }
   }
+  StoreColumns(c, ldc, mr, kCols, acc);
+}
+
+// Every kMr-row panel of a packed A block against one nr-wide B panel.
+template <int64_t kCols>
+void ColumnPanelOf(const float* a_pack, const float* bp, int64_t kc, float* c,
+                   int64_t ldc, bool first, int64_t mc) {
+  for (int64_t i = 0; i < mc; i += kMr) {
+    const int64_t mr = std::min(kMr, mc - i);
+    if constexpr (kCols == kNr) {
+      Tile8x8(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first, mr);
+    } else {
+      NarrowTile<kCols>(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first, mr);
+    }
+  }
+}
+
+void ColumnPanel(const float* a_pack, const float* bp, int64_t kc, float* c,
+                 int64_t ldc, bool first, int64_t mc, int64_t nr) {
+  switch (nr) {
+    case 1: return ColumnPanelOf<1>(a_pack, bp, kc, c, ldc, first, mc);
+    case 2: return ColumnPanelOf<2>(a_pack, bp, kc, c, ldc, first, mc);
+    case 3: return ColumnPanelOf<3>(a_pack, bp, kc, c, ldc, first, mc);
+    case 4: return ColumnPanelOf<4>(a_pack, bp, kc, c, ldc, first, mc);
+    case 5: return ColumnPanelOf<5>(a_pack, bp, kc, c, ldc, first, mc);
+    case 6: return ColumnPanelOf<6>(a_pack, bp, kc, c, ldc, first, mc);
+    case 7: return ColumnPanelOf<7>(a_pack, bp, kc, c, ldc, first, mc);
+    default: return ColumnPanelOf<kNr>(a_pack, bp, kc, c, ldc, first, mc);
+  }
+}
+
+#else  // GCC vector extensions
+
+int64_t PackFullPanelBlocks(const float*, int64_t, int64_t, float*) {
+  return 0;
 }
 
 // One C row of the register tile (kNr floats). Explicit GCC vector type:
@@ -98,6 +281,39 @@ void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c,
     for (int64_t i = 0; i < mr; ++i) *AsV8(edge[i]) = acc[i];
     for (int64_t i = 0; i < mr; ++i) {
       for (int64_t j = 0; j < nr; ++j) c[i * ldc + j] = edge[i][j];
+    }
+  }
+}
+
+void ColumnPanel(const float* a_pack, const float* bp, int64_t kc, float* c,
+                 int64_t ldc, bool first, int64_t mc, int64_t nr) {
+  for (int64_t i = 0; i < mc; i += kMr) {
+    MicroKernel(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first,
+                std::min(kMr, mc - i), nr);
+  }
+}
+
+#endif
+
+// Packs the [mc, kc] block of A starting at `a` (row stride `lda`) into
+// kMr-row panels: panel ip holds columns kk = 0..kc-1 as 8 consecutive
+// row values, zero-padded past mc so the micro-kernel never branches on row
+// count (padded rows compute into accumulator lanes that are never stored).
+void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* packed) {
+  const int64_t panels = CeilDiv(mc, kMr);
+  for (int64_t ip = 0; ip < panels; ++ip) {
+    float* dst = packed + ip * kMr * kc;
+    const float* src = a + ip * kMr * lda;
+    const int64_t rows = std::min(kMr, mc - ip * kMr);
+    const int64_t packed_cols =
+        rows == kMr ? PackFullPanelBlocks(src, lda, kc, dst) : 0;
+    for (int64_t ii = 0; ii < rows; ++ii) {
+      for (int64_t kk = packed_cols; kk < kc; ++kk) {
+        dst[kk * kMr + ii] = src[ii * lda + kk];
+      }
+    }
+    for (int64_t ii = rows; ii < kMr; ++ii) {
+      for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kMr + ii] = 0.0f;
     }
   }
 }
@@ -214,7 +430,6 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
     for (int64_t t = tb; t < te; ++t) {
       const int64_t i0 = t * kMc;
       const int64_t mc = std::min(kMc, m - i0);
-      const int64_t m_panels = CeilDiv(mc, kMr);
       if (k == 0) {
         // Empty inner dimension: the product is all zeros by convention.
         std::fill(c + i0 * n, c + (i0 + mc) * n, 0.0f);
@@ -226,12 +441,8 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
         for (int64_t jp = 0; jp < n_panels; ++jp) {
           const float* bp = packed_b + jp * k * kNr + kc0 * kNr;
           const int64_t j0 = jp * kNr;
-          const int64_t nr = std::min(kNr, n - j0);
-          for (int64_t ip = 0; ip < m_panels; ++ip) {
-            const int64_t mr = std::min(kMr, mc - ip * kMr);
-            MicroKernel(a_pack + ip * kMr * kc, bp, kc,
-                        c + (i0 + ip * kMr) * n + j0, n, first, mr, nr);
-          }
+          ColumnPanel(a_pack, bp, kc, c + i0 * n + j0, n, first, mc,
+                      std::min(kNr, n - j0));
         }
       }
       if (bias != nullptr || act != Activation::kIdentity) {

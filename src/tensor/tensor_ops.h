@@ -51,7 +51,7 @@ Tensor Square(const Tensor& a);
 Tensor Relu(const Tensor& a);
 // Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Runs tensor/gelu.h, the
 // same function as the fused GEMM epilogue (gemm::Activation::kGelu):
-// vectorized on AVX2+FMA builds and bit-identical to the scalar libm form.
+// 16 lanes wide on AVX-512 builds and bit-identical to the scalar libm form.
 Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);

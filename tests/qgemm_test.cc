@@ -2,7 +2,8 @@
 // quantizer round-trip properties, the packed kernel against a naive integer
 // reference across edge geometries, bit-identity across thread counts, and
 // — satellite coverage — the fp32 gemm::GemmPrepacked against a triple-loop
-// reference on tile- and block-boundary shapes, and its chunk sizing.
+// reference on tile- and block-boundary shapes, bit for bit against its
+// per-element FMA chain, and its chunk sizing.
 #include "tensor/qgemm.h"
 
 #include <cmath>
@@ -344,6 +345,94 @@ TEST(GemmPrepackedEdgeTest, MatchesNaiveReferenceAtBlockBoundaries) {
                         bias.data(), gemm::Activation::kIdentity, nullptr);
     EXPECT_EQ(std::memcmp(one.data(), two.data(), one.size() * sizeof(float)),
               0);
+  }
+}
+
+// C[i][j] as the GEMM's contract defines it, whichever kernel computes it:
+// one fused multiply-add per k, in ascending k, from +0 (a multiply and a
+// separate add where the build has no FMA, as the fallback kernel compiles
+// there).
+float FmaChain(const std::vector<float>& a, const std::vector<float>& b,
+               int64_t k, int64_t n, int64_t i, int64_t j) {
+  float acc = 0.0f;
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float x = a[static_cast<size_t>(i * k + kk)];
+    const float y = b[static_cast<size_t>(kk * n + j)];
+#if defined(__FMA__)
+    acc = std::fma(x, y, acc);
+#else
+    acc = acc + x * y;
+#endif
+  }
+  return acc;
+}
+
+// Index of the first element whose bits differ, or -1.
+int64_t FirstBitDifference(const std::vector<float>& got,
+                           const std::vector<float>& want) {
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+// Every tail panel height mr 1..8 (m = 64 + mr: a full row tile, then a
+// tile whose last panel has mr rows), every panel width nr 1..8 (n = nr
+// alone and after a full panel), k on both sides of the 256-deep slice, and
+// every epilogue with and without bias, `pre` included: GemmPrepacked and
+// Gemm equal the scalar chain bit for bit.
+TEST(GemmPrepackedEdgeTest, BitExactAgainstScalarFmaChain) {
+  const gemm::Activation acts[] = {
+      gemm::Activation::kIdentity, gemm::Activation::kRelu,
+      gemm::Activation::kGelu, gemm::Activation::kTanh,
+      gemm::Activation::kSigmoid};
+  for (int64_t k : {1, 2, 7, 9, 64, 257, 300}) {
+    for (int64_t mr = 1; mr <= 8; ++mr) {
+      for (int64_t nr = 1; nr <= 8; ++nr) {
+        for (int64_t n : {nr, 8 + nr}) {
+          const int64_t m = 64 + mr;
+          SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                       " n=" + std::to_string(n));
+          const std::vector<float> a =
+              RandomVec(static_cast<size_t>(m * k), 71 + static_cast<uint32_t>(k));
+          const std::vector<float> b =
+              RandomVec(static_cast<size_t>(k * n), 73 + static_cast<uint32_t>(n));
+          const std::vector<float> bias = RandomVec(static_cast<size_t>(n), 79);
+          std::vector<float> packed(
+              static_cast<size_t>(gemm::PackedBPanelFloats(k, n)));
+          gemm::PackB(b.data(), k, n, packed.data());
+          std::vector<float> product(static_cast<size_t>(m * n));
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              product[static_cast<size_t>(i * n + j)] = FmaChain(a, b, k, n, i, j);
+            }
+          }
+          for (gemm::Activation act : acts) {
+            for (const float* bias_or_null :
+                 {bias.data(), static_cast<const float*>(nullptr)}) {
+              SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)) +
+                           (bias_or_null != nullptr ? " bias" : " no bias"));
+              std::vector<float> want = product;
+              std::vector<float> want_pre(want.size(), -7.0f);
+              gemm::EpilogueBiasAct(want.data(), want_pre.data(), m, n,
+                                    bias_or_null, act);
+              std::vector<float> got(want.size(), -99.0f);
+              std::vector<float> got_pre(want.size(), -7.0f);
+              gemm::GemmPrepacked(a.data(), packed.data(), got.data(), m, k, n,
+                                  bias_or_null, act, got_pre.data());
+              EXPECT_EQ(FirstBitDifference(got, want), -1);
+              EXPECT_EQ(FirstBitDifference(got_pre, want_pre), -1);
+              std::vector<float> one_shot(want.size(), -99.0f);
+              gemm::Gemm(a.data(), b.data(), one_shot.data(), m, k, n,
+                         bias_or_null, act, nullptr);
+              EXPECT_EQ(FirstBitDifference(one_shot, want), -1);
+            }
+          }
+        }
+      }
+    }
   }
 }
 

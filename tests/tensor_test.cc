@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -197,7 +198,7 @@ TEST(TensorOpsTest, GeluKnownValues) {
 
 // ---- Exact GELU bit identity ----------------------------------------------
 // Gelu, GeluGrad and the fused GEMM GELU epilogue run one function
-// (tensor/gelu.h); AVX2+FMA builds vectorize it with a port of glibc 2.36's
+// (tensor/gelu.h); AVX-512 builds vectorize it with a port of glibc 2.36's
 // erff/expf. These tests pin all three, bit for bit (NaN by class), to the
 // scalar libm expressions below.
 
@@ -234,7 +235,7 @@ bool SameFloat(float a, float b) {
 
 // Inputs go through the kernels in groups of 17 blocks. Block j of a group
 // holds kGeluRows rows of width j + 1, so the epilogue meets every row tail
-// and the elementwise kernels every chunk tail of their 8-float vectors.
+// and the elementwise kernels every chunk tail of their 16-float vectors.
 constexpr int64_t kGeluRows = 256;
 constexpr int64_t kGeluGroup = kGeluRows * (17 * 18 / 2);
 
@@ -310,7 +311,7 @@ constexpr const char* kNotPortedLibm =
 
 // Scrambles the lane order: an odd multiplier is a bijection on 32-bit
 // patterns, so consecutive indices land in unrelated |x| ranges and every
-// 8-lane vector mixes erf's branches.
+// 16-lane vector mixes erf's branches.
 float ScrambledPattern(int64_t i) {
   return FloatFromBits(static_cast<uint32_t>(i) * 2654435761u);
 }
@@ -367,9 +368,12 @@ TEST(TensorOpsTest, GeluKernelsMatchScalarErfFormulas) {
   EXPECT_EQ(at_edges.epilogue.load(), 0) << at_edges.first;
 }
 
-// All 2^32 bit patterns (about a minute on 4 threads). tools/check.sh's
-// release leg runs it with --gtest_also_run_disabled_tests.
+// All 2^32 bit patterns (about three minutes on 4 threads). tools/check.sh's
+// release leg runs it with --gtest_also_run_disabled_tests, and fails when
+// the lane count printed here is 1 on a CPU with AVX-512F and DQ: the sweep
+// would then compare the scalar loop with itself.
 TEST(TensorOpsTest, DISABLED_GeluKernelsExhaustive) {
+  std::printf("gelu lanes: %d\n", kernel::kGeluLanes);
   if (!IsPortedLibm()) GTEST_SKIP() << kNotPortedLibm;
   GeluMismatches all;
   // Index i feeds pattern (uint32) i * odd; the last group wraps around, so

@@ -25,7 +25,10 @@
 #                 (all 2^32 float patterns through Gelu, GeluGrad and the
 #                 fused GEMM epilogue, bit-compared with the scalar libm
 #                 formulas; tier-1 ctest runs only its 2^24-pattern
-#                 sibling), a thread-scaling bench snapshot
+#                 sibling), which also fails when /proc/cpuinfo lists
+#                 avx512f and avx512dq but the build reports 1 GELU lane (a
+#                 release tree that lost -march=native compares the scalar
+#                 loop with itself), a thread-scaling bench snapshot
 #                 (BENCH_threads.json), a
 #                 serving load snapshot (BENCH_serve.json from
 #                 bench_serving --threads 4 --quantize --churn, including
@@ -245,13 +248,22 @@ for leg in "${LEGS[@]}"; do
         # Exhaustive exact-GELU sweep (tensor/gelu.h): every float bit
         # pattern, so a vector-port rounding slip cannot hide between the
         # 2^24 patterns the ctest sibling samples.
+        # The sweep prints the lane count the build vectorizes GELU at; on
+        # an AVX-512F/DQ machine a native build must not report the scalar 1.
         note "leg release: exhaustive GELU bit-identity sweep"
         sweep_start=${SECONDS}
+        sweep_log="${CHECK_DIR}/release/gelu_sweep.log"
         if "${CHECK_DIR}/release/tests/tensor_test" \
             --gtest_also_run_disabled_tests \
-            --gtest_filter='*GeluKernelsExhaustive*'; then
+            --gtest_filter='*GeluKernelsExhaustive*' | tee "${sweep_log}"; then
           sweep_s=$((SECONDS - sweep_start))
-          DETAIL[release]="${DETAIL[release]}; GELU 2^32 sweep clean (${sweep_s} s)"
+          lanes="$(sed -n 's/^gelu lanes: \([0-9]*\)$/\1/p' "${sweep_log}")"
+          if grep -qw avx512f /proc/cpuinfo && grep -qw avx512dq /proc/cpuinfo &&
+              [[ "${lanes}" != "16" ]]; then
+            fail_leg release "CPU has avx512f but the GELU sweep ran ${lanes:-no} lanes, not 16"
+          else
+            DETAIL[release]="${DETAIL[release]}; GELU 2^32 sweep clean at ${lanes} lanes (${sweep_s} s)"
+          fi
         else
           fail_leg release "exhaustive GELU sweep found mismatches"
         fi
