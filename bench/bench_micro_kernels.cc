@@ -189,9 +189,8 @@ void BM_Rfft(benchmark::State& state) {
 BENCHMARK(BM_Rfft)->Arg(256)->Arg(4096);
 
 // ---- Thread-scaling sweeps --------------------------------------------------
-// The same kernel at pool sizes 1/2/4 (Arg is the thread count). check.sh's
-// release leg records this family as BENCH_threads.json; outputs are
-// bit-identical across the sweep, so only wall-clock should move.
+// The same kernel at pool sizes 1/2/4 (Arg is the thread count). Outputs
+// are bit-identical across the sweep, so only wall-clock should move.
 
 void BM_MatMulThreads(benchmark::State& state) {
   runtime::ScopedThreads scoped(state.range(0));
@@ -224,20 +223,18 @@ void BM_GemmPatchEmbedThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPatchEmbedThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// A fused GEMM + GELU of [B*C*L', d] x [d, h] = 896x16x32. No MSD-Mixer layer
-// has this shape: the mixer has no MLP over d, and its channel MLP has
-// k = C = 7 (bench_qgemm's 3072x7x64). The name stays for the recorded
-// baselines.
+// The channel MLP's fc1, which mixes across the C = 7 channels: 3072 rows
+// x [7, 64] + bias + GELU, the same shape as bench_qgemm's kChannelMix.
 void BM_GemmChannelMixThreads(benchmark::State& state) {
   runtime::ScopedThreads scoped(state.range(0));
   Rng rng(1);
-  Tensor a = Tensor::RandNormal({32, 7, 4, 16}, 0, 1, rng);
-  Tensor w = Tensor::RandNormal({16, 32}, 0, 1, rng);
-  Tensor bias = Tensor::RandNormal({32}, 0, 1, rng);
+  Tensor a = Tensor::RandNormal({3072, 7}, 0, 1, rng);
+  Tensor w = Tensor::RandNormal({7, 64}, 0, 1, rng);
+  Tensor bias = Tensor::RandNormal({64}, 0, 1, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MatMulEx(a, w, bias, gemm::Activation::kGelu));
   }
-  state.SetItemsProcessed(state.iterations() * 32 * 7 * 4 * 16 * 32);
+  state.SetItemsProcessed(state.iterations() * 3072 * 7 * 64);
 }
 BENCHMARK(BM_GemmChannelMixThreads)->Arg(1)->Arg(2)->Arg(4);
 
@@ -386,10 +383,9 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
-  // Stamp the repo's own compile mode into the JSON context: recorded
-  // baselines must come from Release builds, and tools/bench_compare
-  // refuses files whose msd_build_type is not "release" (the library's
-  // library_build_type reports how *benchmark* was packaged, not this tree).
+  // Stamp the repo's own compile mode into the JSON context, so a Debug
+  // run cannot pass for a Release one (the library's library_build_type
+  // reports how *benchmark* was packaged, not this tree).
   benchmark::AddCustomContext("msd_build_type", msd::bench::BuildTypeString());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
-  // Recorded baselines must come from Release builds; tools/bench_compare
-  // refuses to compare runs whose context disagrees (the library's own
-  // library_build_type reflects how *benchmark* was built, not this tree).
+  // Stamp the repo's own compile mode, so a Debug run cannot pass for a
+  // Release one (the library's own library_build_type reflects how
+  // *benchmark* was built, not this tree).
   benchmark::AddCustomContext("msd_build_type", msd::bench::BuildTypeString());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

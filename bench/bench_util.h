@@ -43,14 +43,13 @@ inline std::string FlagValue(int argc, char** argv, const std::string& flag) {
 // ---- Build-type stamping ----------------------------------------------------
 // google-benchmark's own "library_build_type" context records how the
 // *benchmark library* was built — the distro package reports "debug" even
-// when this tree is compiled -O3 — so recorded baselines stamp the repo's
-// own compile mode instead, straight from CMAKE_BUILD_TYPE (the root
+// when this tree is compiled -O3 — so bench output stamps the repo's own
+// compile mode instead, straight from CMAKE_BUILD_TYPE (the root
 // CMakeLists defines MSD_BUILD_TYPE_STRING; NDEBUG would be wrong here
 // because the repo's Release flags deliberately omit it to keep MSD_CHECK
 // active). Bench mains pass this to
-// benchmark::AddCustomContext("msd_build_type", ...); tools/bench_compare
-// refuses to compare google-benchmark files whose context does not say
-// msd_build_type=release.
+// benchmark::AddCustomContext("msd_build_type", ...), so a reader of two
+// results can tell a Debug run from a Release one.
 inline const char* BuildTypeString() {
 #ifdef MSD_BUILD_TYPE_STRING
   return MSD_BUILD_TYPE_STRING;

@@ -91,10 +91,10 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-// Quantile estimate shared by Histogram::ValueAtQuantile and offline
-// consumers of snapshot JSON (tools/bench_compare): `counts` has one entry
-// per bound plus the trailing overflow bucket, exactly as BucketCounts()
-// and the snapshot "buckets" array lay them out.
+// Quantile estimate shared by Histogram::ValueAtQuantile and anything that
+// holds bucket counts of its own (snapshot JSON, a bucket-count delta):
+// `counts` has one entry per bound plus the trailing overflow bucket,
+// exactly as BucketCounts() and the snapshot "buckets" array lay them out.
 double QuantileFromBuckets(const std::vector<double>& bounds,
                            const std::vector<int64_t>& counts, double q);
 

@@ -12,8 +12,8 @@
 //   end-to-end       enqueue  -> reply resolved (serve/e2e_us)
 //
 // recorded into log-spaced microsecond histograms the server reads back as
-// p50/p95/p99 via Histogram::ValueAtQuantile (the `STATS` admin command,
-// bench_serving's server-side report, tools/bench_compare gating).
+// p50/p95/p99 via Histogram::ValueAtQuantile (the `STATS` admin command and
+// the telemetry snapshots).
 //
 // Sampled requests (1-in-N, obs::TraceRing::Sampled) additionally push one
 // obs::TraceSpan per phase into the global trace ring, dumped on demand as
@@ -77,8 +77,8 @@ inline int64_t TimePointUs(ServeClock::time_point t) {
 }
 
 // Log-spaced microsecond buckets for the serve latency histograms: 48 per
-// decade over [1us, 10s] keeps adjacent bounds ~4.9% apart, so interpolated
-// quantiles sit well inside the 10% server-vs-client agreement gate.
+// decade over [1us, 10s] keeps adjacent bounds ~4.9% apart, so an
+// interpolated quantile is within ~5% of the exact order statistic.
 inline std::vector<double> LatencyBoundsUs() {
   return obs::LogSpacedBounds(1.0, 1e7, 48);
 }

@@ -1,9 +1,10 @@
 // SocketServer tests (serve/netio.h): many concurrent AF_UNIX connections
 // multiplexed on one epoll thread, pipelined lines, replies posted from
 // foreign threads through the eventfd wake path, the connection cap, and
-// the oversized-line guard. The handler here is a trivial echo — protocol
-// semantics over the socket are covered by registry_test.cc and the
-// msd_serve selftest; this suite isolates the transport.
+// the oversized-line guard. Those handlers are a trivial echo, to isolate
+// the transport (registry_test.cc covers the protocol semantics). The last
+// test serves two trained tenants through ModelService over the socket
+// while a connection hot-swaps one of them with an in-band RELOAD.
 #include "serve/netio.h"
 
 #include <sys/socket.h>
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -26,7 +28,13 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/series_builder.h"
+#include "obs/json.h"
 #include "runtime/worker.h"
+#include "serve/registry.h"
+#include "serve/server.h"
+#include "tasks/pipeline.h"
+#include "tensor/tensor_ops.h"
 
 namespace msd {
 namespace {
@@ -304,6 +312,184 @@ TEST(SocketServerTest, ShutdownWithOpenConnectionsIsClean) {
   harness.reset();
   EXPECT_EQ(ReadLine(fd), "");
   close(fd);
+}
+
+// ---- The serving stack over the socket ------------------------------------
+
+Tensor ChurnSeries(uint64_t seed) {
+  SeriesConfig config;
+  config.name = "netio_test";
+  config.length = 300;
+  config.seed = seed;
+  for (int c = 0; c < 2; ++c) {
+    ChannelSpec channel;
+    channel.level = 1.0 + c;
+    channel.seasonals.push_back({24.0, 1.0, 0.3 * c, 2});
+    channel.noise_sigma = 0.05;
+    config.channels.push_back(channel);
+  }
+  return GenerateSeries(config);
+}
+
+// Fits a tiny forecast pipeline on `series` and saves it to a pid-unique
+// checkpoint; returns the path.
+std::string TrainCheckpoint(const Tensor& series, int64_t horizon,
+                            uint64_t seed, const std::string& tag) {
+  ForecastPipelineConfig pc;
+  pc.lookback = 32;
+  pc.horizon = horizon;
+  pc.trainer.epochs = 1;
+  pc.trainer.batch_size = 16;
+  pc.trainer.max_batches_per_epoch = 4;
+  pc.trainer.early_stop_patience = 0;
+  ForecastPipeline pipe(pc, seed);
+  pipe.Fit(series);
+  const std::string path = ::testing::TempDir() + "netio_test_" +
+                           std::to_string(::getpid()) + "_" + tag +
+                           ".msdckpt";
+  EXPECT_TRUE(pipe.Save(path).ok());
+  return path;
+}
+
+// A direct session over `checkpoint`: the oracle for the service's replies.
+std::unique_ptr<serve::InferenceSession> Oracle(const std::string& checkpoint,
+                                                int64_t horizon) {
+  serve::ForecastSessionOptions options;
+  options.lookback = 32;
+  options.horizon = horizon;
+  options.max_batch = 1;
+  auto session = serve::CreateForecastSession(checkpoint, options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  return std::move(session).value();
+}
+
+// The reply `oracle` gives for the window the service parses out of `line`
+// (replies are %.6g text, so the oracle must see the same rounding).
+std::string OracleReply(serve::InferenceSession* oracle,
+                        const std::string& line) {
+  auto window = serve::ParseWindowLine(line, /*channels=*/0, /*length=*/0);
+  EXPECT_TRUE(window.ok());
+  return serve::FormatTensorLine(oracle->Predict(window.value()).value());
+}
+
+// Closed-loop clients on two tenants with different horizons (a misrouted
+// reply has the wrong shape) while connection 0 swaps alpha to a retrained
+// checkpoint halfway through its own requests. Requests admitted before the
+// swap finish on v1 and later ones answer from v2, so every alpha reply is
+// byte-identical to one of the two oracles; connection 0 sees v1 before
+// its RELOAD and v2 after it, so both versions appear.
+TEST(SocketServerTest, TwoTenantsSurviveAnInBandReload) {
+  const Tensor series_a = ChurnSeries(21);
+  const Tensor series_b = ChurnSeries(33);
+  const std::string ckpt_a1 = TrainCheckpoint(series_a, 8, 5, "alpha_v1");
+  const std::string ckpt_a2 = TrainCheckpoint(series_a, 8, 13, "alpha_v2");
+  const std::string ckpt_b = TrainCheckpoint(series_b, 4, 9, "beta");
+  auto manifest = serve::ParseManifest(
+      "model name=alpha version=1 checkpoint=" + ckpt_a1 +
+      " lookback=32 horizon=8 max_batch=4 default=1\n"
+      "model name=beta version=1 checkpoint=" +
+      ckpt_b + " lookback=32 horizon=4 max_batch=4\n");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+
+  constexpr size_t kLines = 8;
+  const auto oracle_a1 = Oracle(ckpt_a1, 8);
+  const auto oracle_a2 = Oracle(ckpt_a2, 8);
+  const auto oracle_b = Oracle(ckpt_b, 4);
+  std::vector<std::string> lines_a, lines_b, want_a1, want_a2, want_b;
+  for (size_t k = 0; k < kLines; ++k) {
+    const int64_t offset = 4 * static_cast<int64_t>(k);
+    lines_a.push_back(serve::FormatTensorLine(Slice(series_a, 1, offset, 32)));
+    lines_b.push_back(serve::FormatTensorLine(Slice(series_b, 1, offset, 32)));
+    want_a1.push_back(OracleReply(oracle_a1.get(), lines_a.back()));
+    want_a2.push_back(OracleReply(oracle_a2.get(), lines_a.back()));
+    want_b.push_back(OracleReply(oracle_b.get(), lines_b.back()));
+    ASSERT_NE(want_a1.back(), want_a2.back()) << "line " << k;
+  }
+
+  constexpr int64_t kConns = 16;
+  constexpr int64_t kRequestsPerConn = 24;
+  std::atomic<int64_t> failed{0};
+  std::atomic<int64_t> unmatched{0};
+  std::atomic<int64_t> v1_replies{0};
+  std::atomic<int64_t> v2_replies{0};
+  std::string reload_reply;
+  std::string stats_reply;
+  {
+    serve::SocketServerConfig config;
+    config.path = TestSocketPath("reload");
+    serve::MicroBatcherConfig batcher;
+    batcher.max_delay_us = 200;
+    // Declared before the registry, so the server outlives the batchers
+    // that post replies through it (serve/netio.h lifecycle note).
+    std::unique_ptr<ServerHarness> harness;
+    serve::ModelRegistry registry(batcher);
+    ASSERT_TRUE(registry.Load(manifest.value()).ok());
+    serve::ModelService service(&registry);
+    harness = std::make_unique<ServerHarness>(
+        config,
+        [&service](std::string line, std::function<void(std::string)> reply) {
+          service.HandleLineAsync(std::move(line), std::move(reply));
+        });
+    ASSERT_TRUE(harness->listen_status.ok())
+        << harness->listen_status.ToString();
+
+    runtime::WorkerGroup clients;
+    clients.Start(kConns, [&](int64_t c) {
+      const int fd = ConnectUnixRetry(config.path);
+      if (fd < 0) {
+        failed.fetch_add(kRequestsPerConn);
+        return;
+      }
+      const bool is_alpha = c % 2 == 0;
+      for (int64_t i = 0; i < kRequestsPerConn; ++i) {
+        if (c == 0 && i == kRequestsPerConn / 2) {
+          reload_reply = RoundTrip(fd, "RELOAD alpha " + ckpt_a2);
+        }
+        const size_t k = static_cast<size_t>(c + i) % kLines;
+        const std::string reply =
+            is_alpha ? RoundTrip(fd, "MODEL alpha " + lines_a[k])
+                     : RoundTrip(fd, "MODEL beta " + lines_b[k]);
+        if (reply.empty() || reply.rfind("ERROR", 0) == 0) {
+          failed.fetch_add(1);
+        } else if (!is_alpha) {
+          if (reply != want_b[k]) unmatched.fetch_add(1);
+        } else if (reply == want_a1[k]) {
+          v1_replies.fetch_add(1);
+        } else if (reply == want_a2[k]) {
+          v2_replies.fetch_add(1);
+        } else {
+          unmatched.fetch_add(1);
+        }
+      }
+      close(fd);
+    });
+    clients.Join();
+
+    const int fd = ConnectUnixRetry(config.path);
+    ASSERT_GE(fd, 0);
+    stats_reply = RoundTrip(fd, "STATS");
+    close(fd);
+  }
+
+  EXPECT_EQ(reload_reply, "OK alpha v2");
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(unmatched.load(), 0);
+  EXPECT_GT(v1_replies.load(), 0);
+  EXPECT_GT(v2_replies.load(), 0);
+  EXPECT_EQ(v1_replies.load() + v2_replies.load(),
+            kConns / 2 * kRequestsPerConn);
+  obs::JsonValue stats;
+  ASSERT_TRUE(obs::JsonParse(stats_reply, &stats)) << stats_reply;
+  const obs::JsonValue* models = stats.Find("models");
+  ASSERT_NE(models, nullptr);
+  ASSERT_NE(models->Find("alpha"), nullptr);
+  EXPECT_EQ(models->Find("alpha")->Find("version")->number, 2.0);
+  EXPECT_EQ(models->Find("beta")->Find("version")->number, 1.0);
+
+  for (const std::string& path : {ckpt_a1, ckpt_a2, ckpt_b}) {
+    std::remove(path.c_str());
+    std::remove((path + ".meta").c_str());
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Serving subsystem tests: frozen-session identity with the training
-// pipeline, batch-composition invariance, micro-batcher contracts
-// (backpressure, timeout, cancellation), the no-tape-growth regression
-// for inference paths, and the text protocol (parsing, STATS, TRACE)
-// through a one-model ModelService. See docs/SERVING.md.
+// pipeline, batch-composition invariance (fp32 and int8), micro-batcher
+// contracts (backpressure, timeout, cancellation, the serve/e2e_us
+// histogram against the clients' own clocks), the no-tape-growth
+// regression for inference paths, and the text protocol (parsing, STATS,
+// TRACE) through a one-model ModelService. See docs/SERVING.md.
 #include "serve/server.h"
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "runtime/parallel.h"
+#include "runtime/worker.h"
 #include "serve/registry.h"
 #include "serve/trace.h"
 #include "tasks/pipeline.h"
@@ -68,7 +71,7 @@ MsdMixerConfig SmallConfig(TaskType task) {
 // can make compute dominate scheduling noise.
 std::unique_ptr<serve::InferenceSession> MakeSession(
     TaskType task, int64_t max_batch = 8, const std::string& tag = "s",
-    int64_t synthetic_compute_us = 0) {
+    int64_t synthetic_compute_us = 0, bool quantize = false) {
   MsdMixerConfig config = SmallConfig(task);
   Rng rng(17);
   MsdMixer mixer(config, rng);
@@ -78,6 +81,7 @@ std::unique_ptr<serve::InferenceSession> MakeSession(
   sc.model = config;
   sc.max_batch = max_batch;
   sc.synthetic_compute_us = synthetic_compute_us;
+  sc.quantize = quantize;
   auto session = serve::InferenceSession::Create(sc, path);
   std::remove(path.c_str());
   EXPECT_TRUE(session.ok()) << session.status().ToString();
@@ -244,29 +248,39 @@ TEST(ServeIdentityTest, SessionMatchesLoadedPipelineAcrossThreadCounts) {
   }
 }
 
+// fp32 and int8 alike: every batched reply is the same session's
+// single-request Predict, bit for bit. The int8 plan quantizes activations
+// per row, so batch composition must not reach a reply either.
 TEST(MicroBatcherTest, BatchedResultsMatchDirectSession) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_batch = 4;
-  config.max_delay_us = 500;
-  config.num_workers = 2;
-  serve::MicroBatcher batcher(session.get(), config);
-  batcher.Start();
+  for (const bool quantize : {false, true}) {
+    auto session = MakeSession(TaskType::kForecast, /*max_batch=*/8, "s",
+                               /*synthetic_compute_us=*/0, quantize);
+    if (quantize) {
+      ASSERT_GT(session->plan().stats().num_quantized, 0);
+    }
+    serve::MicroBatcherConfig config;
+    config.max_batch = 4;
+    config.max_delay_us = 500;
+    config.num_workers = 2;
+    serve::MicroBatcher batcher(session.get(), config);
+    batcher.Start();
 
-  std::vector<Tensor> windows;
-  std::vector<ResultFuture> futures(12);
-  for (uint64_t s = 0; s < futures.size(); ++s) {
-    windows.push_back(RandomWindow(200 + s));
-    ASSERT_TRUE(Submit(batcher, windows.back(), &futures[s]).ok());
+    std::vector<Tensor> windows;
+    std::vector<ResultFuture> futures(12);
+    for (uint64_t s = 0; s < futures.size(); ++s) {
+      windows.push_back(RandomWindow(200 + s));
+      ASSERT_TRUE(Submit(batcher, windows.back(), &futures[s]).ok());
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      StatusOr<Tensor> got = futures[i].get();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = session->Predict(windows[i]);
+      ASSERT_TRUE(want.ok());
+      EXPECT_TRUE(BitIdentical(got.value(), want.value()))
+          << "request " << i << " quantize=" << quantize;
+    }
+    batcher.Stop();
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    StatusOr<Tensor> got = futures[i].get();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = session->Predict(windows[i]);
-    ASSERT_TRUE(want.ok());
-    EXPECT_TRUE(BitIdentical(got.value(), want.value())) << "request " << i;
-  }
-  batcher.Stop();
 }
 
 TEST(MicroBatcherTest, FullQueueRejectsWithResourceExhaustedThenDrains) {
@@ -468,6 +482,71 @@ TEST(MicroBatcherTest, TimingDecompositionSeparatesQueueFromCompute) {
     // that wait to the queue phase, not to batch assembly.
     EXPECT_GE(phases.at("queue"), config.max_delay_us) << "request " << id;
     EXPECT_LT(phases.at("batch_assembly"), kComputeUs) << "request " << id;
+  }
+}
+
+// serve/e2e_us runs from the enqueue stamp SubmitAsync mints to the `done`
+// stamp the worker takes before it runs the reply callback, so every
+// request's server interval lies inside the client's round trip. With both
+// sides bucketed over the same LatencyBoundsUs() and read with the same
+// rank rule, no server quantile can exceed the client's; and the busy-spin
+// pads every forward, so none can fall more than a bucket below it.
+TEST(MicroBatcherTest, ServerLatencyQuantilesSitInsideClientRoundTrips) {
+  constexpr int64_t kComputeUs = 1000;
+  constexpr int64_t kClients = 4;
+  constexpr int64_t kRequests = 200;
+  auto session = MakeSession(TaskType::kForecast, /*max_batch=*/8, "e2e",
+                             kComputeUs);
+  serve::MicroBatcherConfig config;
+  config.max_batch = 4;
+  config.max_delay_us = 200;
+  config.num_workers = 2;
+  serve::MicroBatcher batcher(session.get(), config);
+  batcher.Start();
+
+  const obs::Histogram& e2e = serve::Instruments().e2e_us;
+  const int64_t count_before = e2e.count();
+  const std::vector<int64_t> buckets_before = e2e.BucketCounts();
+  std::vector<std::vector<int64_t>> client_us(kClients);
+  std::atomic<int64_t> issued{0};
+  std::atomic<int64_t> failed{0};
+  {
+    runtime::WorkerGroup clients;
+    clients.Start(kClients, [&](int64_t c) {
+      const Tensor window = RandomWindow(600 + static_cast<uint64_t>(c));
+      while (issued.fetch_add(1) < kRequests) {
+        ResultFuture result;
+        const auto start = serve::ServeClock::now();
+        if (!Submit(batcher, window, &result).ok() || !result.get().ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        client_us[static_cast<size_t>(c)].push_back(
+            serve::ToMicros(serve::ServeClock::now() - start));
+      }
+    });
+    clients.Join();
+  }
+  batcher.Stop();
+  ASSERT_EQ(failed.load(), 0);
+  EXPECT_EQ(e2e.count() - count_before, kRequests);
+
+  const std::vector<double> bounds = serve::LatencyBoundsUs();
+  std::vector<int64_t> server = e2e.BucketCounts();
+  for (size_t i = 0; i < server.size(); ++i) server[i] -= buckets_before[i];
+  obs::Histogram client(bounds);
+  for (const auto& samples : client_us) {
+    for (int64_t us : samples) client.Observe(static_cast<double>(us));
+  }
+  const auto upper =
+      std::lower_bound(bounds.begin(), bounds.end(), double{kComputeUs});
+  const double bucket_width = *upper - *(upper - 1);
+  for (const double q : {0.50, 0.95, 0.99}) {
+    const double server_q = obs::QuantileFromBuckets(bounds, server, q);
+    const double client_q =
+        obs::QuantileFromBuckets(bounds, client.BucketCounts(), q);
+    EXPECT_GE(server_q, kComputeUs - bucket_width) << "q=" << q;
+    EXPECT_LE(server_q, client_q) << "q=" << q;
   }
 }
 
