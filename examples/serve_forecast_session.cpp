@@ -66,12 +66,11 @@ int main() {
   entry.name = "demo";
   entry.version = 1;
   entry.checkpoint = ckpt;
-  entry.lookback = pc.lookback;
-  entry.horizon = pc.horizon;
+  entry.options.lookback = pc.lookback;
+  entry.options.horizon = pc.horizon;
   serve::MicroBatcherConfig bc;
   bc.max_batch = 8;
   bc.max_delay_us = 1000;
-  bc.num_workers = 2;
   auto model = serve::CreateServedModel(entry, bc);
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".meta").c_str());

@@ -20,8 +20,6 @@ enum class StatusCode {
   // Admission control: a bounded resource (request queue, batch slot) is
   // full right now; the caller may retry after backing off.
   kResourceExhausted,
-  // The work item's deadline expired before a result was produced.
-  kDeadlineExceeded,
   // The owner shut down / abandoned the work before it ran.
   kCancelled,
 };
@@ -48,9 +46,6 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
@@ -81,9 +76,6 @@ class Status {
         break;
       case StatusCode::kResourceExhausted:
         name = "ResourceExhausted";
-        break;
-      case StatusCode::kDeadlineExceeded:
-        name = "DeadlineExceeded";
         break;
       case StatusCode::kCancelled:
         name = "Cancelled";

@@ -16,7 +16,6 @@ MicroBatcher::MicroBatcher(InferenceSession* session,
   MSD_CHECK(session != nullptr);
   MSD_CHECK_GE(config_.max_batch, 1);
   MSD_CHECK_GE(config_.queue_capacity, 1);
-  MSD_CHECK_GE(config_.num_workers, 1);
   MSD_CHECK_GE(config_.max_delay_us, 0);
   // A batch can never exceed what one PredictBatch call accepts.
   config_.max_batch = std::min(config_.max_batch, session->max_batch());
@@ -34,7 +33,7 @@ void MicroBatcher::Start() {
     if (started_) return;
     started_ = true;
   }
-  workers_.Start(config_.num_workers, [this](int64_t) { WorkerLoop(); });
+  worker_.Start(1, [this](int64_t) { WorkerLoop(); });
 }
 
 void MicroBatcher::Stop() {
@@ -47,16 +46,14 @@ void MicroBatcher::Stop() {
     Instruments().queue_depth.Set(0.0);
   }
   cv_.notify_all();
-  workers_.Join();
+  worker_.Join();
   for (Request& request : drained) {
     request.done(
         Status::Cancelled("micro-batcher stopped before the request ran"));
-    DecInflight();
   }
 }
 
-Status MicroBatcher::SubmitAsync(Tensor window, ResultCallback done,
-                                 int64_t timeout_us) {
+Status MicroBatcher::SubmitAsync(Tensor window, ResultCallback done) {
   MSD_CHECK(done != nullptr);
   if (!window.defined() || window.rank() != 2 ||
       window.dim(0) != session_->model_config().channels ||
@@ -72,10 +69,6 @@ Status MicroBatcher::SubmitAsync(Tensor window, ResultCallback done,
   // Minting assigns the monotonic request id, the 1-in-N sampling bit and
   // the enqueue timestamp every downstream phase is measured against.
   request.trace = MintTraceContext();
-  request.deadline = timeout_us > 0
-                         ? request.trace.enqueue +
-                               std::chrono::microseconds(timeout_us)
-                         : Clock::time_point::max();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -93,21 +86,9 @@ Status MicroBatcher::SubmitAsync(Tensor window, ResultCallback done,
     Instruments().queue_depth.Set(depth);
     Instruments().queue_depth_peak.SetMax(depth);
     Instruments().requests.Add(1);
-    Instruments().inflight.Set(static_cast<double>(
-        inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
   }
   cv_.notify_one();
   return Status::OK();
-}
-
-void MicroBatcher::DecInflight() {
-  Instruments().inflight.Set(static_cast<double>(
-      inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-}
-
-int64_t MicroBatcher::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(queue_.size());
 }
 
 // msd-hot-path: per-batch worker cycle; every request's latency includes it.
@@ -120,17 +101,13 @@ void MicroBatcher::WorkerLoop() {
       cv_.wait(lock, [this] { return stopped_ || !queue_.empty(); });
       if (stopped_) return;
       // Coalesce: wait for more requests until the batch is full or the
-      // oldest pending request has aged out. The deadline is re-derived from
-      // the current front each pass — another worker may have taken the
-      // requests we were originally batching behind.
-      while (!stopped_ && !queue_.empty() &&
-             static_cast<int64_t>(queue_.size()) < config_.max_batch) {
-        const auto batch_deadline = queue_.front().trace.enqueue + max_delay;
-        if (Clock::now() >= batch_deadline) break;
-        cv_.wait_until(lock, batch_deadline);
-      }
+      // oldest pending request has aged out. This worker is the queue's only
+      // consumer, so the front stays put while it waits.
+      cv_.wait_until(lock, queue_.front().trace.enqueue + max_delay, [this] {
+        return stopped_ ||
+               static_cast<int64_t>(queue_.size()) >= config_.max_batch;
+      });
       if (stopped_) return;
-      if (queue_.empty()) continue;
       const int64_t take =
           std::min<int64_t>(static_cast<int64_t>(queue_.size()),
                             config_.max_batch);
@@ -149,27 +126,12 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
   // The queue-wait phase ends here for every member: the batch is off the
   // queue and owned by this worker.
   const auto dequeue = Clock::now();
-  // Expired requests resolve immediately and never occupy batch rows.
-  std::vector<Request> live;
-  live.reserve(batch.size());
+  std::vector<Tensor> inputs;
+  inputs.reserve(batch.size());
   for (Request& request : batch) {
     request.trace.dequeue = dequeue;
-    if (dequeue >= request.deadline) {
-      Instruments().timeouts.Add(1);
-      // serve/deadline_miss counts exactly the kDeadlineExceeded outcomes.
-      Instruments().deadline_miss.Add(1);
-      request.done(
-          Status::DeadlineExceeded("request timed out in the batch queue"));
-      DecInflight();
-    } else {
-      live.push_back(std::move(request));
-    }
+    inputs.push_back(request.input);
   }
-  if (live.empty()) return;
-
-  std::vector<Tensor> inputs;
-  inputs.reserve(live.size());
-  for (const Request& request : live) inputs.push_back(request.input);
   // The session fills compute_start/compute_end into `compute_trace` and
   // skips its own direct-call observation: the batcher attributes the shared
   // compute interval to every member of the batch below.
@@ -178,19 +140,16 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
       session_->PredictBatch(Stack(inputs), &compute_trace);
 
   Instruments().batches.Add(1);
-  Instruments().batch_size.Observe(static_cast<double>(live.size()));
+  Instruments().batch_size.Observe(static_cast<double>(batch.size()));
 
   if (!outputs.ok()) {
-    for (Request& request : live) {
-      request.done(outputs.status());
-      DecInflight();
-    }
+    for (Request& request : batch) request.done(outputs.status());
     return;
   }
   const Tensor& stacked = outputs.value();
   const auto done = Clock::now();
-  for (size_t i = 0; i < live.size(); ++i) {
-    TraceContext& trace = live[i].trace;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    TraceContext& trace = batch[i].trace;
     trace.compute_start = compute_trace.compute_start;
     trace.compute_end = compute_trace.compute_end;
     // Row i of the stacked output, with the batch axis dropped.
@@ -208,8 +167,7 @@ void MicroBatcher::ProcessBatch(std::vector<Request> batch) {
     // Telemetry must land before the request resolves: a client that reads
     // STATS/TRACE immediately after its reply must see its own request's
     // histograms and spans, not race this thread for them.
-    live[i].done(row.Reshape(std::move(squeezed)));
-    DecInflight();
+    batch[i].done(row.Reshape(std::move(squeezed)));
   }
 }
 

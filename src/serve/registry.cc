@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -109,6 +110,7 @@ StatusOr<Manifest> ParseManifest(const std::string& text) {
                                         "'");
     }
     ManifestEntry entry;
+    ForecastSessionOptions& o = entry.options;
     bool has_name = false;
     bool has_version = false;
     bool has_checkpoint = false;
@@ -142,21 +144,17 @@ StatusOr<Manifest> ParseManifest(const std::string& text) {
                  key == "hidden_dim" || key == "max_batch") {
         StatusOr<int64_t> v = ParseIntValue(line_no, key, value, 1);
         if (!v.ok()) return v.status();
-        if (key == "lookback") entry.lookback = v.value();
-        if (key == "horizon") entry.horizon = v.value();
-        if (key == "model_dim") entry.model_dim = v.value();
-        if (key == "hidden_dim") entry.hidden_dim = v.value();
-        if (key == "max_batch") entry.max_batch = v.value();
-      } else if (key == "max_inflight") {
-        StatusOr<int64_t> v = ParseIntValue(line_no, key, value, 0);
-        if (!v.ok()) return v.status();
-        entry.max_inflight = v.value();
+        if (key == "lookback") o.lookback = v.value();
+        if (key == "horizon") o.horizon = v.value();
+        if (key == "model_dim") o.model_dim = v.value();
+        if (key == "hidden_dim") o.hidden_dim = v.value();
+        if (key == "max_batch") o.max_batch = v.value();
       } else if (key == "instance_norm" || key == "quantize" ||
                  key == "default") {
         StatusOr<bool> b = ParseBoolValue(line_no, key, value);
         if (!b.ok()) return b.status();
-        if (key == "instance_norm") entry.use_instance_norm = b.value();
-        if (key == "quantize") entry.quantize = b.value();
+        if (key == "instance_norm") o.use_instance_norm = b.value();
+        if (key == "quantize") o.quantize = b.value();
         if (key == "default") entry.is_default = b.value();
       } else {
         return ManifestError(line_no, "unknown key '" + key + "'");
@@ -221,22 +219,7 @@ ServedModel::ServedModel(const ManifestEntry& entry,
 
 ServedModel::~ServedModel() { batcher_.Stop(); }
 
-Status ServedModel::AdmitQuota() {
-  const int64_t now = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (entry_.max_inflight > 0 && now > entry_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    rejected_.Add(1);
-    return Status::ResourceExhausted(
-        "model '" + entry_.name + "' is at its admission quota (" +
-        std::to_string(entry_.max_inflight) + " in flight); retry with "
-        "backoff");
-  }
-  inflight_gauge_.Set(static_cast<double>(now));
-  requests_.Add(1);
-  return Status::OK();
-}
-
-void ServedModel::ReleaseQuota() {
+void ServedModel::EndInflight() {
   inflight_gauge_.Set(static_cast<double>(
       inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
 }
@@ -253,17 +236,24 @@ StatusOr<Tensor> ServedModel::Handle(const Tensor& window) {
 }
 
 Status ServedModel::SubmitAsync(Tensor window, ResultCallback done) {
-  Status admitted = AdmitQuota();
-  if (!admitted.ok()) return admitted;
+  // Counted before the batcher sees the request, so the count never goes
+  // negative when the reply beats this thread back from SubmitAsync.
+  inflight_gauge_.Set(static_cast<double>(
+      inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
   Status submitted = batcher_.SubmitAsync(
       std::move(window),
       // `this` stays valid: the caller's `done` closes over the ServedModel
       // snapshot, and the batcher holds this callback until it resolves.
       [this, done = std::move(done)](StatusOr<Tensor> result) {
-        ReleaseQuota();
+        EndInflight();
         done(std::move(result));
       });
-  if (!submitted.ok()) ReleaseQuota();
+  if (submitted.ok()) {
+    requests_.Add(1);
+  } else {
+    EndInflight();
+    if (submitted.code() == StatusCode::kResourceExhausted) rejected_.Add(1);
+  }
   return submitted;
 }
 
@@ -272,14 +262,8 @@ Status ServedModel::SubmitAsync(Tensor window, ResultCallback done) {
 // per-request; audited here so the hot-path scan does not descend.
 StatusOr<std::shared_ptr<ServedModel>> CreateServedModel(
     const ManifestEntry& entry, const MicroBatcherConfig& batcher_config) {
-  ForecastSessionOptions options;
-  options.lookback = entry.lookback;
-  options.horizon = entry.horizon;
-  options.model_dim = entry.model_dim;
-  options.hidden_dim = entry.hidden_dim;
-  options.use_instance_norm = entry.use_instance_norm;
-  options.max_batch = entry.max_batch;
-  options.quantize = entry.quantize;
+  ForecastSessionOptions options = entry.options;
+  options.max_batch = std::min(options.max_batch, batcher_config.max_batch);
   StatusOr<std::unique_ptr<InferenceSession>> session =
       CreateForecastSession(entry.checkpoint, options);
   if (!session.ok()) {
@@ -454,11 +438,9 @@ std::string ModelService::ListLine() const {
     first = false;
     out += "{\"name\":\"" + model->name() + "\",";
     std::snprintf(buf, sizeof(buf),
-                  "\"version\":%lld,\"inflight\":%lld,\"max_inflight\":%lld,"
-                  "\"quantized\":%s}",
+                  "\"version\":%lld,\"inflight\":%lld,\"quantized\":%s}",
                   static_cast<long long>(model->version()),
                   static_cast<long long>(model->inflight()),
-                  static_cast<long long>(model->entry().max_inflight),
                   model->session()->quantized() ? "true" : "false");
     out += buf;
   }
@@ -467,14 +449,18 @@ std::string ModelService::ListLine() const {
 }
 
 std::string ModelService::StatsLine() const {
-  // The global serve/* snapshot, extended with one object per model.
+  // The global serve/* snapshot, extended with one object per model and
+  // the fleet's in-flight total.
   std::string out = ServeStatsJson();
   MSD_CHECK(!out.empty() && out.back() == '}');
   out.pop_back();
   out += ",\"models\":{";
   bool first = true;
   char buf[160];
+  int64_t inflight = 0;
   for (const std::shared_ptr<ServedModel>& model : registry_->List()) {
+    const int64_t model_inflight = model->inflight();
+    inflight += model_inflight;
     if (!first) out.push_back(',');
     first = false;
     out += "\"" + model->name() + "\":";
@@ -484,10 +470,10 @@ std::string ModelService::StatsLine() const {
                   static_cast<long long>(model->version()),
                   static_cast<long long>(model->requests_total()),
                   static_cast<long long>(model->rejected_total()),
-                  static_cast<long long>(model->inflight()));
+                  static_cast<long long>(model_inflight));
     out += buf;
   }
-  out += "}}";
+  out += "},\"inflight\":" + std::to_string(inflight) + "}";
   return out;
 }
 

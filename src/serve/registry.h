@@ -8,20 +8,21 @@
 //
 //      model name=<id> version=<n> checkpoint=<path> [key=value ...]
 //
-//    Optional keys: lookback, horizon, model_dim, hidden_dim, instance_norm
-//    (0/1), max_batch, max_inflight (admission quota, 0 = unlimited),
-//    quantize (0/1), default (0/1). '#' starts a comment. Names are
-//    [a-z0-9_]+ so per-model metric names stay inside the
-//    metric-name-taxonomy lint grammar. The parser rejects duplicate model
-//    names and version regressions outright instead of silently taking the
-//    last line.
+//    Optional keys: the architecture keys lookback, horizon, model_dim,
+//    hidden_dim, instance_norm (0/1), max_batch and quantize (0/1), which
+//    fill the entry's ForecastSessionOptions, and default (0/1). '#' starts
+//    a comment. Names are [a-z0-9_]+ so per-model metric names stay inside
+//    the metric-name-taxonomy lint grammar. The parser rejects duplicate
+//    model names and version regressions outright instead of silently
+//    taking the last line.
 //
-//  * ServedModel — one live (session, micro-batcher) pair plus the
-//    per-model admission quota and metrics. Submissions beyond
-//    `max_inflight` fail fast with kResourceExhausted before touching the
-//    batcher, so one tenant cannot queue out the others. Counters/gauges:
-//    serve/<name>/requests_total, serve/<name>/rejected_total,
-//    serve/<name>/inflight, serve/<name>/version.
+//  * ServedModel — one live (session, micro-batcher) pair plus its
+//    metrics. The batcher's bounded queue is the model's only admission
+//    rule: a submission to a full queue fails fast with kResourceExhausted,
+//    and since every model has its own queue, one tenant cannot queue out
+//    the others. Counters/gauges: serve/<name>/requests_total,
+//    serve/<name>/rejected_total, serve/<name>/inflight,
+//    serve/<name>/version.
 //
 //  * ModelRegistry — the name -> ServedModel map with atomic hot-swap.
 //    Get() hands out a shared_ptr snapshot; Swap()/Reload() flip the map
@@ -67,21 +68,13 @@ class TelemetryExporter;
 
 namespace serve {
 
-// One manifest line. Defaults mirror ForecastSessionOptions.
+// One manifest line.
 struct ManifestEntry {
   std::string name;        // [a-z0-9_]+, required
   int64_t version = 0;     // >= 1, required
   std::string checkpoint;  // required
-  int64_t lookback = 96;
-  int64_t horizon = 24;
-  int64_t model_dim = 16;
-  int64_t hidden_dim = 32;
-  bool use_instance_norm = true;
-  int64_t max_batch = 32;
-  // Per-model admission quota: requests in flight beyond this fail with
-  // kResourceExhausted. 0 = unlimited.
-  int64_t max_inflight = 0;
-  bool quantize = false;
+  // The architecture keys, with the session's defaults.
+  ForecastSessionOptions options;
   bool is_default = false;
 };
 
@@ -98,9 +91,9 @@ struct Manifest {
 // the same name, bad keys/values, and multiple default=1 entries.
 StatusOr<Manifest> ParseManifest(const std::string& text);
 
-// A live model: frozen session + its own micro-batcher + admission quota.
-// Construction starts the batcher workers; destruction stops them (pending
-// requests resolve kCancelled). Create ServedModels via CreateServedModel
+// A live model: frozen session + its own micro-batcher. Construction
+// starts the batcher's worker; destruction stops it (pending requests
+// resolve kCancelled). Create ServedModels via CreateServedModel
 // (builds the session from the entry's checkpoint) or directly from a
 // session you already own (tests inject synthetic-compute sessions this way).
 class ServedModel {
@@ -117,10 +110,11 @@ class ServedModel {
   // blocking wait on the promise its completion fulfils.
   StatusOr<Tensor> Handle(const Tensor& window);
 
-  // Applies the quota, then MicroBatcher::SubmitAsync with no deadline. Same
-  // admission contract: on OK `done` fires exactly once (it must not
-  // block); a non-OK return means `done` will never fire. The quota slot is
-  // released when `done` runs.
+  // MicroBatcher::SubmitAsync, counted per model. Same admission contract:
+  // on OK `done` fires exactly once (it must not block); a non-OK return
+  // means `done` will never fire. The request counts in inflight() from
+  // admission until `done` runs; a full queue's refusal counts in
+  // rejected_total().
   Status SubmitAsync(Tensor window, ResultCallback done);
 
   const ManifestEntry& entry() const { return entry_; }
@@ -136,10 +130,8 @@ class ServedModel {
   int64_t rejected_total() const { return rejected_.value(); }
 
  private:
-  // Takes one quota slot or fails with kResourceExhausted; bumps the
-  // per-model request counter on success.
-  Status AdmitQuota();
-  void ReleaseQuota();
+  // Takes one request out of inflight() and the serve/<name>/inflight gauge.
+  void EndInflight();
 
   ManifestEntry entry_;
   std::unique_ptr<InferenceSession> session_;
@@ -156,6 +148,8 @@ class ServedModel {
 
 // Builds the InferenceSession described by `entry` (checkpoint + .meta
 // sidecar, CreateForecastSession) and wraps it in a started ServedModel.
+// The plan is compiled at the smaller of the entry's and the batcher's
+// max_batch: no batch can use rows beyond the batcher's cap.
 StatusOr<std::shared_ptr<ServedModel>> CreateServedModel(
     const ManifestEntry& entry, const MicroBatcherConfig& batcher_config);
 
@@ -199,7 +193,6 @@ class ModelRegistry {
   void set_default_model(std::string name) {
     default_model_ = std::move(name);
   }
-  const MicroBatcherConfig& batcher_config() const { return batcher_config_; }
 
   // Destroys retired models with no remaining in-flight holders. Called
   // from admin paths and the destructor; exposed for tests.
@@ -240,11 +233,12 @@ class ModelService {
   void HandleLineAsync(const std::string& line,
                        std::function<void(std::string)> done);
 
-  // One JSON line: default model plus name/version/inflight/quota for
+  // One JSON line: default model plus name/version/inflight/quantized for
   // every model. The LIST admin reply.
   std::string ListLine() const;
 
-  // Global serve/* stats (ServeStatsJson) extended with a per-model object.
+  // Global serve/* stats (ServeStatsJson) extended with a per-model object
+  // and `inflight`, the sum of the models' in-flight counts.
   std::string StatsLine() const;
 
  private:

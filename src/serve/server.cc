@@ -115,19 +115,13 @@ std::string ServeStatsJson() {
   ServeInstruments& m = Instruments();
   char buf[256];
   std::string out = "{";
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"requests_total\":%lld,\"rejected_total\":%lld,"
-      "\"timeouts_total\":%lld,\"deadline_miss\":%lld,\"batches_total\":%lld,",
-      static_cast<long long>(m.requests.value()),
-      static_cast<long long>(m.rejected.value()),
-      static_cast<long long>(m.timeouts.value()),
-      static_cast<long long>(m.deadline_miss.value()),
-      static_cast<long long>(m.batches.value()));
-  out += buf;
   std::snprintf(buf, sizeof(buf),
-                "\"queue_depth\":%.0f,\"inflight\":%.0f",
-                m.queue_depth.value(), m.inflight.value());
+                "\"requests_total\":%lld,\"rejected_total\":%lld,"
+                "\"batches_total\":%lld,\"queue_depth\":%.0f",
+                static_cast<long long>(m.requests.value()),
+                static_cast<long long>(m.rejected.value()),
+                static_cast<long long>(m.batches.value()),
+                m.queue_depth.value());
   out += buf;
   const struct {
     const char* key;

@@ -89,14 +89,9 @@ struct ServeInstruments {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& requests = registry.GetCounter("serve/requests_total");
   obs::Counter& rejected = registry.GetCounter("serve/rejected_total");
-  obs::Counter& timeouts = registry.GetCounter("serve/timeouts_total");
-  // Increments exactly when a request resolves kDeadlineExceeded.
-  obs::Counter& deadline_miss = registry.GetCounter("serve/deadline_miss");
   obs::Counter& batches = registry.GetCounter("serve/batches_total");
   obs::Gauge& queue_depth = registry.GetGauge("serve/queue_depth");
   obs::Gauge& queue_depth_peak = registry.GetGauge("serve/queue_depth_peak");
-  // Requests admitted but not yet resolved (queued or mid-batch).
-  obs::Gauge& inflight = registry.GetGauge("serve/inflight");
   obs::Histogram& batch_size = registry.GetHistogram(
       "serve/batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& queue_us =

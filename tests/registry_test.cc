@@ -1,10 +1,11 @@
 // Multi-tenant registry tests (docs/SERVING.md): manifest parsing
-// (duplicates, version regressions, bad keys), ServedModel admission
-// quotas, atomic hot-swap semantics — in-flight requests finish on the
-// session they were admitted to while new requests route to the
-// replacement — plus a concurrent Get/Swap hammer the TSan leg runs, the
-// ModelService text protocol (MODEL prefix, LIST, RELOAD, STATS), and
-// per-model int8 selection through the manifest's quantize key.
+// (duplicates, version regressions, bad keys), ServedModel's per-model
+// queue-full accounting, plan rows capped by the batcher, atomic hot-swap
+// semantics — in-flight requests finish on the session they were admitted
+// to while new requests route to the replacement — plus a concurrent
+// Get/Swap hammer the TSan leg runs, the ModelService text protocol (MODEL
+// prefix, LIST, RELOAD, STATS), and per-model int8 selection through the
+// manifest's quantize key.
 #include "serve/registry.h"
 
 #include <unistd.h>
@@ -27,6 +28,7 @@
 #include "obs/json.h"
 #include "runtime/worker.h"
 #include "serve/server.h"
+#include "serve/trace.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
 
@@ -90,19 +92,23 @@ serve::MicroBatcherConfig FastBatcher() {
   return bc;
 }
 
-std::shared_ptr<serve::ServedModel> MakeServed(
-    const std::string& name, int64_t version, uint64_t seed,
-    int64_t max_inflight = 0, int64_t synthetic_compute_us = 0,
-    int64_t horizon = 8) {
+serve::ManifestEntry MakeEntry(const std::string& name, int64_t version,
+                               int64_t horizon = 8) {
   serve::ManifestEntry entry;
   entry.name = name;
   entry.version = version;
   entry.checkpoint = "(in-memory)";
-  entry.lookback = 32;
-  entry.horizon = horizon;
-  entry.max_inflight = max_inflight;
+  entry.options.lookback = 32;
+  entry.options.horizon = horizon;
+  return entry;
+}
+
+std::shared_ptr<serve::ServedModel> MakeServed(
+    const std::string& name, int64_t version, uint64_t seed,
+    int64_t synthetic_compute_us = 0, int64_t horizon = 8) {
   return std::make_shared<serve::ServedModel>(
-      entry, MakeSession(seed, horizon, synthetic_compute_us), FastBatcher());
+      MakeEntry(name, version, horizon),
+      MakeSession(seed, horizon, synthetic_compute_us), FastBatcher());
 }
 
 // ---- manifest parsing ----------------------------------------------------
@@ -114,24 +120,28 @@ TEST(ManifestTest, ParsesEntriesDefaultsAndComments) {
       "horizon=12 model_dim=24 hidden_dim=40 max_batch=4 quantize=1 "
       "instance_norm=0\n"
       "\n"
-      "model name=beta version=1 checkpoint=b.msdckpt default=1 "
-      "max_inflight=7  # trailing comment\n");
+      "model name=beta version=1 checkpoint=b.msdckpt default=1"
+      "  # trailing comment\n");
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   ASSERT_EQ(m.value().entries.size(), 2u);
   const serve::ManifestEntry& a = m.value().entries[0];
   EXPECT_EQ(a.name, "alpha");
   EXPECT_EQ(a.version, 3);
   EXPECT_EQ(a.checkpoint, "a.msdckpt");
-  EXPECT_EQ(a.lookback, 48);
-  EXPECT_EQ(a.horizon, 12);
-  EXPECT_EQ(a.model_dim, 24);
-  EXPECT_EQ(a.hidden_dim, 40);
-  EXPECT_EQ(a.max_batch, 4);
-  EXPECT_TRUE(a.quantize);
-  EXPECT_FALSE(a.use_instance_norm);
+  EXPECT_EQ(a.options.lookback, 48);
+  EXPECT_EQ(a.options.horizon, 12);
+  EXPECT_EQ(a.options.model_dim, 24);
+  EXPECT_EQ(a.options.hidden_dim, 40);
+  EXPECT_EQ(a.options.max_batch, 4);
+  EXPECT_TRUE(a.options.quantize);
+  EXPECT_FALSE(a.options.use_instance_norm);
   EXPECT_FALSE(a.is_default);
+  // Keys left out keep the session's defaults.
   const serve::ManifestEntry& b = m.value().entries[1];
-  EXPECT_EQ(b.max_inflight, 7);
+  const serve::ForecastSessionOptions defaults;
+  EXPECT_EQ(b.options.lookback, defaults.lookback);
+  EXPECT_EQ(b.options.max_batch, defaults.max_batch);
+  EXPECT_EQ(b.options.quantize, defaults.quantize);
   EXPECT_TRUE(b.is_default);
   EXPECT_EQ(m.value().default_model, "beta");
 }
@@ -263,8 +273,7 @@ TEST(ModelRegistryTest, InFlightRequestFinishesOnOldSessionAcrossSwap) {
   // the request is mid-compute on v1's batcher.
   ASSERT_TRUE(
       registry
-          .Add(MakeServed("m", 1, 11, /*max_inflight=*/0,
-                          /*synthetic_compute_us=*/20000))
+          .Add(MakeServed("m", 1, 11, /*synthetic_compute_us=*/20000))
           .ok());
   auto v1 = registry.Get("m");
   ASSERT_TRUE(v1.ok());
@@ -303,29 +312,50 @@ TEST(ModelRegistryTest, InFlightRequestFinishesOnOldSessionAcrossSwap) {
   registry.ReapRetired();
 }
 
-TEST(ServedModelTest, QuotaRejectsBeyondMaxInflight) {
+// The batch queue is a model's only admission rule, and its refusals are
+// the model's own: serve/<name>/rejected_total moves with the global
+// serve/rejected_total, and a refused request leaves no in-flight count.
+TEST(ServedModelTest, FullQueueRejectionCountsPerModel) {
   const Tensor window = RandomWindow(600);
-  auto model = MakeServed("quota", 1, 33, /*max_inflight=*/1,
-                          /*synthetic_compute_us=*/20000);
-  const int64_t rejected_before = model->rejected_total();
+  serve::MicroBatcherConfig bc = FastBatcher();
+  bc.queue_capacity = 1;
+  bc.max_delay_us = 0;
+  serve::ServedModel model(MakeEntry("full", 1),
+                           MakeSession(33, 8, /*synthetic_compute_us=*/20000),
+                           bc);
+  const int64_t requests_before = model.requests_total();
+  const int64_t rejected_before = model.rejected_total();
+  const int64_t global_rejected_before = serve::Instruments().rejected.value();
+  const auto submit = [&model, &window](std::future<StatusOr<Tensor>>* out) {
+    auto promise = std::make_shared<std::promise<StatusOr<Tensor>>>();
+    *out = promise->get_future();
+    return model.SubmitAsync(Tensor(window), [promise](StatusOr<Tensor> r) {
+      promise->set_value(std::move(r));
+    });
+  };
 
-  std::promise<StatusOr<Tensor>> slot_promise;
-  std::future<StatusOr<Tensor>> slot = slot_promise.get_future();
-  ASSERT_TRUE(model
-                  ->SubmitAsync(Tensor(window),
-                                [&slot_promise](StatusOr<Tensor> r) {
-                                  slot_promise.set_value(std::move(r));
-                                })
-                  .ok());
-  // The single quota slot is taken until the callback runs.
-  auto over = model->Handle(window);
-  ASSERT_FALSE(over.ok());
-  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(model->rejected_total(), rejected_before + 1);
+  // The first request leaves the queue for its 20ms forward; only this
+  // model's batcher writes serve/queue_depth here.
+  std::future<StatusOr<Tensor>> first, second, third;
+  ASSERT_TRUE(submit(&first).ok());
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(5);
+  while (serve::Instruments().queue_depth.value() != 0.0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // The second fills the one slot behind it; the third finds it full.
+  ASSERT_TRUE(submit(&second).ok());
+  const Status over = submit(&third);
+  EXPECT_EQ(over.code(), StatusCode::kResourceExhausted) << over.ToString();
+  EXPECT_EQ(model.rejected_total(), rejected_before + 1);
+  EXPECT_EQ(serve::Instruments().rejected.value(), global_rejected_before + 1);
+  EXPECT_EQ(model.inflight(), 2);
 
-  ASSERT_TRUE(slot.get().ok());
-  // The slot is released on completion; admission works again.
-  EXPECT_TRUE(model->Handle(window).ok());
+  ASSERT_TRUE(first.get().ok());
+  ASSERT_TRUE(second.get().ok());
+  EXPECT_EQ(model.requests_total(), requests_before + 2);
+  EXPECT_EQ(model.inflight(), 0);
 }
 
 TEST(ModelRegistryTest, ConcurrentGetAndSwapHammer) {
@@ -462,6 +492,40 @@ TEST(ModelRegistryTest, ReloadBuildsNextVersionFromCheckpoint) {
   std::remove((ckpt_v2 + ".meta").c_str());
 }
 
+// No batch holds more rows than the batcher's cap, so a served session's
+// plan is compiled at the smaller of the entry's and the batcher's
+// max_batch: the default 32-row entry gets an 8-row plan behind an 8-row
+// batcher, and a 4-row entry keeps its 4 rows.
+TEST(ModelRegistryTest, PlanRowsFollowTheBatcherCap) {
+  ForecastPipelineConfig pc;
+  pc.lookback = 32;
+  pc.horizon = 8;
+  pc.trainer.epochs = 1;
+  pc.trainer.batch_size = 16;
+  pc.trainer.max_batches_per_epoch = 1;
+  pc.trainer.early_stop_patience = 0;
+  ForecastPipeline pipe(pc, /*seed=*/3);
+  pipe.Fit(ReloadSeries(44));
+  const std::string ckpt = TempPath("plan_rows.msdckpt");
+  ASSERT_TRUE(pipe.Save(ckpt).ok());
+
+  serve::ManifestEntry entry = MakeEntry("m", 1);
+  entry.checkpoint = ckpt;
+  ASSERT_EQ(entry.options.max_batch, 32);
+  ASSERT_EQ(FastBatcher().max_batch, 8);
+  auto capped = serve::CreateServedModel(entry, FastBatcher());
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped.value()->session()->max_batch(), 8);
+  EXPECT_EQ(capped.value()->entry().options.max_batch, 32);
+
+  entry.options.max_batch = 4;
+  auto smaller = serve::CreateServedModel(entry, FastBatcher());
+  ASSERT_TRUE(smaller.ok()) << smaller.status().ToString();
+  EXPECT_EQ(smaller.value()->session()->max_batch(), 4);
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".meta").c_str());
+}
+
 // Int8 is chosen per model by the manifest's quantize key: one checkpoint
 // served as an fp32 tenant and an int8 tenant yields exactly one quantized
 // session, each tenant answers with the bytes of a direct session built with
@@ -559,9 +623,9 @@ std::string ExpectedReply(serve::InferenceSession* session,
 TEST(ModelServiceTest, ModelPrefixRoutingListAndErrors) {
   serve::ModelRegistry registry(FastBatcher());
   ASSERT_TRUE(
-      registry.Add(MakeServed("alpha", 1, 11, 0, 0, /*horizon=*/8)).ok());
+      registry.Add(MakeServed("alpha", 1, 11, 0, /*horizon=*/8)).ok());
   ASSERT_TRUE(
-      registry.Add(MakeServed("beta", 2, 22, 0, 0, /*horizon=*/4)).ok());
+      registry.Add(MakeServed("beta", 2, 22, 0, /*horizon=*/4)).ok());
   registry.set_default_model("alpha");
   serve::ModelService service(&registry);
 

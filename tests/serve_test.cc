@@ -1,6 +1,6 @@
 // Serving subsystem tests: frozen-session identity with the training
 // pipeline, batch-composition invariance (fp32 and int8), micro-batcher
-// contracts (backpressure, timeout, cancellation, the serve/e2e_us
+// contracts (backpressure, cancellation, the serve/e2e_us
 // histogram against the clients' own clocks), the no-tape-growth
 // regression for inference paths, and the text protocol (parsing, STATS,
 // TRACE) through a one-model ModelService. See docs/SERVING.md.
@@ -98,13 +98,12 @@ using ResultFuture = std::future<StatusOr<Tensor>>;
 // MicroBatcher::SubmitAsync with a future its completion fulfils. *result is
 // set only when the request was admitted.
 Status Submit(serve::MicroBatcher& batcher, const Tensor& window,
-              ResultFuture* result, int64_t timeout_us = 0) {
+              ResultFuture* result) {
   auto promise = std::make_shared<std::promise<StatusOr<Tensor>>>();
   ResultFuture future = promise->get_future();
   Status admitted = batcher.SubmitAsync(
       Tensor(window),
-      [promise](StatusOr<Tensor> r) { promise->set_value(std::move(r)); },
-      timeout_us);
+      [promise](StatusOr<Tensor> r) { promise->set_value(std::move(r)); });
   if (admitted.ok()) *result = std::move(future);
   return admitted;
 }
@@ -119,8 +118,8 @@ std::unique_ptr<serve::ModelRegistry> OneModelRegistry() {
   entry.name = "default";
   entry.version = 1;
   entry.checkpoint = "(in-memory)";
-  entry.lookback = 32;
-  entry.horizon = 8;
+  entry.options.lookback = 32;
+  entry.options.horizon = 8;
   auto registry = std::make_unique<serve::ModelRegistry>(config);
   EXPECT_TRUE(registry
                   ->Add(std::make_shared<serve::ServedModel>(
@@ -261,7 +260,6 @@ TEST(MicroBatcherTest, BatchedResultsMatchDirectSession) {
     serve::MicroBatcherConfig config;
     config.max_batch = 4;
     config.max_delay_us = 500;
-    config.num_workers = 2;
     serve::MicroBatcher batcher(session.get(), config);
     batcher.Start();
 
@@ -309,27 +307,6 @@ TEST(MicroBatcherTest, FullQueueRejectsWithResourceExhaustedThenDrains) {
   ResultFuture after;
   ASSERT_TRUE(Submit(batcher, window, &after).ok());
   EXPECT_TRUE(after.get().ok());
-  batcher.Stop();
-}
-
-TEST(MicroBatcherTest, ExpiredRequestsResolveWithDeadlineExceeded) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  serve::MicroBatcher batcher(session.get(), config);
-  const Tensor window = RandomWindow(2);
-
-  // Deterministic expiry: enqueue with a 1ms deadline while no worker is
-  // running, let it lapse, then start the workers.
-  ResultFuture expired;
-  ASSERT_TRUE(Submit(batcher, window, &expired, /*timeout_us=*/1000).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  batcher.Start();
-  EXPECT_EQ(expired.get().status().code(), StatusCode::kDeadlineExceeded);
-
-  // A request with a generous deadline still succeeds.
-  ResultFuture live;
-  ASSERT_TRUE(Submit(batcher, window, &live, /*timeout_us=*/5000000).ok());
-  EXPECT_TRUE(live.get().ok());
   batcher.Stop();
 }
 
@@ -434,7 +411,6 @@ TEST(MicroBatcherTest, TimingDecompositionSeparatesQueueFromCompute) {
   serve::MicroBatcherConfig config;
   config.max_batch = 2;
   config.max_delay_us = 5000;
-  config.num_workers = 1;
   serve::MicroBatcher batcher(session.get(), config);
   batcher.Start();
   // Start from an empty ring so the snapshot below holds exactly our three
@@ -500,7 +476,6 @@ TEST(MicroBatcherTest, ServerLatencyQuantilesSitInsideClientRoundTrips) {
   serve::MicroBatcherConfig config;
   config.max_batch = 4;
   config.max_delay_us = 200;
-  config.num_workers = 2;
   serve::MicroBatcher batcher(session.get(), config);
   batcher.Start();
 
@@ -550,30 +525,6 @@ TEST(MicroBatcherTest, ServerLatencyQuantilesSitInsideClientRoundTrips) {
   }
 }
 
-TEST(MicroBatcherTest, DeadlineMissCounterTracksExpiredRequests) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  serve::MicroBatcher batcher(session.get(), config);
-  const Tensor window = RandomWindow(4);
-  const int64_t misses_before = serve::Instruments().deadline_miss.value();
-
-  // Same deterministic-expiry setup as ExpiredRequestsResolveWithDeadline-
-  // Exceeded: the lapsed request must bump serve/deadline_miss exactly once,
-  // and the successful one must not move it.
-  ResultFuture expired;
-  ASSERT_TRUE(Submit(batcher, window, &expired, /*timeout_us=*/1000).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  batcher.Start();
-  ASSERT_EQ(expired.get().status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(serve::Instruments().deadline_miss.value(), misses_before + 1);
-
-  ResultFuture live;
-  ASSERT_TRUE(Submit(batcher, window, &live, /*timeout_us=*/5000000).ok());
-  ASSERT_TRUE(live.get().ok());
-  batcher.Stop();
-  EXPECT_EQ(serve::Instruments().deadline_miss.value(), misses_before + 1);
-}
-
 TEST(TextProtocolTest, StatsCommandReportsCountersAndQuantiles) {
   auto registry = OneModelRegistry();
   serve::ModelService service(registry.get());
@@ -587,8 +538,11 @@ TEST(TextProtocolTest, StatsCommandReportsCountersAndQuantiles) {
   const obs::JsonValue* requests = doc.Find("requests_total");
   ASSERT_NE(requests, nullptr);
   EXPECT_GE(requests->number, 1.0);
-  ASSERT_NE(doc.Find("deadline_miss"), nullptr);
-  ASSERT_NE(doc.Find("inflight"), nullptr);
+  ASSERT_NE(doc.Find("rejected_total"), nullptr);
+  // The fleet's in-flight total: the request above has resolved.
+  const obs::JsonValue* inflight = doc.Find("inflight");
+  ASSERT_NE(inflight, nullptr);
+  EXPECT_EQ(inflight->number, 0.0);
   for (const char* name :
        {"queue_us", "batch_assembly_us", "compute_us", "e2e_us"}) {
     const obs::JsonValue* hist = doc.Find(name);

@@ -14,7 +14,9 @@
 // is named "default".
 //
 // By default requests are read from stdin and answered on stdout (shell
-// pipelines, smoke tests); lines are read whole, whatever their length. With
+// pipelines, smoke tests); lines are read whole, whatever their length. That
+// loop answers one line before it reads the next, so a request there never
+// finds a batch partner, and --max-delay-us defaults to 0 in stdin mode. With
 // --socket PATH the tool listens on an AF_UNIX stream socket through
 // serve::SocketServer — an epoll loop that multiplexes up to --max-conns
 // concurrent connections and resolves requests through the batchers' async
@@ -95,8 +97,7 @@ constexpr struct {
   int64_t min;
 } kIntFlags[] = {{"--lookback", 1},     {"--horizon", 1},
                  {"--model-dim", 1},    {"--hidden-dim", 1},
-                 {"--max-batch", 1},    {"--max-inflight", 0},
-                 {"--max-delay-us", 0}, {"--workers", 1},
+                 {"--max-batch", 1},    {"--max-delay-us", 0},
                  {"--max-conns", 1},    {"--backlog", 1},
                  {"--trace-sample", 0}, {"--telemetry-interval-ms", 1}};
 
@@ -124,12 +125,13 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <checkpoint> [--lookback N] [--horizon N]\n"
                "          [--model-dim N] [--hidden-dim N] [--max-batch N]\n"
-               "          [--max-inflight N] [--max-delay-us N] [--workers N]\n"
-               "          [--socket PATH] [--max-conns N] [--backlog N]\n"
-               "          [--telemetry-out FILE] [--telemetry-interval-ms N]\n"
-               "          [--trace-sample N]\n"
+               "          [--max-delay-us N] [--socket PATH] [--max-conns N]\n"
+               "          [--backlog N] [--telemetry-out FILE]\n"
+               "          [--telemetry-interval-ms N] [--trace-sample N]\n"
                "       %s --manifest FILE [serving flags as above]\n"
-               "       %s --selftest [--telemetry-out FILE]\n",
+               "       %s --selftest [--telemetry-out FILE]\n"
+               "--max-delay-us defaults to 2000 with --socket and to 0 on "
+               "stdin,\nwhere a request never has a batch partner.\n",
                argv0, argv0, argv0);
 }
 
@@ -262,7 +264,7 @@ int Serve(const serve::Manifest& manifest, const ServeOptions& options,
                  "horizon %lld%s\n",
                  e.name.c_str(), (long long)e.version, e.checkpoint.c_str(),
                  (long long)model->session()->model_config().channels,
-                 (long long)e.lookback, (long long)e.horizon,
+                 (long long)e.options.lookback, (long long)e.options.horizon,
                  e.name == registry.default_model() ? " (default)" : "");
   }
   serve::ModelService service(&registry);
@@ -371,7 +373,7 @@ int SelfTest(const std::string& telemetry_out) {
       "\n" + line + "\n");
   std::ostringstream out;
   ServeOptions options;
-  options.batcher.max_delay_us = 500;
+  options.batcher.max_delay_us = 0;  // main's stdin-mode default
   options.telemetry.path = telemetry_out;
   options.telemetry.interval_ms = 50;
   int failures = Serve(manifest, options, in, out) == 0 ? 0 : 1;
@@ -433,20 +435,22 @@ int main(int argc, char** argv) {
     entry.name = "default";
     entry.version = 1;
     entry.checkpoint = argv[1];
-    entry.lookback = int_flag("--lookback", entry.lookback);
-    entry.horizon = int_flag("--horizon", entry.horizon);
-    entry.model_dim = int_flag("--model-dim", entry.model_dim);
-    entry.hidden_dim = int_flag("--hidden-dim", entry.hidden_dim);
-    entry.max_batch = int_flag("--max-batch", entry.max_batch);
-    entry.max_inflight = int_flag("--max-inflight", entry.max_inflight);
+    serve::ForecastSessionOptions& o = entry.options;
+    o.lookback = int_flag("--lookback", o.lookback);
+    o.horizon = int_flag("--horizon", o.horizon);
+    o.model_dim = int_flag("--model-dim", o.model_dim);
+    o.hidden_dim = int_flag("--hidden-dim", o.hidden_dim);
+    o.max_batch = int_flag("--max-batch", o.max_batch);
     manifest.default_model = entry.name;
     manifest.entries.push_back(std::move(entry));
   }
 
-  options.batcher.max_batch = int_flag("--max-batch", 8);
-  options.batcher.max_delay_us = int_flag("--max-delay-us", 2000);
-  options.batcher.num_workers = int_flag("--workers", 1);
   options.socket.path = FlagValue(argc, argv, "--socket");
+  options.batcher.max_batch = int_flag("--max-batch", 8);
+  // The stdin loop never has a second request in flight, so waiting for a
+  // batch partner there only delays the reply.
+  options.batcher.max_delay_us =
+      int_flag("--max-delay-us", options.socket.path.empty() ? 0 : 2000);
   options.socket.max_conns =
       int_flag("--max-conns", options.socket.max_conns);
   options.socket.backlog = int_flag("--backlog", options.socket.backlog);
