@@ -283,6 +283,42 @@ void BM_GemmThinFc2Threads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThinFc2Threads)->Arg(1)->Arg(2)->Arg(4);
 
+// One Linear's backward (input, weight and bias gradients) at patch size 96
+// (B = 32, C = 7, L = 96, hidden 32): the channel MLP's fc1, a [32, 96, 1, 7],
+// and the inter-patch MLP's fc1, a [32, 7, 96, 1]. Each iteration runs both
+// nodes' backward closures once against a fixed upstream gradient dz.
+void BM_LinearWeightGradThreads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  struct LinearGrad {
+    Variable a, w, bias, z;
+  };
+  std::vector<LinearGrad> layers;
+  int64_t macs = 0;
+  for (const Shape& shape : {Shape{32, 96, 1, 7}, Shape{32, 7, 96, 1}}) {
+    LinearGrad l;
+    l.a = Variable(Tensor::RandNormal(shape, 0, 1, rng), true);
+    l.w = Variable(Tensor::RandNormal({shape.back(), 32}, 0, 1, rng), true);
+    l.bias = Variable(Tensor::RandNormal({32}, 0, 1, rng), true);
+    l.z = MatMulEx(l.a, l.w, l.bias, gemm::Activation::kIdentity);
+    l.z.node()->grad = Tensor::RandNormal(l.z.shape(), 0, 1, rng);
+    macs += l.a.numel() * 32;
+    layers.push_back(std::move(l));
+  }
+  for (auto _ : state) {
+    for (LinearGrad& l : layers) {
+      l.a.ZeroGrad();
+      l.w.ZeroGrad();
+      l.bias.ZeroGrad();
+      l.z.node()->backward_fn(*l.z.node());
+      benchmark::DoNotOptimize(l.w.grad().data());
+    }
+  }
+  // The weight and input gradients are one product each.
+  state.SetItemsProcessed(state.iterations() * 2 * macs);
+}
+BENCHMARK(BM_LinearWeightGradThreads)->Arg(1)->Arg(4);
+
 // Channel-parallel real-input FFT (period detection path): per-channel rfft
 // fans out across the pool, merge order is fixed, so outputs stay
 // bit-identical while wall-clock scales.

@@ -181,6 +181,23 @@ Variable Tanh(const Variable& a) {
   });
 }
 
+namespace {
+
+// dB = A^T G for A @ B with upstream gradient `g`. A rank-2 weight shared by
+// a batched input (every Linear on a rank >= 3 tensor) takes the one-pass
+// kernel, which gives the bits of the per-batch product below once
+// AccumulateGrad has reduced its batches.
+void AccumulateRhsGrad(const AutogradNode& na, AutogradNode& nb,
+                       const Tensor& g) {
+  if (nb.value.rank() == 2 && na.value.rank() >= 3) {
+    if (nb.requires_grad) AccumulateGrad(nb, LinearWeightGrad(na.value, g));
+    return;
+  }
+  AccumulateGrad(nb, MatMul(Transpose(na.value, -1, -2), g));
+}
+
+}  // namespace
+
 Variable MatMul(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
@@ -188,7 +205,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
       MatMul(a.value(), b.value()), {na, nb}, [na, nb](AutogradNode& self) {
         // dA = G B^T ; dB = A^T G (AccumulateGrad reduces broadcast batches).
         AccumulateGrad(*na, MatMul(self.grad, Transpose(nb->value, -1, -2)));
-        AccumulateGrad(*nb, MatMul(Transpose(na->value, -1, -2), self.grad));
+        AccumulateRhsGrad(*na, *nb, self.grad);
       });
 }
 
@@ -236,7 +253,7 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
             break;
         }
         AccumulateGrad(*na, MatMul(dz, Transpose(nb->value, -1, -2)));
-        AccumulateGrad(*nb, MatMul(Transpose(na->value, -1, -2), dz));
+        AccumulateRhsGrad(*na, *nb, dz);
         // AccumulateGrad reduces dz over every leading dim down to [n].
         if (nbias != nullptr) AccumulateGrad(*nbias, dz);
       });

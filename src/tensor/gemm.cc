@@ -347,6 +347,132 @@ float* APackScratch(int64_t floats) {
   return scratch.data;
 }
 
+// SharedWeightGrad's output tile: kWgRows lines of the broadcast operand by
+// kWgLanes lanes (four 8-float vectors) of the vector operand, so a 32-wide
+// operand row is one contiguous read per step and even a one-line tile has
+// four independent chains. The tile's per-batch partial and its running sum
+// take 16 vector registers.
+constexpr int64_t kWgRows = 2;
+constexpr int64_t kWgLanes = 32;
+
+// Operands of one weight-gradient tile. The tile computes
+// T[i][l] = sum_r sum_y u_r[y][i] * v_r[y][l] for i < mu, l < lanes, where
+// u_r[y] = u + (r*rows + y)*ldu and likewise for v: `u` is broadcast one
+// element at a time and `v` is loaded as vectors.
+struct WgTile {
+  const float* u;
+  const float* v;
+  int64_t ldu;
+  int64_t ldv;
+  int64_t batches;
+  int64_t rows;
+  int64_t mu;
+  int64_t lanes;
+};
+
+#if defined(__AVX2__) && defined(__FMA__)
+
+// The tile with kRows broadcast lines and kVecs vectors: each batch's
+// partial starts at +0 and takes one fused multiply-add per row y (the
+// instruction Tile8x8 and NarrowTile use), then joins the running sum,
+// which also starts at +0, with one add. Lanes of the last vector past
+// `lanes` load as zero and are never stored.
+template <int64_t kRows, int64_t kVecs>
+void WeightGradTileOf(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+  const int64_t tail = t.lanes - 8 * (kVecs - 1);
+  const __m256i mask = LaneMask(tail);
+  __m256 sum[kRows][kVecs];
+  for (auto& row : sum) {
+    for (__m256& s : row) s = _mm256_setzero_ps();
+  }
+  for (int64_t r = 0; r < t.batches; ++r) {
+    const float* ur = t.u + r * t.rows * t.ldu;
+    const float* vr = t.v + r * t.rows * t.ldv;
+    __m256 part[kRows][kVecs];
+    for (auto& row : part) {
+      for (__m256& p : row) p = _mm256_setzero_ps();
+    }
+    for (int64_t y = 0; y < t.rows; ++y) {
+      const float* vy = vr + y * t.ldv;
+      __m256 vv[kVecs];
+      for (int64_t q = 0; q + 1 < kVecs; ++q) {
+        vv[q] = _mm256_loadu_ps(vy + 8 * q);
+      }
+      const float* last = vy + 8 * (kVecs - 1);
+      vv[kVecs - 1] =
+          tail == 8 ? _mm256_loadu_ps(last) : _mm256_maskload_ps(last, mask);
+      const float* uy = ur + y * t.ldu;
+      for (int64_t i = 0; i < kRows; ++i) {
+        const __m256 b = _mm256_broadcast_ss(uy + i);
+        for (int64_t q = 0; q < kVecs; ++q) {
+          part[i][q] = _mm256_fmadd_ps(b, vv[q], part[i][q]);
+        }
+      }
+    }
+    for (int64_t i = 0; i < kRows; ++i) {
+      for (int64_t q = 0; q < kVecs; ++q) {
+        sum[i][q] = _mm256_add_ps(sum[i][q], part[i][q]);
+      }
+    }
+  }
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t q = 0; q < kVecs; ++q) {
+      _mm256_storeu_ps(&tile[i][8 * q], sum[i][q]);
+    }
+  }
+}
+
+template <int64_t kRows>
+void WeightGradTileRows(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+  switch (CeilDiv(t.lanes, 8)) {
+    case 1: return WeightGradTileOf<kRows, 1>(t, tile);
+    case 2: return WeightGradTileOf<kRows, 2>(t, tile);
+    case 3: return WeightGradTileOf<kRows, 3>(t, tile);
+    default: return WeightGradTileOf<kRows, 4>(t, tile);
+  }
+}
+
+void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+  if (t.mu == 1) {
+    WeightGradTileRows<1>(t, tile);
+  } else {
+    WeightGradTileRows<kWgRows>(t, tile);
+  }
+}
+
+#else  // GCC vector extensions
+
+// The same tile in MicroKernel's `acc += a * b` form, so a build without
+// FMA rounds the weight gradient exactly as its own GEMM does. Lanes past
+// `lanes` read a zero-padded copy of the row.
+void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+  constexpr int64_t kVecs = kWgLanes / kNr;
+  V8 sum[kWgRows][kVecs] = {};
+  for (int64_t r = 0; r < t.batches; ++r) {
+    const float* ur = t.u + r * t.rows * t.ldu;
+    const float* vr = t.v + r * t.rows * t.ldv;
+    V8 part[kWgRows][kVecs] = {};
+    for (int64_t y = 0; y < t.rows; ++y) {
+      float vy[kWgLanes] = {};
+      std::copy(vr + y * t.ldv, vr + y * t.ldv + t.lanes, vy);
+      const float* uy = ur + y * t.ldu;
+      for (int64_t i = 0; i < t.mu; ++i) {
+        for (int64_t q = 0; q < kVecs; ++q) {
+          part[i][q] += uy[i] * *AsV8(vy + 8 * q);
+        }
+      }
+    }
+    for (int64_t i = 0; i < t.mu; ++i) {
+      for (int64_t q = 0; q < kVecs; ++q) sum[i][q] += part[i][q];
+    }
+  }
+  for (int64_t i = 0; i < kWgRows; ++i) {
+    for (int64_t q = 0; q < kVecs; ++q) *AsV8(&tile[i][8 * q]) = sum[i][q];
+  }
+}
+
+#endif
+
 }  // namespace
 
 // Bias add + activation over `rows` finished C rows, applied while the tile
@@ -460,6 +586,49 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   std::shared_ptr<float[]> packed = pool::AllocateShared(PackedBPanelFloats(k, n));
   PackB(b, k, n, packed.get());
   GemmPrepacked(a, packed.get(), c, m, k, n, bias, act, pre);
+}
+
+void SharedWeightGrad(const float* a, const float* g, float* dw,
+                      int64_t batches, int64_t rows, int64_t k, int64_t n) {
+  if (k == 0 || n == 0) return;
+  // Vectors run along whichever of dw's axes needs fewer of them (n on a
+  // tie). Along n they are dw's rows; along k the tile holds dw^T, and
+  // fma(a, g, acc) == fma(g, a, acc) keeps the bits.
+  const bool along_n = k * CeilDiv(n, 8) <= n * CeilDiv(k, 8);
+  const float* u = along_n ? a : g;
+  const float* v = along_n ? g : a;
+  const int64_t ldu = along_n ? k : n;
+  const int64_t ldv = along_n ? n : k;
+  const int64_t v_tiles = CeilDiv(ldv, kWgLanes);
+  const int64_t tiles = CeilDiv(ldu, kWgRows) * v_tiles;
+  const int64_t tile_macs =
+      std::max<int64_t>(1, batches * rows) * kWgRows * kWgLanes;
+  const int64_t grain = std::max<int64_t>(1, kGemmChunkMacs / tile_macs);
+  runtime::ParallelFor(0, tiles, grain, [&](int64_t tb, int64_t te) {
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t u0 = t / v_tiles * kWgRows;
+      const int64_t v0 = t % v_tiles * kWgLanes;
+      const WgTile tile_args{u + u0,
+                             v + v0,
+                             ldu,
+                             ldv,
+                             batches,
+                             rows,
+                             std::min(kWgRows, ldu - u0),
+                             std::min(kWgLanes, ldv - v0)};
+      float tile[kWgRows][kWgLanes];
+      WeightGradTile(tile_args, tile);
+      for (int64_t i = 0; i < tile_args.mu; ++i) {
+        for (int64_t l = 0; l < tile_args.lanes; ++l) {
+          if (along_n) {
+            dw[(u0 + i) * n + v0 + l] = tile[i][l];
+          } else {
+            dw[(v0 + l) * n + u0 + i] = tile[i][l];
+          }
+        }
+      }
+    }
+  });
 }
 
 }  // namespace gemm

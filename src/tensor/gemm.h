@@ -17,6 +17,13 @@
 // written by exactly one chunk; every C element accumulates in ascending-k
 // order regardless of blocking boundaries or thread count. Results are
 // bit-identical for any MSD_THREADS value.
+//
+// SharedWeightGrad is the training-side companion: the gradient of a weight
+// that one Linear applies to every leading index of a batched input. It
+// reads the activations and the upstream gradient in place, keeps a 2 x 32
+// output tile's per-batch partial and running sum in registers while it
+// streams every batch, and parallelizes over output tiles only, so each
+// element's arithmetic is the same for every thread count.
 #ifndef MSDMIXER_TENSOR_GEMM_H_
 #define MSDMIXER_TENSOR_GEMM_H_
 
@@ -57,6 +64,19 @@ void PackB(const float* b, int64_t k, int64_t n, float* packed);
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
                    float* pre);
+
+// dw[k,n] = sum over r in [0, batches) of A_r^T @ G_r, where A_r is the
+// row-major [rows, k] matrix at a + r*rows*k and G_r the [rows, n] matrix at
+// g + r*rows*n: a Linear's input and upstream gradient in their natural
+// layouts. The bits are those of `batches` separate Gemm calls followed by
+// a prefix Sum over the batch axis:
+//  * element (i, j) of batch r is one FMA chain over ascending row index,
+//    starting from +0 (Gemm's contract, with A_r^T as the left operand);
+//  * the batch partials are added in ascending r, starting from +0.
+// `dw` may be uninitialized; every element is written. Parallel over output
+// tiles; runs inline when the whole product is below one GEMM chunk.
+void SharedWeightGrad(const float* a, const float* g, float* dw,
+                      int64_t batches, int64_t rows, int64_t k, int64_t n);
 
 }  // namespace gemm
 }  // namespace msd

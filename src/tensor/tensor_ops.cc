@@ -516,6 +516,33 @@ void MatMulExInto(const Tensor& a, const Tensor& b, const Tensor& bias,
   MatMulExImpl(a, b, bias, act, out, nullptr);
 }
 
+Tensor LinearWeightGrad(const Tensor& a, const Tensor& g) {
+  MSD_SPAN("tensor/matmul");
+  MSD_DEBUG_VALIDATE_TENSOR(a, "LinearWeightGrad");
+  MSD_DEBUG_VALIDATE_TENSOR(g, "LinearWeightGrad");
+  MSD_CHECK_GE(a.rank(), 2);
+  MSD_CHECK(a.shape().size() == g.shape().size() &&
+            std::equal(a.shape().begin(), a.shape().end() - 1,
+                       g.shape().begin()))
+      << "LinearWeightGrad operands disagree: " << ShapeToString(a.shape())
+      << " vs " << ShapeToString(g.shape());
+  if (optrace::Active()) optrace::RecordUnsupported("LinearWeightGrad");
+  const int64_t rows = a.dim(-2);
+  const int64_t k = a.dim(-1);
+  const int64_t n = g.dim(-1);
+  int64_t batches = 1;
+  for (int64_t d = 0; d + 2 < a.rank(); ++d) batches *= a.dim(d);
+  static obs::Counter& matmul_calls =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
+  static obs::Counter& matmul_flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  matmul_calls.Add(1);
+  matmul_flops.Add(2 * batches * k * rows * n);
+  Tensor dw = Tensor::Uninitialized({k, n});
+  gemm::SharedWeightGrad(a.data(), g.data(), dw.data(), batches, rows, k, n);
+  return dw;
+}
+
 Tensor PackGemmB(const Tensor& b) {
   MSD_CHECK(b.defined());
   MSD_CHECK_EQ(b.rank(), 2) << "PackGemmB packs shared [k, n] operands";
@@ -621,9 +648,13 @@ void SumInto(const Tensor& a, const std::vector<int64_t>& dims, Tensor& out) {
     const int64_t kept = a.numel() / std::max<int64_t>(1, reduced);
     if (is_prefix) {
       // Sum `reduced` stacked blocks of length `kept`; r ascends innermost
-      // per output element, matching the serial block order.
+      // per output element, matching the serial block order. Every chunk
+      // walks all the blocks, so it takes at least kPrefixMinKept outputs:
+      // a one-column chunk would re-read each block's cache line alone.
+      constexpr int64_t kPrefixMinKept = 64;
       std::fill(po, po + kept, 0.0f);
-      runtime::ParallelFor(0, kept, GrainForWork(reduced),
+      runtime::ParallelFor(0, kept,
+                           std::max(kPrefixMinKept, GrainForWork(reduced)),
                            [&](int64_t cb, int64_t ce) {
         for (int64_t r = 0; r < reduced; ++r) {
           const float* block = pa + r * kept;

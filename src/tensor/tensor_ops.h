@@ -76,6 +76,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulEx(const Tensor& a, const Tensor& b, const Tensor& bias,
                 gemm::Activation act, Tensor* pre_out = nullptr);
 
+// Gradient of a [k, n] weight that a Linear applies to every leading index
+// of `a` [..., y, k], given the upstream gradient `g` [..., y, n] of the same
+// leading shape: the [k, n] sum over leading indices of a^T @ g, bit-identical
+// to ReduceTo(MatMul(Transpose(a, -1, -2), g), {k, n}) (gemm::SharedWeightGrad)
+// and counted as that one MatMul.
+Tensor LinearWeightGrad(const Tensor& a, const Tensor& g);
+
 // ---- Reductions ------------------------------------------------------------
 // Scalar (rank-0) total.
 Tensor SumAll(const Tensor& a);

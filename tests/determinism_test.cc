@@ -151,29 +151,34 @@ TEST(DeterminismTest, BatchedAndFusedMatMulBitIdentical) {
 
 TEST(DeterminismTest, FusedEpilogueGradientsBitIdentical) {
   Rng rng(31);
-  Tensor at = Tensor::RandNormal({4, 12, 20}, 0, 1, rng);
+  // A rank-3 input, and a rank-4 one with one row per batch (y = 1), the
+  // shape of MSD-Mixer's channel MLP at patch size 96.
+  const Tensor inputs[] = {Tensor::RandNormal({4, 12, 20}, 0, 1, rng),
+                           Tensor::RandNormal({4, 96, 1, 20}, 0, 1, rng)};
   Tensor wt = Tensor::RandNormal({20, 8}, 0, 1, rng);
   Tensor biast = Tensor::RandNormal({8}, 0, 1, rng);
   const gemm::Activation acts[] = {
       gemm::Activation::kIdentity, gemm::Activation::kRelu,
       gemm::Activation::kGelu, gemm::Activation::kTanh,
       gemm::Activation::kSigmoid};
-  for (gemm::Activation act : acts) {
-    std::vector<Tensor> da, dw, dbias;
-    for (int64_t threads : kThreadCounts) {
-      runtime::ScopedThreads scoped(threads);
-      Variable a(at, /*requires_grad=*/true);
-      Variable w(wt, /*requires_grad=*/true);
-      Variable bias(biast, /*requires_grad=*/true);
-      MeanAll(Square(MatMulEx(a, w, bias, act))).Backward();
-      da.push_back(a.grad().Clone());
-      dw.push_back(w.grad().Clone());
-      dbias.push_back(bias.grad().Clone());
-    }
-    for (size_t k = 1; k < da.size(); ++k) {
-      ExpectBitIdentical(da[0], da[k], "MatMulEx grad a");
-      ExpectBitIdentical(dw[0], dw[k], "MatMulEx grad b");
-      ExpectBitIdentical(dbias[0], dbias[k], "MatMulEx grad bias");
+  for (const Tensor& at : inputs) {
+    for (gemm::Activation act : acts) {
+      std::vector<Tensor> da, dw, dbias;
+      for (int64_t threads : kThreadCounts) {
+        runtime::ScopedThreads scoped(threads);
+        Variable a(at, /*requires_grad=*/true);
+        Variable w(wt, /*requires_grad=*/true);
+        Variable bias(biast, /*requires_grad=*/true);
+        MeanAll(Square(MatMulEx(a, w, bias, act))).Backward();
+        da.push_back(a.grad().Clone());
+        dw.push_back(w.grad().Clone());
+        dbias.push_back(bias.grad().Clone());
+      }
+      for (size_t k = 1; k < da.size(); ++k) {
+        ExpectBitIdentical(da[0], da[k], "MatMulEx grad a");
+        ExpectBitIdentical(dw[0], dw[k], "MatMulEx grad b");
+        ExpectBitIdentical(dbias[0], dbias[k], "MatMulEx grad bias");
+      }
     }
   }
 }

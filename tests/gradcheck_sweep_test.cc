@@ -290,6 +290,35 @@ void AddOpCases(std::vector<SweepCase>* cases) {
         },
         Uniform({2, 2, 3}, -1.0f, 1.0f, 2073), 2074);
   });
+  // A rank-2 weight under a rank-4 input takes the one-pass weight gradient
+  // (LinearWeightGrad), with one row per batch (y = 1) and with three.
+  add("MatMulEx_rank4_y1_gelu_rhs", [] {
+    const Variable a(Uniform({2, 3, 1, 3}, -1.0f, 1.0f, 2081));
+    const Variable bias(Uniform({4}, -1.0f, 1.0f, 2082));
+    return CheckScalarized(
+        [&](const Variable& x) {
+          return MatMulEx(a, x, bias, gemm::Activation::kGelu);
+        },
+        Uniform({3, 4}, -1.0f, 1.0f, 2083), 2084);
+  });
+  add("MatMulEx_rank4_y3_identity_rhs", [] {
+    const Variable a(Uniform({2, 2, 3, 3}, -1.0f, 1.0f, 2091));
+    const Variable bias(Uniform({4}, -1.0f, 1.0f, 2092));
+    return CheckScalarized(
+        [&](const Variable& x) {
+          return MatMulEx(a, x, bias, gemm::Activation::kIdentity);
+        },
+        Uniform({3, 4}, -1.0f, 1.0f, 2093), 2094);
+  });
+  add("MatMulEx_rank4_y3_gelu_lhs", [] {
+    const Variable b(Uniform({3, 4}, -1.0f, 1.0f, 2101));
+    const Variable bias(Uniform({4}, -1.0f, 1.0f, 2102));
+    return CheckScalarized(
+        [&](const Variable& x) {
+          return MatMulEx(x, b, bias, gemm::Activation::kGelu);
+        },
+        Uniform({2, 2, 3, 3}, -1.0f, 1.0f, 2103), 2104);
+  });
   add("Conv2d_input", [] {
     const Variable k(Uniform({3, 2, 3, 3}, -0.5f, 0.5f, 281));
     return CheckScalarized(

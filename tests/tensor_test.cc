@@ -11,6 +11,7 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -635,6 +636,131 @@ TEST(TensorOpsTest, ReduceToDropsLeadingDims) {
   Tensor t = Tensor::Ones({4, 2, 3});
   Tensor r = ReduceTo(t, {2, 3});
   EXPECT_TRUE(AllClose(r, Tensor::Full({2, 3}, 4.0f)));
+}
+
+bool BitIdentical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// A prefix Sum (a bias gradient's reduction) adds its blocks in ascending
+// order from +0 for every output, whatever the chunking and thread count.
+TEST(TensorOpsTest, PrefixSumMatchesAscendingBlockLoop) {
+  constexpr int64_t kReduced = 21504;  // 32 windows x 96 x 7 channels
+  Rng rng(41);
+  for (int64_t kept : {1, 7, 16, 32, 33}) {
+    Tensor a = Tensor::RandNormal({kReduced, kept}, 0, 1, rng);
+    Tensor expected = Tensor::Uninitialized({kept});
+    for (int64_t i = 0; i < kept; ++i) {
+      float acc = 0.0f;
+      for (int64_t r = 0; r < kReduced; ++r) acc += a.data()[r * kept + i];
+      expected.data()[i] = acc;
+    }
+    for (int64_t threads : {1, 2, 8}) {
+      runtime::ScopedThreads scoped(threads);
+      EXPECT_TRUE(BitIdentical(Sum(a, {0}, false), expected))
+          << "kept " << kept << ", threads " << threads;
+      EXPECT_TRUE(BitIdentical(
+          Sum(a.Reshape({32, kReduced / 32, kept}), {0, 1}, false), expected))
+          << "kept " << kept << ", threads " << threads << ", two axes";
+    }
+  }
+}
+
+// Uniform values in [-1, 1) with about one entry in eight replaced by +0, -0
+// or a value near 1e-30, whose products underflow to a signed zero: some
+// batch partials round to -0, and adding them to the +0 start must give +0
+// as the prefix Sum does.
+Tensor WithSignedZeros(Shape shape, Rng& rng) {
+  Tensor t = Tensor::RandUniform(std::move(shape), -1.0f, 1.0f, rng);
+  float* p = t.data();
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    switch (rng.UniformInt(24)) {
+      case 0: p[i] = 0.0f; break;
+      case 1: p[i] = -0.0f; break;
+      case 2: p[i] *= 1e-30f; break;
+      default: break;
+    }
+  }
+  return t;
+}
+
+struct WeightGradCase {
+  Shape lead;  // leading dims of a and g: rank 3 or rank 4 inputs
+  int64_t y, k, n;
+};
+
+std::vector<WeightGradCase> WeightGradCases() {
+  const int64_t widths[] = {1, 2, 7, 8, 9, 16, 17, 32, 96};
+  std::vector<WeightGradCase> cases;
+  // Every (k, n) pair at 1 and 3 batches; y = 257 crosses the GEMM's kKc.
+  for (int64_t y : {1, 2, 7, 96, 257}) {
+    for (int64_t k : widths) {
+      for (int64_t n : widths) {
+        for (Shape lead : {Shape{1}, Shape{3}, Shape{1, 1}, Shape{3, 1}}) {
+          cases.push_back({lead, y, k, n});
+        }
+      }
+    }
+  }
+  // 224 batches (32 windows x 7 channels): every width on each side at
+  // short y, and MSD-Mixer's channel (k = 7) and one-patch (k = 1) fc1 and
+  // fc2 up to y = 96.
+  for (int64_t y : {1, 2, 7}) {
+    for (size_t i = 0; i < std::size(widths); ++i) {
+      const int64_t k = widths[i];
+      const int64_t n = widths[std::size(widths) - 1 - i];
+      cases.push_back({{224}, y, k, n});
+      cases.push_back({{32, 7}, y, n, k});
+    }
+  }
+  const std::pair<int64_t, int64_t> mixer_shapes[] = {
+      {7, 32}, {32, 7}, {1, 32}, {32, 1}};
+  for (int64_t y : {1, 96}) {
+    for (const auto& [k, n] : mixer_shapes) cases.push_back({{32, 7}, y, k, n});
+  }
+  return cases;
+}
+
+TEST(LinearWeightGradTest, MatchesPerBatchMatMulThenReduceBitForBit) {
+  const std::vector<WeightGradCase> cases = WeightGradCases();
+  for (int64_t threads : {1, 2, 8}) {
+    runtime::ScopedThreads scoped(threads);
+    Rng rng(43);
+    int64_t mismatches = 0;
+    for (const WeightGradCase& c : cases) {
+      Shape a_shape = c.lead;
+      Shape g_shape = c.lead;
+      a_shape.insert(a_shape.end(), {c.y, c.k});
+      g_shape.insert(g_shape.end(), {c.y, c.n});
+      const Tensor a = WithSignedZeros(a_shape, rng);
+      const Tensor g = WithSignedZeros(g_shape, rng);
+      const Tensor expected =
+          ReduceTo(MatMul(Transpose(a, -1, -2), g), {c.k, c.n});
+      if (BitIdentical(LinearWeightGrad(a, g), expected)) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "a " << ShapeToString(a_shape) << ", g "
+                      << ShapeToString(g_shape) << ", threads " << threads;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << cases.size() << " cases at "
+                             << threads << " threads";
+  }
+}
+
+TEST(LinearWeightGradTest, SignedZeroPartialsAddToPositiveZero) {
+  // Each batch's only product underflows to -0, so every partial is -0; the
+  // +0 start of the batch sum makes the gradient +0, exactly as the prefix
+  // Sum over per-batch products does.
+  Tensor a = Tensor::Full({3, 1, 2}, -1e-30f);
+  Tensor g = Tensor::Full({3, 1, 2}, 1e-30f);
+  Tensor dw = LinearWeightGrad(a, g);
+  EXPECT_TRUE(BitIdentical(
+      dw, ReduceTo(MatMul(Transpose(a, -1, -2), g), {2, 2})));
+  for (int64_t i = 0; i < dw.numel(); ++i) {
+    EXPECT_FALSE(std::signbit(dw.data()[i])) << "element " << i;
+  }
 }
 
 TEST(TensorOpsTest, HasNonFiniteDetectsNaN) {
