@@ -319,6 +319,44 @@ void BM_LinearWeightGradThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearWeightGradThreads)->Arg(1)->Arg(4);
 
+// A fused Linear+GELU's forward and backward at the p = 96 thin fc1 (the
+// inter-patch MLP's [32, 7, 96, 1] input against a [1, 32] weight), against
+// a fixed upstream gradient. Under training the forward epilogue also writes
+// GELU', and the backward multiplies the upstream gradient by it.
+void BM_LinearGeluThreads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  Variable a(Tensor::RandNormal({32, 7, 96, 1}, 0, 1, rng), true);
+  Variable w(Tensor::RandNormal({1, 32}, 0, 1, rng), true);
+  Variable bias(Tensor::RandNormal({32}, 0, 1, rng), true);
+  const Tensor dy = Tensor::RandNormal({32, 7, 96, 32}, 0, 1, rng);
+  for (auto _ : state) {
+    a.ZeroGrad();
+    w.ZeroGrad();
+    bias.ZeroGrad();
+    Variable y = MatMulEx(a, w, bias, gemm::Activation::kGelu);
+    y.node()->grad = dy;
+    y.node()->backward_fn(*y.node());
+    benchmark::DoNotOptimize(a.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * dy.numel());
+}
+BENCHMARK(BM_LinearGeluThreads)->Arg(1)->Arg(4);
+
+// DropPath's per-sample mask product, [32, 7, 96, 1] times [32, 1, 1, 1]:
+// each mask element scales one contiguous run of 672 floats.
+void BM_MaskMulThreads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  Tensor x = Tensor::RandNormal({32, 7, 96, 1}, 0, 1, rng);
+  Tensor mask = Tensor::RandNormal({32, 1, 1, 1}, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Mul(x, mask));
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_MaskMulThreads)->Arg(1)->Arg(4);
+
 // Channel-parallel real-input FFT (period detection path): per-channel rfft
 // fans out across the pool, merge order is fixed, so outputs stay
 // bit-identical while wall-clock scales.

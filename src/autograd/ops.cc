@@ -12,8 +12,19 @@ namespace {
 
 using NodePtr = std::shared_ptr<AutogradNode>;
 
+// Whether an op over `parents` joins the tape: recording is enabled and some
+// parent participates in gradients.
+bool WillRecord(const std::vector<NodePtr>& parents) {
+  if (!NoGradGuard::GradEnabled()) return false;
+  for (const NodePtr& p : parents) {
+    if (p->requires_grad) return true;
+  }
+  return false;
+}
+
 // Creates the result node; records parents + backward closure only when
-// recording is enabled and some parent participates in gradients.
+// WillRecord(parents). A closure computes no gradient for a parent that does
+// not require one: AccumulateGrad would discard it.
 Variable MakeOp(Tensor value, std::vector<NodePtr> parents,
                 std::function<void(AutogradNode&)> backward) {
   static obs::Counter& nodes_created =
@@ -31,9 +42,7 @@ Variable MakeOp(Tensor value, std::vector<NodePtr> parents,
 #endif
   auto node = std::make_shared<AutogradNode>();
   node->value = std::move(value);
-  bool any_requires = false;
-  for (const NodePtr& p : parents) any_requires |= p->requires_grad;
-  if (NoGradGuard::GradEnabled() && any_requires) {
+  if (WillRecord(parents)) {
     // Counts only nodes that join the tape (parents + backward closure kept).
     // Flat across an inference pass under NoGradGuard — the serving tests
     // regress on exactly that (tests/serve_test.cc).
@@ -83,7 +92,7 @@ Variable Sub(const Variable& a, const Variable& b) {
   return MakeOp(Sub(a.value(), b.value()), {na, nb},
                 [na, nb](AutogradNode& self) {
                   AccumulateGrad(*na, self.grad);
-                  AccumulateGrad(*nb, Neg(self.grad));
+                  if (nb->requires_grad) AccumulateGrad(*nb, Neg(self.grad));
                 });
 }
 
@@ -92,8 +101,12 @@ Variable Mul(const Variable& a, const Variable& b) {
   NodePtr nb = b.node();
   return MakeOp(Mul(a.value(), b.value()), {na, nb},
                 [na, nb](AutogradNode& self) {
-                  AccumulateGrad(*na, Mul(self.grad, nb->value));
-                  AccumulateGrad(*nb, Mul(self.grad, na->value));
+                  if (na->requires_grad) {
+                    AccumulateGrad(*na, Mul(self.grad, nb->value));
+                  }
+                  if (nb->requires_grad) {
+                    AccumulateGrad(*nb, Mul(self.grad, na->value));
+                  }
                 });
 }
 
@@ -102,11 +115,15 @@ Variable Div(const Variable& a, const Variable& b) {
   NodePtr nb = b.node();
   return MakeOp(Div(a.value(), b.value()), {na, nb},
                 [na, nb](AutogradNode& self) {
-                  AccumulateGrad(*na, Div(self.grad, nb->value));
+                  if (na->requires_grad) {
+                    AccumulateGrad(*na, Div(self.grad, nb->value));
+                  }
                   // d/db (a/b) = -a / b^2
-                  AccumulateGrad(
-                      *nb, Neg(Div(Mul(self.grad, na->value),
-                                   Square(nb->value))));
+                  if (nb->requires_grad) {
+                    AccumulateGrad(
+                        *nb, Neg(Div(Mul(self.grad, na->value),
+                                     Square(nb->value))));
+                  }
                 });
 }
 
@@ -183,17 +200,22 @@ Variable Tanh(const Variable& a) {
 
 namespace {
 
-// dB = A^T G for A @ B with upstream gradient `g`. A rank-2 weight shared by
-// a batched input (every Linear on a rank >= 3 tensor) takes the one-pass
-// kernel, which gives the bits of the per-batch product below once
-// AccumulateGrad has reduced its batches.
-void AccumulateRhsGrad(const AutogradNode& na, AutogradNode& nb,
-                       const Tensor& g) {
-  if (nb.value.rank() == 2 && na.value.rank() >= 3) {
-    if (nb.requires_grad) AccumulateGrad(nb, LinearWeightGrad(na.value, g));
-    return;
+// dA = G B^T and dB = A^T G for A @ B with upstream gradient `g`, each only
+// when its operand requires grad (AccumulateGrad reduces broadcast batches).
+// A rank-2 weight shared by a batched input (every Linear on a rank >= 3
+// tensor) takes the one-pass kernel, which gives the bits of the per-batch
+// product once AccumulateGrad has reduced its batches.
+void AccumulateMatMulGrads(AutogradNode& na, AutogradNode& nb,
+                           const Tensor& g) {
+  if (na.requires_grad) {
+    AccumulateGrad(na, MatMul(g, Transpose(nb.value, -1, -2)));
   }
-  AccumulateGrad(nb, MatMul(Transpose(na.value, -1, -2), g));
+  if (!nb.requires_grad) return;
+  if (nb.value.rank() == 2 && na.value.rank() >= 3) {
+    AccumulateGrad(nb, LinearWeightGrad(na.value, g));
+  } else {
+    AccumulateGrad(nb, MatMul(Transpose(na.value, -1, -2), g));
+  }
 }
 
 }  // namespace
@@ -203,9 +225,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
   NodePtr nb = b.node();
   return MakeOp(
       MatMul(a.value(), b.value()), {na, nb}, [na, nb](AutogradNode& self) {
-        // dA = G B^T ; dB = A^T G (AccumulateGrad reduces broadcast batches).
-        AccumulateGrad(*na, MatMul(self.grad, Transpose(nb->value, -1, -2)));
-        AccumulateRhsGrad(*na, *nb, self.grad);
+        AccumulateMatMulGrads(*na, *nb, self.grad);
       });
 }
 
@@ -214,21 +234,19 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
   NodePtr na = a.node();
   NodePtr nb = b.node();
   NodePtr nbias = bias.defined() ? bias.node() : nullptr;
-  // Only gelu's derivative needs the pre-activation z = a@b + bias; relu,
-  // tanh, and sigmoid recover theirs from the output, and identity needs
-  // nothing — so z is captured (one extra tensor) for gelu only, and only
-  // while recording.
-  const bool save_pre =
-      act == gemm::Activation::kGelu && NoGradGuard::GradEnabled();
-  Tensor pre;
-  Tensor value = MatMulEx(a.value(), b.value(),
-                          bias.defined() ? bias.value() : Tensor(), act,
-                          save_pre ? &pre : nullptr);
   std::vector<NodePtr> parents = {na, nb};
   if (nbias != nullptr) parents.push_back(nbias);
+  // Only gelu's derivative needs the forward: relu, tanh and sigmoid recover
+  // theirs from the output, and identity needs nothing. The epilogue writes
+  // GELU'(z) from the erf it evaluates for the output anyway (one extra
+  // tensor), and only when this node will record.
+  Tensor gelu_grad;
+  Tensor value =
+      MatMulEx(a.value(), b.value(), bias.defined() ? bias.value() : Tensor(),
+               act, WillRecord(parents) ? &gelu_grad : nullptr);
   return MakeOp(
       std::move(value), std::move(parents),
-      [na, nb, nbias, act, pre](AutogradNode& self) {
+      [na, nb, nbias, act, gelu_grad](AutogradNode& self) {
         // dz: gradient at the pre-activation, shared by all three inputs.
         // The derivative expressions mirror the standalone Relu/Gelu/
         // Sigmoid/Tanh ops so fused and composed graphs train identically.
@@ -243,7 +261,7 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
             dz = Mul(self.grad, Greater(y, Tensor::Zeros({})));
             break;
           case gemm::Activation::kGelu:
-            dz = Mul(self.grad, GeluGrad(pre));
+            dz = Mul(self.grad, gelu_grad);
             break;
           case gemm::Activation::kTanh:
             dz = Mul(self.grad, Sub(Tensor::Ones(y.shape()), Square(y)));
@@ -252,8 +270,7 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
             dz = Mul(self.grad, Mul(y, Sub(Tensor::Ones(y.shape()), y)));
             break;
         }
-        AccumulateGrad(*na, MatMul(dz, Transpose(nb->value, -1, -2)));
-        AccumulateRhsGrad(*na, *nb, dz);
+        AccumulateMatMulGrads(*na, *nb, dz);
         // AccumulateGrad reduces dz over every leading dim down to [n].
         if (nbias != nullptr) AccumulateGrad(*nbias, dz);
       });

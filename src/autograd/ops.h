@@ -44,9 +44,10 @@ Variable MatMul(const Variable& a, const Variable& b);
 // and activation, so neither the bias-sum nor the pre-activation tensor is
 // materialized in the graph. `bias` may be an undefined Variable (no bias).
 // The backward is fused too: one dz tensor feeds the two matmul gradients
-// and the (broadcast-reduced) bias gradient; only kGelu stores the
-// pre-activation, the other activations recover their derivative from the
-// output.
+// and the (broadcast-reduced) bias gradient. When the node records, kGelu
+// stores GELU' of the pre-activation, which the forward epilogue writes from
+// the erf it evaluates anyway; the other activations recover their
+// derivative from the output.
 Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
                   gemm::Activation act);
 

@@ -212,21 +212,25 @@ __m512 Erff16(__m512 x) {
   return y;
 }
 
-__m512 Gelu16(__m512 x) {
-  const __m512 e = Erff16(Mul(x, F(kInvSqrt2)));
+// erf(x / sqrt 2), the one erf GELU and its derivative share.
+__m512 ErfOfScaled(__m512 x) { return Erff16(Mul(x, F(kInvSqrt2))); }
+
+__m512 GeluFromErf(__m512 x, __m512 e) {
   return Mul(Mul(F(0.5f), x), Add(F(1.0f), e));
 }
 
 // The final add stays unfused, as in the scalar build: 0.5f * (1 + e) is
 // exact, so fusing it changes nothing, while fma(x, phi_small, phi_big)
 // would skip rounding x * phi_small.
-__m512 GeluGrad16(__m512 x) {
-  const __m512 phi_big =
-      Mul(F(0.5f), Add(F(1.0f), Erff16(Mul(x, F(kInvSqrt2)))));
+__m512 GeluGradFromErf(__m512 x, __m512 e) {
+  const __m512 phi_big = Mul(F(0.5f), Add(F(1.0f), e));
   const __m512 phi_small =
       Mul(Expf16(Mul(Mul(F(-0.5f), x), x)), F(kInvSqrt2Pi));
   return Add(phi_big, Mul(x, phi_small));
 }
+
+__m512 Gelu16(__m512 x) { return GeluFromErf(x, ErfOfScaled(x)); }
+__m512 GeluGrad16(__m512 x) { return GeluGradFromErf(x, ErfOfScaled(x)); }
 
 // Maps op over whole 16-float vectors; the tail runs the same vector code
 // under a lane mask, its missing lanes loaded as zero and never stored.
@@ -250,23 +254,54 @@ void GeluGradSpan(const float* x, float* y, int64_t n) {
   Map16(x, y, n, GeluGrad16);
 }
 
+void GeluAndGradSpan(const float* x, float* y, float* dy, int64_t n) {
+  const auto both = [&](int64_t i, __mmask16 lanes) {
+    const __m512 v = _mm512_maskz_loadu_ps(lanes, x + i);
+    const __m512 e = ErfOfScaled(v);
+    _mm512_mask_storeu_ps(y + i, lanes, GeluFromErf(v, e));
+    _mm512_mask_storeu_ps(dy + i, lanes, GeluGradFromErf(v, e));
+  };
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) both(i, 0xffff);
+  if (i < n) both(i, static_cast<__mmask16>((1u << (n - i)) - 1));
+}
+
 #else  // scalar libm
 
 static_assert(kGeluLanes == 1);
 
+namespace {
+
+float GeluFromErf(float v, float e) { return 0.5f * v * (1.0f + e); }
+
+float GeluGradFromErf(float v, float e) {
+  const float phi_big = 0.5f * (1.0f + e);
+  const float phi_small = std::exp(-0.5f * v * v) * kInvSqrt2Pi;
+  return phi_big + v * phi_small;
+}
+
+}  // namespace
+
 void GeluSpan(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const float v = x[i];
-    y[i] = 0.5f * v * (1.0f + std::erf(v * kInvSqrt2));
+    y[i] = GeluFromErf(v, std::erf(v * kInvSqrt2));
   }
 }
 
 void GeluGradSpan(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const float v = x[i];
-    const float phi_big = 0.5f * (1.0f + std::erf(v * kInvSqrt2));
-    const float phi_small = std::exp(-0.5f * v * v) * kInvSqrt2Pi;
-    y[i] = phi_big + v * phi_small;
+    y[i] = GeluGradFromErf(v, std::erf(v * kInvSqrt2));
+  }
+}
+
+void GeluAndGradSpan(const float* x, float* y, float* dy, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float e = std::erf(v * kInvSqrt2);
+    y[i] = GeluFromErf(v, e);
+    dy[i] = GeluGradFromErf(v, e);
   }
 }
 

@@ -5,13 +5,19 @@
 //   GeluSpan:      y = 0.5f * x * (1 + erf(x / sqrt 2))
 //   GeluGradSpan:  y = 0.5f * (1 + erf(x / sqrt 2))
 //                      + x * exp(-0.5f * x * x) / sqrt(2 pi)
+//   GeluAndGradSpan: both, from one erf per element. Each output is
+//                  bit-identical to its single span's: the shared erf is the
+//                  same value, and every other operation runs in the same
+//                  order. The epilogue of a fused Linear+GELU that autograd
+//                  records calls it, so the backward needs no second erf.
 //
 // AVX-512 builds (AVX512F + AVX512DQ) evaluate 16 lanes at a time through a
 // vector port of glibc 2.36's erff and its FMA expf, and are bit-identical to
 // the scalar form linked against that libm (tests/tensor_test.cc sweeps the
 // float bit patterns; docs/PERFORMANCE.md). Every other build evaluates those
 // expressions per element with libm's float erf and exp. `y` may equal `x`
-// (in place) but must not otherwise overlap it.
+// (in place) but must not otherwise overlap it; GeluAndGradSpan's `dy`
+// overlaps neither.
 // Internal header: tensor kernels (gemm.cc, tensor_ops.cc) and their tests.
 #ifndef MSDMIXER_TENSOR_GELU_H_
 #define MSDMIXER_TENSOR_GELU_H_
@@ -33,6 +39,7 @@ inline constexpr int kGeluLanes = 1;
 
 void GeluSpan(const float* x, float* y, int64_t n);
 void GeluGradSpan(const float* x, float* y, int64_t n);
+void GeluAndGradSpan(const float* x, float* y, float* dy, int64_t n);
 
 }  // namespace kernel
 }  // namespace msd

@@ -478,40 +478,41 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
 // Bias add + activation over `rows` finished C rows, applied while the tile
 // is cache-hot. Relu / Sigmoid / Tanh are byte-for-byte tensor_ops.cc's
 // expressions; Gelu is the one function tensor_ops.cc's Gelu also calls
-// (tensor/gelu.h). `pre` (optional) receives the post-bias pre-activation
-// values. Public (gemm.h) so the quantized kernel's dequant output runs
-// through the very same code.
-void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
+// (tensor/gelu.h). The rows are contiguous, so the activation runs over all
+// of them as one span: elementwise, so no bit depends on where a row starts.
+// `gelu_grad` (optional, kGelu only) receives GELU' from the same erf.
+// Public (gemm.h) so the quantized kernel's dequant output runs through the
+// very same code.
+void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
                      const float* bias, Activation act) {
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = c + r * n;
-    float* pre_row = pre == nullptr ? nullptr : pre + r * n;
-    if (bias != nullptr) {
+  if (bias != nullptr) {
+    for (int64_t r = 0; r < rows; ++r) {
+      float* row = c + r * n;
       for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
     }
-    if (pre_row != nullptr && act != Activation::kIdentity) {
-      for (int64_t j = 0; j < n; ++j) pre_row[j] = row[j];
-    }
-    switch (act) {
-      case Activation::kIdentity:
-        break;
-      case Activation::kRelu:
-        for (int64_t j = 0; j < n; ++j) {
-          row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-        }
-        break;
-      case Activation::kGelu:
-        kernel::GeluSpan(row, row, n);
-        break;
-      case Activation::kTanh:
-        for (int64_t j = 0; j < n; ++j) row[j] = std::tanh(row[j]);
-        break;
-      case Activation::kSigmoid:
-        for (int64_t j = 0; j < n; ++j) {
-          row[j] = 1.0f / (1.0f + std::exp(-row[j]));
-        }
-        break;
-    }
+  }
+  const int64_t count = rows * n;
+  switch (act) {
+    case Activation::kIdentity:
+      break;
+    case Activation::kRelu:
+      for (int64_t i = 0; i < count; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
+      break;
+    case Activation::kGelu:
+      if (gelu_grad != nullptr) {
+        kernel::GeluAndGradSpan(c, c, gelu_grad, count);
+      } else {
+        kernel::GeluSpan(c, c, count);
+      }
+      break;
+    case Activation::kTanh:
+      for (int64_t i = 0; i < count; ++i) c[i] = std::tanh(c[i]);
+      break;
+    case Activation::kSigmoid:
+      for (int64_t i = 0; i < count; ++i) {
+        c[i] = 1.0f / (1.0f + std::exp(-c[i]));
+      }
+      break;
   }
 }
 
@@ -541,7 +542,7 @@ void PackB(const float* b, int64_t k, int64_t n, float* packed) {
 // msd-hot-path: innermost training/serving compute kernel.
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
-                   float* pre) {
+                   float* gelu_grad) {
   if (m == 0 || n == 0) return;
   const int64_t row_tiles = CeilDiv(m, kMc);
   const int64_t n_panels = CeilDiv(n, kNr);
@@ -572,7 +573,8 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
         }
       }
       if (bias != nullptr || act != Activation::kIdentity) {
-        EpilogueBiasAct(c + i0 * n, pre == nullptr ? nullptr : pre + i0 * n,
+        EpilogueBiasAct(c + i0 * n,
+                        gelu_grad == nullptr ? nullptr : gelu_grad + i0 * n,
                         mc, n, bias, act);
       }
     }
@@ -581,11 +583,11 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
 
 // msd-hot-path: innermost training/serving compute kernel.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
-          int64_t n, const float* bias, Activation act, float* pre) {
+          int64_t n, const float* bias, Activation act, float* gelu_grad) {
   if (m == 0 || n == 0) return;
   std::shared_ptr<float[]> packed = pool::AllocateShared(PackedBPanelFloats(k, n));
   PackB(b, k, n, packed.get());
-  GemmPrepacked(a, packed.get(), c, m, k, n, bias, act, pre);
+  GemmPrepacked(a, packed.get(), c, m, k, n, bias, act, gelu_grad);
 }
 
 void SharedWeightGrad(const float* a, const float* g, float* dw,

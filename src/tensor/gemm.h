@@ -10,7 +10,8 @@
 // real column; other builds run one GCC vector-extension 8x8 kernel for
 // every panel. The optional epilogue (bias add + activation) runs per row
 // tile while C is still cache-hot, so fused Linear layers never materialize
-// the intermediate pre-activation tensor.
+// the intermediate pre-activation tensor; under training a GELU layer keeps
+// its derivative instead, written by the same epilogue pass.
 //
 // Determinism contract (docs/RUNTIME.md): tile geometry is a pure function
 // of (m, k, n); runtime::ParallelFor distributes whole row tiles, each
@@ -41,20 +42,24 @@ enum class Activation { kIdentity, kRelu, kGelu, kTanh, kSigmoid };
 // C[m,n] = act(A[m,k] @ B[k,n] + bias[n]).
 //  * `c` may be uninitialized; every element is written (no zero-fill pass).
 //  * `bias` is nullptr (none) or n floats.
-//  * `pre`, when non-null, receives the pre-activation A@B + bias — the
-//    value autograd needs for activation backward. Ignored for kIdentity.
+//  * `gelu_grad`, when non-null and act is kGelu, receives GELU'(A@B + bias)
+//    [m, n], the derivative autograd multiplies into the upstream gradient.
+//    The epilogue computes it from the erf the output already needs
+//    (tensor/gelu.h GeluAndGradSpan), bit-identical to GeluGrad of the
+//    pre-activation. Every other activation leaves it untouched: relu, tanh
+//    and sigmoid recover their derivatives from the output.
 // Parallel over row tiles via runtime::ParallelFor; safe to call from inside
 // a parallel region (nested loops run inline per the runtime contract).
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, const float* bias = nullptr,
-          Activation act = Activation::kIdentity, float* pre = nullptr);
+          Activation act = Activation::kIdentity, float* gelu_grad = nullptr);
 
 // The shared bias+activation epilogue: bias add (when non-null) and `act`
 // over `rows` contiguous C rows of width n, applied while the tile is
-// cache-hot. `pre`, when non-null, receives the post-bias pre-activation.
+// cache-hot. `gelu_grad` is Gemm's: written for kGelu only, when non-null.
 // Exposed so the quantized kernel (tensor/qgemm.h) fuses its dequant output
 // into the exact same formulas — one epilogue, every GEMM flavor.
-void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
+void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
                      const float* bias, Activation act);
 
 // Split form for batched products that reuse one B: pack once, multiply
@@ -63,7 +68,7 @@ int64_t PackedBPanelFloats(int64_t k, int64_t n);
 void PackB(const float* b, int64_t k, int64_t n, float* packed);
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
-                   float* pre);
+                   float* gelu_grad);
 
 // dw[k,n] = sum over r in [0, batches) of A_r^T @ G_r, where A_r is the
 // row-major [rows, k] matrix at a + r*rows*k and G_r the [rows, n] matrix at

@@ -3,13 +3,17 @@
 // (runtime/parallel.h, docs/RUNTIME.md).
 //
 // MapKernel   — out[i] = f(a[i]) (MapSpanInto: span(in, out, n) per chunk)
-// ZipKernel   — broadcasted out[i] = f(a[...], b[...])
+// ZipKernel   — broadcasted out[i] = f(a[...], b[...]), with fast paths for
+//               equal shapes, a suffix operand (bias add) and a trailing-run
+//               operand (DropPath's per-sample mask, RevIN's statistics);
+//               other broadcasts walk an odometer per element
 // ReduceKernel— whole-tensor reduction with fixed-order tree combine
 //
 // All three inherit the runtime's determinism contract: chunk boundaries
 // derive from element counts and the grain constants below, never the
 // thread count, so results are bit-identical for any MSD_THREADS value.
-// Internal header: tensor kernels (tensor_ops.cc, conv.cc, fft.cc) only.
+// Internal header: tensor kernels (tensor_ops.cc, conv.cc, fft.cc) and
+// their tests only.
 #ifndef MSDMIXER_TENSOR_KERNELS_H_
 #define MSDMIXER_TENSOR_KERNELS_H_
 
@@ -133,6 +137,25 @@ inline bool IsSuffixShape(const Shape& suffix, const Shape& shape) {
   return true;
 }
 
+// When `small` is `big` with a trailing run of dims set to 1 (same rank, a
+// prefix of equal dims, then only 1s: DropPath's [B, 1, 1, 1] mask against
+// [B, C, L, P], RevIN's [B, C, 1] statistics against [B, C, L]), element s
+// of `small` pairs with the contiguous run [s * len, (s + 1) * len) of
+// `big`; returns that len. Returns 0 otherwise: unequal ranks, equal shapes,
+// a broadcast dim before a kept one ([B, 1, L] against [B, C, L]), or an
+// empty run.
+inline int64_t TrailingRunLength(const Shape& small, const Shape& big) {
+  if (small.size() != big.size() || small == big) return 0;
+  size_t kept = 0;
+  while (kept < small.size() && small[kept] == big[kept]) ++kept;
+  int64_t len = 1;
+  for (size_t i = kept; i < small.size(); ++i) {
+    if (small[i] != 1) return 0;
+    len *= big[i];
+  }
+  return len;
+}
+
 // Unflattens linear index `i` of `shape` into `index` and returns the dot
 // product with `strides` — the chunk-entry offset for strided kernels.
 inline int64_t UnflattenOffset(int64_t i, const Shape& shape,
@@ -244,6 +267,38 @@ void ZipKernelInto(const Tensor& a, const Tensor& b, Tensor& out, F f) {
           for (int64_t i = 0; i < inner; ++i) dst[i] = f(row[i], psmall[i]);
         } else {
           for (int64_t i = 0; i < inner; ++i) dst[i] = f(psmall[i], row[i]);
+        }
+      }
+    });
+    return;
+  }
+  // Fast path: one side is the other with a trailing run of dims set to 1,
+  // so each of its elements pairs with one contiguous run of the big side.
+  // Chunks are the equal-shape path's, over output elements; a chunk finds
+  // its first run with one division and steps run by run from there.
+  // `b_small` preserves the argument order of `f`.
+  const int64_t b_run = TrailingRunLength(b.shape(), a.shape());
+  const int64_t a_run = b_run > 0 ? 0 : TrailingRunLength(a.shape(), b.shape());
+  if (b_run > 0 || a_run > 0) {
+    const bool b_small = b_run > 0;
+    const Tensor& big = b_small ? a : b;
+    const int64_t run = b_small ? b_run : a_run;
+    MSD_CHECK(out.shape() == big.shape())
+        << "ZipKernelInto output shape " << ShapeToString(out.shape())
+        << " != broadcast " << ShapeToString(big.shape());
+    const float* pbig = big.data();
+    const float* psmall = (b_small ? b : a).data();
+    float* po = out.data();
+    runtime::ParallelFor(0, out.numel(), kElementwiseGrain,
+                         [&](int64_t cb, int64_t ce) {
+      int64_t s = cb / run;
+      for (int64_t i = cb; i < ce; ++s) {
+        const int64_t end = std::min(ce, (s + 1) * run);
+        const float v = psmall[s];
+        if (b_small) {
+          for (; i < end; ++i) po[i] = f(pbig[i], v);
+        } else {
+          for (; i < end; ++i) po[i] = f(v, pbig[i]);
         }
       }
     });

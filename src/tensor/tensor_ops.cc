@@ -390,11 +390,11 @@ Shape MatMulOutShape(const Tensor& a, const Tensor& b, const Tensor& bias) {
 
 // Shared GEMM body: the allocating MatMulEx and the plan executor's
 // MatMulExInto both land here, so the two paths run identical arithmetic.
-// `pre_ptr` receives a @ b + bias when non-null (training only).
+// `gelu_grad` receives GELU'(a @ b + bias) when non-null (training only).
 // msd-hot-path-safe: the audited GEMM chokepoint — writes `out` (pool- or
 // arena-backed) via gemm::Gemm; counter adds are relaxed atomics.
 void MatMulExImpl(const Tensor& a, const Tensor& b, const Tensor& bias,
-                  gemm::Activation act, Tensor& out, float* pre_ptr) {
+                  gemm::Activation act, Tensor& out, float* gelu_grad) {
   MSD_SPAN("tensor/matmul");
   const int64_t m = a.dim(-2);
   const int64_t k = a.dim(-1);
@@ -420,7 +420,7 @@ void MatMulExImpl(const Tensor& a, const Tensor& b, const Tensor& bias,
   // covers every Linear layer (rank-N input x rank-2 weight).
   if (NumElementsOf(b_batch) == 1) {
     gemm::Gemm(a.data(), b.data(), out.data(), batch_numel * m, k, n,
-               bias_ptr, act, pre_ptr);
+               bias_ptr, act, gelu_grad);
     return;
   }
 
@@ -456,7 +456,7 @@ void MatMulExImpl(const Tensor& a, const Tensor& b, const Tensor& bias,
     for (int64_t batch_i = bb; batch_i < be; ++batch_i) {
       gemm::Gemm(pa + oa * a_mat, pb + ob * b_mat, po + batch_i * m * n, m, k,
                  n, bias_ptr, act,
-                 pre_ptr == nullptr ? nullptr : pre_ptr + batch_i * m * n);
+                 gelu_grad == nullptr ? nullptr : gelu_grad + batch_i * m * n);
       for (int64_t axis = batch_rank - 1; axis >= 0; --axis) {
         const size_t u = static_cast<size_t>(axis);
         ++index[u];
@@ -474,25 +474,21 @@ void MatMulExImpl(const Tensor& a, const Tensor& b, const Tensor& bias,
 }  // namespace
 
 Tensor MatMulEx(const Tensor& a, const Tensor& b, const Tensor& bias,
-                gemm::Activation act, Tensor* pre_out) {
+                gemm::Activation act, Tensor* gelu_grad_out) {
   Shape out_shape = MatMulOutShape(a, b, bias);
   // The GEMM writes every output element; no zero-fill pre-pass.
   Tensor out = Tensor::Uninitialized(std::move(out_shape));
-  float* pre_ptr = nullptr;
-  if (pre_out != nullptr) {
-    if (act == gemm::Activation::kIdentity) {
-      *pre_out = out;  // pre-activation == output; share storage
-    } else {
-      *pre_out = Tensor::Uninitialized(out.shape());
-      pre_ptr = pre_out->data();
-    }
+  float* gelu_grad = nullptr;
+  if (gelu_grad_out != nullptr && act == gemm::Activation::kGelu) {
+    *gelu_grad_out = Tensor::Uninitialized(out.shape());
+    gelu_grad = gelu_grad_out->data();
   }
-  MatMulExImpl(a, b, bias, act, out, pre_ptr);
+  MatMulExImpl(a, b, bias, act, out, gelu_grad);
   if (optrace::Active()) {
-    if (pre_ptr != nullptr) {
-      // A distinct pre-activation buffer only exists under autograd; replay
-      // has nowhere to put it, so a capture that sees one is poisoned.
-      optrace::RecordUnsupported("MatMulEx pre_out");
+    if (gelu_grad != nullptr) {
+      // The derivative output only exists under autograd; replay has
+      // nowhere to put it, so a capture that sees one is poisoned.
+      optrace::RecordUnsupported("MatMulEx gelu_grad_out");
     } else {
       optrace::RecordedOp op;
       op.kind = optrace::OpKind::kMatMulEx;

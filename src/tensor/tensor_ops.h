@@ -59,6 +59,8 @@ Tensor Clamp(const Tensor& a, float lo, float hi);
 // -1, 0, or +1 per element.
 Tensor Sign(const Tensor& a);
 // Derivative of exact GELU: Phi(x) + x * phi(x), also from tensor/gelu.h.
+// A fused Linear+GELU under autograd does not call it: its epilogue writes
+// the same bits (MatMulEx's `gelu_grad_out`).
 Tensor GeluGrad(const Tensor& a);
 
 // ---- Matrix multiplication -------------------------------------------------
@@ -70,11 +72,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 // Fused variant: act(a @ b + bias), with `bias` an optional rank-1 [n]
 // vector added per output row and the activation applied in the GEMM
 // epilogue — no intermediate bias-add or pre-activation tensor is
-// materialized. When `pre_out` is non-null and act != kIdentity it receives
-// a @ b + bias (the value an activation backward differentiates at); for
-// kIdentity it aliases the returned output.
+// materialized. When `gelu_grad_out` is non-null and act is kGelu it
+// receives GELU'(a @ b + bias), the output's shape, written by the same
+// epilogue from the same erf and bit-identical to GeluGrad of the
+// pre-activation; autograd's backward multiplies it into the upstream
+// gradient. Other activations leave `*gelu_grad_out` as it was.
 Tensor MatMulEx(const Tensor& a, const Tensor& b, const Tensor& bias,
-                gemm::Activation act, Tensor* pre_out = nullptr);
+                gemm::Activation act, Tensor* gelu_grad_out = nullptr);
 
 // Gradient of a [k, n] weight that a Linear applies to every leading index
 // of `a` [..., y, k], given the upstream gradient `g` [..., y, n] of the same
@@ -141,8 +145,8 @@ void ReluInto(const Tensor& a, Tensor& out);
 void GeluInto(const Tensor& a, Tensor& out);
 void SigmoidInto(const Tensor& a, Tensor& out);
 void TanhInto(const Tensor& a, Tensor& out);
-// act(a @ b + bias) into `out` (no pre-activation output: the frozen
-// inference path never differentiates).
+// act(a @ b + bias) into `out` (no GELU' output: the frozen inference path
+// never differentiates).
 void MatMulExInto(const Tensor& a, const Tensor& b, const Tensor& bias,
                   gemm::Activation act, Tensor& out);
 // Freeze-time helper for the serving planner: packs a rank-2 GEMM operand

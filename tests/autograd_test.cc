@@ -3,12 +3,14 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/variable.h"
+#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -130,13 +132,128 @@ TEST(VariableTest, ConstantLeafGetsNoGrad) {
   EXPECT_FALSE(c.has_grad());
 }
 
-// ---- Numerical gradient checks, one per op ---------------------------------
-
 Tensor TestInput(Shape shape, uint64_t seed, float mean = 0.0f,
                  float stddev = 1.0f) {
   Rng rng(seed);
   return Tensor::RandNormal(std::move(shape), mean, stddev, rng);
 }
+
+// ---- Gradients only where an operand reads them ------------------------------
+
+// How far the named global counter moves while `body` runs.
+int64_t CounterDelta(const char* name, const std::function<void()>& body) {
+  obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(name);
+  const int64_t before = counter.value();
+  body();
+  return counter.value() - before;
+}
+
+bool BitIdentical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// A Linear's backward runs one product when only one operand requires grad:
+// on the rank-2 path and on the batched one-pass weight gradient, fused or
+// not. A data input without requires_grad costs no input-gradient GEMM.
+TEST(VariableTest, LinearBackwardRunsOnlyTheProductsItReads) {
+  for (const Shape& in_shape : {Shape{6, 4}, Shape{2, 3, 6, 4}}) {
+    const Tensor xt = TestInput(in_shape, 61);
+    const Tensor wt = TestInput({4, 5}, 62);
+    const Tensor bt = TestInput({5}, 63);
+    for (bool input_requires : {false, true}) {
+      SCOPED_TRACE(ShapeToString(in_shape) +
+                   (input_requires ? " input only" : " weight only"));
+      Variable x(xt, input_requires);
+      Variable w(wt, !input_requires);
+      Variable bias(bt, !input_requires);
+      Variable fused = SumAll(MatMulEx(x, w, bias, gemm::Activation::kGelu));
+      EXPECT_EQ(CounterDelta("tensor/matmul_calls", [&] { fused.Backward(); }),
+                1);
+      Variable plain = SumAll(MatMul(x, w));
+      EXPECT_EQ(CounterDelta("tensor/matmul_calls", [&] { plain.Backward(); }),
+                1);
+    }
+  }
+}
+
+// Mul, Div and Sub compute nothing for an operand that does not require
+// grad. With a constant operand the backward allocates exactly that
+// operand's gradient tensors fewer (its products and the copy
+// AccumulateGrad keeps) than with two trainable operands, and the other
+// gradient keeps its bits.
+TEST(VariableTest, ElementwiseBackwardSkipsConstantOperands) {
+  using BinaryOp = Variable (*)(const Variable&, const Variable&);
+  struct Case {
+    const char* name;
+    BinaryOp op;
+    bool constant_first;
+    int64_t constant_grad_allocs;
+  };
+  const Case cases[] = {
+      {"Mul(x, c)", Mul, false, 2},  // g * x, copy
+      {"Mul(c, x)", Mul, true, 2},
+      {"Div(x, c)", Div, false, 5},  // g * x, c^2, divide, negate, copy
+      {"Div(c, x)", Div, true, 2},   // g / x, copy
+      {"Sub(x, c)", Sub, false, 2},  // negate, copy
+      {"Sub(c, x)", Sub, true, 1},   // copy
+  };
+  const Tensor xt = TestInput({4, 3, 5}, 71);
+  const Tensor ct = TestInput({4, 3, 5}, 72, 3.0f, 0.5f);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto run = [&](bool constant_requires, Tensor* x_grad) {
+      Variable x(xt, true);
+      Variable constant(ct, constant_requires);
+      Variable loss = SumAll(c.constant_first ? c.op(constant, x)
+                                              : c.op(x, constant));
+      const int64_t allocs =
+          CounterDelta("tensor/allocs", [&] { loss.Backward(); });
+      *x_grad = x.grad();
+      EXPECT_EQ(constant.has_grad(), constant_requires);
+      return allocs;
+    };
+    Tensor both_grad;
+    Tensor one_grad;
+    const int64_t both = run(true, &both_grad);
+    const int64_t one = run(false, &one_grad);
+    EXPECT_EQ(both - one, c.constant_grad_allocs);
+    EXPECT_TRUE(BitIdentical(one_grad, both_grad));
+  }
+}
+
+// The fused Linear+GELU saves GELU'(z) from its forward epilogue and its
+// backward multiplies by it: every gradient has the bits of the composed
+// Gelu(Add(MatMul(x, w), b)), whose backward evaluates GeluGrad(z). The
+// derivative is one tensor of the forward, made only when the node records.
+TEST(VariableTest, FusedGeluSavesItsDerivativeOnlyWhenRecording) {
+  for (const Shape& in_shape : {Shape{6, 4}, Shape{2, 3, 6, 4}}) {
+    SCOPED_TRACE(ShapeToString(in_shape));
+    const Tensor xt = TestInput(in_shape, 81);
+    const Tensor wt = TestInput({4, 5}, 82);
+    const Tensor bt = TestInput({5}, 83);
+    Variable x1(xt, true), w1(wt, true), b1(bt, true);
+    MeanAll(Square(MatMulEx(x1, w1, b1, gemm::Activation::kGelu))).Backward();
+    Variable x2(xt, true), w2(wt, true), b2(bt, true);
+    MeanAll(Square(Gelu(Add(MatMul(x2, w2), b2)))).Backward();
+    EXPECT_TRUE(BitIdentical(x1.grad(), x2.grad()));
+    EXPECT_TRUE(BitIdentical(w1.grad(), w2.grad()));
+    EXPECT_TRUE(BitIdentical(b1.grad(), b2.grad()));
+
+    auto forward_allocs = [&](bool weight_requires) {
+      Variable x(xt, false), w(wt, weight_requires), b(bt, false);
+      return CounterDelta("tensor/allocs", [&] {
+        MatMulEx(x, w, b, gemm::Activation::kGelu);
+      });
+    };
+    EXPECT_EQ(forward_allocs(true) - forward_allocs(false), 1);
+    NoGradGuard guard;
+    EXPECT_EQ(forward_allocs(true), forward_allocs(false));
+  }
+}
+
+// ---- Numerical gradient checks, one per op ---------------------------------
 
 TEST(GradCheck, AddBroadcast) {
   Tensor other = TestInput({4}, 1);

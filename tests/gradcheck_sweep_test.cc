@@ -212,8 +212,9 @@ void AddOpCases(std::vector<SweepCase>* cases) {
                            Uniform({3, 4}, -1.0f, 1.0f, 272), 273);
   });
   // Fused GEMM epilogues (MatMulEx): every activation, each argument slot.
-  // The backward recovers dz from the activation output (gelu from the saved
-  // pre-activation), so each slot exercises a different recovery formula.
+  // The backward recovers dz from the activation output (gelu from the GELU'
+  // its forward epilogue saved), so each slot exercises a different
+  // recovery formula.
   add("MatMulEx_identity_bias", [] {
     const Variable a(Uniform({2, 3}, -1.0f, 1.0f, 2001));
     const Variable b(Uniform({3, 4}, -1.0f, 1.0f, 2002));

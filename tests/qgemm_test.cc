@@ -15,6 +15,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/gemm.h"
 
 namespace msd {
@@ -381,8 +382,9 @@ int64_t FirstBitDifference(const std::vector<float>& got,
 // Every tail panel height mr 1..8 (m = 64 + mr: a full row tile, then a
 // tile whose last panel has mr rows), every panel width nr 1..8 (n = nr
 // alone and after a full panel), k on both sides of the 256-deep slice, and
-// every epilogue with and without bias, `pre` included: GemmPrepacked and
-// Gemm equal the scalar chain bit for bit.
+// every epilogue with and without bias: GemmPrepacked and Gemm equal the
+// scalar chain bit for bit. The side buffer holds GeluGradSpan of the
+// pre-activation for kGelu and is left untouched by every other activation.
 TEST(GemmPrepackedEdgeTest, BitExactAgainstScalarFmaChain) {
   const gemm::Activation acts[] = {
       gemm::Activation::kIdentity, gemm::Activation::kRelu,
@@ -415,19 +417,29 @@ TEST(GemmPrepackedEdgeTest, BitExactAgainstScalarFmaChain) {
               SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)) +
                            (bias_or_null != nullptr ? " bias" : " no bias"));
               std::vector<float> want = product;
-              std::vector<float> want_pre(want.size(), -7.0f);
-              gemm::EpilogueBiasAct(want.data(), want_pre.data(), m, n,
-                                    bias_or_null, act);
+              gemm::EpilogueBiasAct(want.data(), nullptr, m, n, bias_or_null,
+                                    act);
+              std::vector<float> want_grad(want.size(), -7.0f);
+              if (act == gemm::Activation::kGelu) {
+                std::vector<float> z = product;
+                for (size_t i = 0; bias_or_null != nullptr && i < z.size();
+                     ++i) {
+                  z[i] += bias_or_null[i % static_cast<size_t>(n)];
+                }
+                kernel::GeluGradSpan(z.data(), want_grad.data(), m * n);
+              }
               std::vector<float> got(want.size(), -99.0f);
-              std::vector<float> got_pre(want.size(), -7.0f);
+              std::vector<float> got_grad(want.size(), -7.0f);
               gemm::GemmPrepacked(a.data(), packed.data(), got.data(), m, k, n,
-                                  bias_or_null, act, got_pre.data());
+                                  bias_or_null, act, got_grad.data());
               EXPECT_EQ(FirstBitDifference(got, want), -1);
-              EXPECT_EQ(FirstBitDifference(got_pre, want_pre), -1);
+              EXPECT_EQ(FirstBitDifference(got_grad, want_grad), -1);
               std::vector<float> one_shot(want.size(), -99.0f);
+              std::vector<float> one_shot_grad(want.size(), -7.0f);
               gemm::Gemm(a.data(), b.data(), one_shot.data(), m, k, n,
-                         bias_or_null, act, nullptr);
+                         bias_or_null, act, one_shot_grad.data());
               EXPECT_EQ(FirstBitDifference(one_shot, want), -1);
+              EXPECT_EQ(FirstBitDifference(one_shot_grad, want_grad), -1);
             }
           }
         }

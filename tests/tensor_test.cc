@@ -23,6 +23,7 @@
 #include "runtime/parallel.h"
 #include "tensor/gelu.h"
 #include "tensor/gemm.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -198,10 +199,10 @@ TEST(TensorOpsTest, GeluKnownValues) {
 }
 
 // ---- Exact GELU bit identity ----------------------------------------------
-// Gelu, GeluGrad and the fused GEMM GELU epilogue run one function
-// (tensor/gelu.h); AVX-512 builds vectorize it with a port of glibc 2.36's
-// erff/expf. These tests pin all three, bit for bit (NaN by class), to the
-// scalar libm expressions below.
+// Gelu, GeluGrad and the fused GEMM GELU epilogue, with and without its
+// derivative output, run one function (tensor/gelu.h); AVX-512 builds
+// vectorize it with a port of glibc 2.36's erff/expf. These tests pin every
+// output, bit for bit (NaN by class), to the scalar libm expressions below.
 
 float ScalarGelu(float x) {
   return 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
@@ -235,8 +236,8 @@ bool SameFloat(float a, float b) {
 }
 
 // Inputs go through the kernels in groups of 17 blocks. Block j of a group
-// holds kGeluRows rows of width j + 1, so the epilogue meets every row tail
-// and the elementwise kernels every chunk tail of their 16-float vectors.
+// holds kGeluRows rows of width j + 1, so the epilogue meets every tail of
+// its 16-float vectors.
 constexpr int64_t kGeluRows = 256;
 constexpr int64_t kGeluGroup = kGeluRows * (17 * 18 / 2);
 
@@ -244,13 +245,15 @@ struct GeluMismatches {
   std::atomic<int64_t> gelu{0};
   std::atomic<int64_t> grad{0};
   std::atomic<int64_t> epilogue{0};
+  std::atomic<int64_t> epilogue_grad{0};
   std::mutex mu;
   std::string first;  // the first few mismatches, for the failure message
 };
 
 // Feeds input(0 .. groups * kGeluGroup - 1) through Gelu (in place, via
-// GeluInto), GeluGrad and gemm::EpilogueBiasAct(kGelu) (in place), blocks in
-// parallel, and counts results that differ from the scalar expressions.
+// GeluInto), GeluGrad and gemm::EpilogueBiasAct(kGelu) (in place), the
+// latter once without and once with its GELU' output, blocks in parallel,
+// and counts results that differ from the scalar expressions.
 template <typename Input>
 void CountGeluMismatches(int64_t groups, Input input, GeluMismatches& out) {
   runtime::ParallelFor(0, groups * 17, 1, [&](int64_t bb, int64_t be) {
@@ -265,9 +268,18 @@ void CountGeluMismatches(int64_t groups, Input input, GeluMismatches& out) {
       Tensor gelu({kGeluRows, width}, in);
       GeluInto(gelu, gelu);
       const Tensor grad = GeluGrad(Tensor({kGeluRows, width}, in));
+      // One epilogue call per row: the epilogue maps all its rows as one
+      // span, and a single row makes that span end in a width-1..17 tail.
       std::vector<float> epilogue = in;
-      gemm::EpilogueBiasAct(epilogue.data(), nullptr, kGeluRows, width,
-                            nullptr, gemm::Activation::kGelu);
+      std::vector<float> fused = in;
+      std::vector<float> fused_grad(in.size());
+      for (int64_t r = 0; r < kGeluRows; ++r) {
+        gemm::EpilogueBiasAct(epilogue.data() + r * width, nullptr, 1, width,
+                              nullptr, gemm::Activation::kGelu);
+        gemm::EpilogueBiasAct(fused.data() + r * width,
+                              fused_grad.data() + r * width, 1, width, nullptr,
+                              gemm::Activation::kGelu);
+      }
       for (size_t i = 0; i < in.size(); ++i) {
         const float x = in[i];
         const float want = ScalarGelu(x);
@@ -281,11 +293,15 @@ void CountGeluMismatches(int64_t groups, Input input, GeluMismatches& out) {
             {"Gelu", gelu.data()[i], want, &out.gelu},
             {"GeluGrad", grad.data()[i], want_grad, &out.grad},
             {"EpilogueBiasAct(kGelu)", epilogue[i], want, &out.epilogue},
+            {"EpilogueBiasAct(kGelu, gelu_grad) output", fused[i], want,
+             &out.epilogue},
+            {"EpilogueBiasAct(kGelu, gelu_grad) GELU'", fused_grad[i],
+             want_grad, &out.epilogue_grad},
         };
         for (const auto& c : checks) {
           if (SameFloat(c.got, c.want)) continue;
           if (c.count->fetch_add(1) < 8) {
-            char line[160];
+            char line[192];
             std::snprintf(line, sizeof(line), "%s(%a) = %a, scalar %a\n",
                           c.name, x, c.got, c.want);
             std::lock_guard<std::mutex> lock(out.mu);
@@ -326,6 +342,7 @@ TEST(TensorOpsTest, GeluKernelsMatchScalarErfFormulas) {
   EXPECT_EQ(patterns.gelu.load(), 0) << patterns.first;
   EXPECT_EQ(patterns.grad.load(), 0) << patterns.first;
   EXPECT_EQ(patterns.epilogue.load(), 0) << patterns.first;
+  EXPECT_EQ(patterns.epilogue_grad.load(), 0) << patterns.first;
 
   // Part 2: special values, and the 64 floats either side of each x where
   // x * (1/sqrt 2) crosses one of erff's |u| branch edges, or where
@@ -367,9 +384,10 @@ TEST(TensorOpsTest, GeluKernelsMatchScalarErfFormulas) {
   EXPECT_EQ(at_edges.gelu.load(), 0) << at_edges.first;
   EXPECT_EQ(at_edges.grad.load(), 0) << at_edges.first;
   EXPECT_EQ(at_edges.epilogue.load(), 0) << at_edges.first;
+  EXPECT_EQ(at_edges.epilogue_grad.load(), 0) << at_edges.first;
 }
 
-// All 2^32 bit patterns (about three minutes on 4 threads). tools/check.sh's
+// All 2^32 bit patterns (about five minutes on 4 threads). tools/check.sh's
 // release leg runs it with --gtest_also_run_disabled_tests, and fails when
 // the lane count printed here is 1 on a CPU with AVX-512F and DQ: the sweep
 // would then compare the scalar loop with itself.
@@ -384,11 +402,13 @@ TEST(TensorOpsTest, DISABLED_GeluKernelsExhaustive) {
   EXPECT_EQ(all.gelu.load(), 0) << all.first;
   EXPECT_EQ(all.grad.load(), 0) << all.first;
   EXPECT_EQ(all.epilogue.load(), 0) << all.first;
+  EXPECT_EQ(all.epilogue_grad.load(), 0) << all.first;
   std::printf("gelu mismatches over 2^32 patterns: Gelu %lld, GeluGrad %lld, "
-              "epilogue %lld\n",
+              "epilogue %lld, epilogue GELU' %lld\n",
               static_cast<long long>(all.gelu.load()),
               static_cast<long long>(all.grad.load()),
-              static_cast<long long>(all.epilogue.load()));
+              static_cast<long long>(all.epilogue.load()),
+              static_cast<long long>(all.epilogue_grad.load()));
 }
 
 TEST(TensorOpsTest, ClampBounds) {
@@ -760,6 +780,95 @@ TEST(LinearWeightGradTest, SignedZeroPartialsAddToPositiveZero) {
       dw, ReduceTo(MatMul(Transpose(a, -1, -2), g), {2, 2})));
   for (int64_t i = 0; i < dw.numel(); ++i) {
     EXPECT_FALSE(std::signbit(dw.data()[i])) << "element " << i;
+  }
+}
+
+// ---- Contiguous-run broadcasts -----------------------------------------------
+
+// f(a, b) by broadcasting's definition, one output element at a time.
+template <typename F>
+Tensor ReferenceZip(const Tensor& a, const Tensor& b, F f) {
+  const Shape shape = BroadcastShapes(a.shape(), b.shape());
+  const int64_t rank = static_cast<int64_t>(shape.size());
+  Tensor out = Tensor::Uninitialized(shape);
+  std::vector<int64_t> index(shape.size());
+  const auto offset = [&](const Tensor& t) {
+    int64_t off = 0;
+    for (int64_t d = 0; d < t.rank(); ++d) {
+      const int64_t i = index[static_cast<size_t>(rank - t.rank() + d)];
+      off = off * t.dim(d) + (t.dim(d) == 1 ? 0 : i);
+    }
+    return off;
+  };
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    int64_t rest = i;
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      index[static_cast<size_t>(d)] = rest % shape[static_cast<size_t>(d)];
+      rest /= shape[static_cast<size_t>(d)];
+    }
+    out.data()[i] = f(a.data()[offset(a)], b.data()[offset(b)]);
+  }
+  return out;
+}
+
+constexpr auto kSub = [](float x, float y) { return x - y; };
+constexpr auto kMul = [](float x, float y) { return x * y; };
+constexpr auto kDiv = [](float x, float y) { return x / y; };
+
+// An operand whose shape is the other's with trailing dims set to 1 pairs
+// each element with one contiguous run; the results carry broadcasting's
+// bits in both argument orders (Sub and Div, where the order matters), at
+// 1, 2 and 8 threads. Shapes that take another path keep theirs too.
+TEST(BroadcastRunTest, MatchesScalarBroadcastReference) {
+  struct Case {
+    Shape small, big;
+    int64_t run;  // kernel::TrailingRunLength; 0 = another path
+  };
+  const Case cases[] = {
+      {{32, 1, 1, 1}, {32, 7, 96, 1}, 672},  // DropPath's per-sample mask
+      {{32, 7, 1}, {32, 7, 96}, 96},         // RevIN's per-series statistics
+      {{5, 2, 1, 1}, {5, 2, 3, 4}, 12},
+      {{3, 1}, {3, 5}, 5},
+      {{1, 1, 1}, {2, 3, 4}, 24},  // one run
+      {{4, 1, 96}, {4, 7, 96}, 0},  // a middle broadcast
+      {{7, 1}, {4, 7, 96}, 0},      // unequal ranks
+      {{4, 7, 96}, {4, 7, 96}, 0},  // equal shapes
+  };
+  Rng rng(53);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(ShapeToString(c.small) + " with " + ShapeToString(c.big));
+    EXPECT_EQ(kernel::TrailingRunLength(c.small, c.big), c.run);
+    const Tensor small = Tensor::RandNormal(c.small, 0, 1, rng);
+    const Tensor big = Tensor::RandNormal(c.big, 0, 1, rng);
+    const Tensor want[] = {
+        ReferenceZip(big, small, kSub), ReferenceZip(small, big, kSub),
+        ReferenceZip(big, small, kDiv), ReferenceZip(small, big, kDiv),
+        ReferenceZip(big, small, kMul)};
+    for (int64_t threads : {1, 2, 8}) {
+      runtime::ScopedThreads scoped(threads);
+      EXPECT_TRUE(BitIdentical(Sub(big, small), want[0])) << threads;
+      EXPECT_TRUE(BitIdentical(Sub(small, big), want[1])) << threads;
+      EXPECT_TRUE(BitIdentical(Div(big, small), want[2])) << threads;
+      EXPECT_TRUE(BitIdentical(Div(small, big), want[3])) << threads;
+      EXPECT_TRUE(BitIdentical(Mul(small, big), want[4])) << threads;
+    }
+  }
+}
+
+// The output may be the big operand itself (the planner's in-place reuse):
+// every element is read before it is written, whichever side is small.
+TEST(BroadcastRunTest, InPlaceOnTheBigOperand) {
+  Rng rng(59);
+  const Tensor small = Tensor::RandNormal({32, 1, 1, 1}, 0, 1, rng);
+  const Tensor big = Tensor::RandNormal({32, 7, 96, 1}, 0, 1, rng);
+  for (int64_t threads : {1, 2, 8}) {
+    runtime::ScopedThreads scoped(threads);
+    Tensor out = big.Clone();
+    MulInto(out, small, out);
+    EXPECT_TRUE(BitIdentical(out, ReferenceZip(big, small, kMul))) << threads;
+    out = big.Clone();
+    MulInto(small, out, out);
+    EXPECT_TRUE(BitIdentical(out, ReferenceZip(small, big, kMul))) << threads;
   }
 }
 

@@ -24,7 +24,8 @@
 #                 training losses are captured, then one timed run of
 #                 tensor_test's disabled exhaustive GELU sweep (all 2^32
 #                 float patterns through Gelu, GeluGrad and the fused GEMM
-#                 epilogue, bit-compared with the scalar libm formulas;
+#                 epilogue with and without its GELU' output, bit-compared
+#                 with the scalar libm formulas;
 #                 tier-1 ctest runs only its 2^24-pattern sibling), which
 #                 also fails when /proc/cpuinfo lists avx512f and avx512dq
 #                 but the build reports 1 GELU lane (a release tree that
