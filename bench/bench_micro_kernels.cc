@@ -21,6 +21,7 @@
 #include "runtime/parallel.h"
 #include "tasks/trainer.h"
 #include "tensor/fft.h"
+#include "tensor/gelu.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -282,6 +283,60 @@ void BM_GemmThinFc2Threads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10752 * 64);
 }
 BENCHMARK(BM_GemmThinFc2Threads)->Arg(1)->Arg(2)->Arg(4);
+
+// The same p = 1 MLP as one fused plan step: fc1 -> GELU -> fc2 through
+// prepacked weights, each 64-row tile's hidden layer kept in a per-thread
+// scratch (MlpPrepackedInto). Compare with BM_GemmThinFc1Threads +
+// BM_GemmThinFc2Threads, which write and re-read the [10752, 64] hidden.
+void BM_MlpThinThreads(benchmark::State& state) {
+  runtime::ScopedThreads scoped(state.range(0));
+  Rng rng(1);
+  Tensor a = Tensor::RandNormal({10752, 1}, 0, 1, rng);
+  PackedLinear fc1{PackGemmB(Tensor::RandNormal({1, 64}, 0, 1, rng)), 1, 64,
+                   Tensor::RandNormal({64}, 0, 1, rng),
+                   gemm::Activation::kGelu};
+  PackedLinear fc2{PackGemmB(Tensor::RandNormal({64, 1}, 0, 1, rng)), 64, 1,
+                   Tensor::RandNormal({1}, 0, 1, rng),
+                   gemm::Activation::kIdentity};
+  Tensor out = Tensor::Uninitialized({10752, 1});
+  for (auto _ : state) {
+    MlpPrepackedInto(a, fc1, fc2, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * 10752 * 64);
+}
+BENCHMARK(BM_MlpThinThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// The exact GELU span over one 64 x 64 epilogue tile, by input mix (Arg):
+// 0 = MSD-Mixer's pre-activation mix, 94% / 5% / 1% of erf arguments
+// |x / sqrt 2| in erff's small (< 0.84375), mid (< 1.25) and outer ranges;
+// 1 = N(0, 1); 2 = all small; 3 = all mid; 4 = all outer. Items are floats.
+void BM_GeluSpan(benchmark::State& state) {
+  constexpr int64_t kN = 64 * 64;
+  // The range edges in x: 0.84375 and 1.25 times sqrt 2.
+  constexpr float kMid = 1.1933f;
+  constexpr float kOuter = 1.7678f;
+  Rng rng(7);
+  auto draw = [&](int mix) {
+    const float sign = rng.Bernoulli(0.5) ? -1.0f : 1.0f;
+    const double r = mix == 0 ? rng.NextDouble() : 0.0;
+    if (mix == 1) return rng.Gaussian();
+    if (mix == 2 || (mix == 0 && r < 0.941)) return rng.Uniform(-1.19f, 1.19f);
+    if (mix == 3 || (mix == 0 && r < 0.991)) {
+      return sign * rng.Uniform(kMid, kOuter - 0.001f);
+    }
+    return sign * rng.Uniform(kOuter, 4.0f);
+  };
+  std::vector<float> x(kN);
+  for (float& v : x) v = draw(static_cast<int>(state.range(0)));
+  std::vector<float> y(kN);
+  for (auto _ : state) {
+    kernel::GeluSpan(x.data(), y.data(), kN);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK(BM_GeluSpan)->DenseRange(0, 4);
 
 // One Linear's backward (input, weight and bias gradients) at patch size 96
 // (B = 32, C = 7, L = 96, hidden 32): the channel MLP's fc1, a [32, 96, 1, 7],

@@ -26,8 +26,8 @@ thread_local bool g_grad_enabled = true;
 thread_local std::vector<std::weak_ptr<AutogradNode>> g_debug_leaves;
 #endif
 
-// In-place dst += src (same shape). Parallel over fixed chunks: each element
-// is touched by exactly one chunk, so accumulation stays deterministic.
+// In-place dst += src (same shape). Parallel over kElementwiseChunk chunks:
+// each element is in exactly one, so accumulation stays deterministic.
 void AddInto(Tensor& dst, const Tensor& src) {
   MSD_CHECK(dst.shape() == src.shape());
   float* d = dst.data();
@@ -37,7 +37,7 @@ void AddInto(Tensor& dst, const Tensor& src) {
       d, n * static_cast<int64_t>(sizeof(float)), s,
       n * static_cast<int64_t>(sizeof(float))))
       << "gradient accumulation would read its own output buffer";
-  runtime::ParallelFor(0, n, kernel::kElementwiseGrain,
+  runtime::ParallelFor(0, n, kernel::kElementwiseChunk,
                        [&](int64_t cb, int64_t ce) {
                          for (int64_t i = cb; i < ce; ++i) d[i] += s[i];
                        });

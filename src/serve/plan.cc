@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -93,6 +94,13 @@ struct CompiledPlan::Step {
   bool quantized = false;
   std::vector<int8_t> q_weights;
   std::vector<float> q_scales;
+  // A fused Linear pair (FuseLinearPairs): both layers frozen, run by
+  // MlpPrepackedInto. packed_b stays undefined, so the step is never an
+  // int8 candidate.
+  struct Mlp {
+    PackedLinear fc1, fc2;
+  };
+  std::optional<Mlp> mlp;
   float scalar = 0.0f;
   std::vector<int64_t> dims;
   int64_t dim = 0, start = 0, length = 0, before = 0, after = 0;
@@ -111,6 +119,7 @@ struct SlotRec {
   Tensor pinned;  // first-seen tensor; keeps the traced buffer alive
   bool is_constant = false;
   bool is_input = false;
+  bool fused_away = false;  // a fused Linear pair's hidden: no region
   int def_step = -1;
   int last_use_step = -1;
 };
@@ -127,6 +136,10 @@ struct Node {
   float pad_value = 0.0f;
   gemm::Activation act = gemm::Activation::kIdentity;
   std::string region_path;
+  // A fused Linear pair: args are {a, w1, bias1, w2, bias2} (-1 for an
+  // absent bias), `act` is fc1's and act2 fc2's.
+  bool fused = false;
+  gemm::Activation act2 = gemm::Activation::kIdentity;
 };
 
 // Operand indexes of `kind` whose region may be reused for the output
@@ -331,6 +344,70 @@ std::string RowPrefixMismatch(const Graph& full, const Graph& one,
   return "";
 }
 
+// A MatMulEx against a constant rank-2 weight: every Linear. The plan packs
+// its weight once at freeze time.
+bool Prepackable(const Graph& g, const Node& n) {
+  return n.kind == OpKind::kMatMulEx && n.args.size() > 1 && n.args[1] >= 0 &&
+         n.arg_shapes[1].size() == 2 &&
+         g.slots[static_cast<size_t>(n.args[1])].is_constant;
+}
+
+// Merges each prepackable MatMulEx into the next node when that node is a
+// prepackable MatMulEx whose whole left operand is the first one's output,
+// and nothing else reads that output (nor returns it): an MLP block's fc1
+// and fc2. The merged node runs both GEMMs per row tile, so the hidden slot
+// between them is marked fused_away and never gets an arena region. Pairs do
+// not chain: a merged node is not merged again. Returns the number merged.
+int64_t FuseLinearPairs(Graph& g) {
+  std::vector<int> readers(g.slots.size(), 0);
+  for (const Node& n : g.nodes) {
+    for (int a : n.args) {
+      if (a >= 0) ++readers[static_cast<size_t>(a)];
+    }
+  }
+  auto arg = [](const Node& n, size_t j) {
+    return j < n.args.size() ? n.args[j] : -1;
+  };
+  auto arg_shape = [](const Node& n, size_t j) {
+    return j < n.arg_shapes.size() ? n.arg_shapes[j] : Shape();
+  };
+  std::vector<Node> merged;
+  merged.reserve(g.nodes.size());
+  int64_t fused = 0;
+  for (size_t i = 0; i < g.nodes.size(); ++i) {
+    Node& fc1 = g.nodes[i];
+    if (i + 1 < g.nodes.size()) {
+      const Node& fc2 = g.nodes[i + 1];
+      if (Prepackable(g, fc1) && Prepackable(g, fc2) && fc2.args[0] == fc1.out &&
+          fc2.arg_shapes[0] == fc1.out_shape &&
+          readers[static_cast<size_t>(fc1.out)] == 1 &&
+          fc1.out != g.out_slot) {
+        g.slots[static_cast<size_t>(fc1.out)].fused_away = true;
+        Node pair = std::move(fc1);
+        pair.fused = true;
+        pair.args = {pair.args[0], pair.args[1], arg(pair, 2), fc2.args[1],
+                     arg(fc2, 2)};
+        pair.arg_shapes = {pair.arg_shapes[0], pair.arg_shapes[1],
+                           arg_shape(pair, 2), fc2.arg_shapes[1],
+                           arg_shape(fc2, 2)};
+        pair.out = fc2.out;
+        pair.out_shape = fc2.out_shape;
+        pair.act2 = fc2.act;
+        if (!fc2.region_path.empty()) {
+          pair.region_path += " + " + fc2.region_path;
+        }
+        merged.push_back(std::move(pair));
+        ++fused;
+        ++i;
+        continue;
+      }
+    }
+    merged.push_back(std::move(fc1));
+  }
+  g.nodes = std::move(merged);
+  return fused;
+}
+
 }  // namespace
 
 CompiledPlan::CompiledPlan() = default;
@@ -364,11 +441,18 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     if (!reason.empty()) return fail(reason);
     row_output = one.output;
   }
+  const int64_t traced_ops = static_cast<int64_t>(g.nodes.size());
+
+  // ---- 2. Linear-pair fusion (fp32 plans) ----------------------------------
+  // Runs before lifetime analysis, so a fused pair's hidden activations never
+  // get an arena region. int8 plans keep every GEMM its own step: their
+  // pass calibrates each one against its fp32 output.
+  const int64_t fused = options.quantize ? 0 : FuseLinearPairs(g);
   std::vector<SlotRec>& slots = g.slots;
   const std::vector<Node>& nodes = g.nodes;
   const int out_slot = g.out_slot;
 
-  // ---- 2. Lifetimes over the schedule --------------------------------------
+  // ---- 3. Lifetimes over the schedule --------------------------------------
   const int num_steps = static_cast<int>(nodes.size());
   for (int s = 0; s < num_steps; ++s) {
     const Node& n = nodes[static_cast<size_t>(s)];
@@ -381,7 +465,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   }
   slots[static_cast<size_t>(out_slot)].last_use_step = num_steps;  // export
 
-  // ---- 3. In-place aliasing + region merging -------------------------------
+  // ---- 4. In-place aliasing + region merging -------------------------------
   // region id == representative slot id. Merging the output of an
   // elementwise step onto an operand that (a) lives in the arena, (b) has
   // the exact output shape, (c) dies at this step, and (d) shares no region
@@ -390,7 +474,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   std::vector<int> region_of(slots.size(), -1);
   std::vector<int> region_last(slots.size(), -1);
   for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].is_constant) continue;
+    if (slots[i].is_constant || slots[i].fused_away) continue;
     region_of[i] = static_cast<int>(i);
     region_last[i] = slots[i].last_use_step;
   }
@@ -424,7 +508,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     }
   }
 
-  // ---- 4. First-fit offset packing -----------------------------------------
+  // ---- 5. First-fit offset packing -----------------------------------------
   // Region lifetime = [min def over members, max last_use over members];
   // bytes = the common member size (shape-equality on merge guarantees it).
   struct Region {
@@ -481,7 +565,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     arena_bytes = std::max(arena_bytes, candidate + reg->bytes);
   }
 
-  // ---- 5. Materialize the plan ---------------------------------------------
+  // ---- 6. Materialize the plan ---------------------------------------------
   std::unique_ptr<CompiledPlan> plan(new CompiledPlan());
   plan->arena_ = std::make_unique<arena::Arena>(arena_bytes);
   auto offset_of = [&](int slot) -> int64_t {
@@ -507,12 +591,25 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
                                 plan->arena_->owner());
   };
 
+  // A frozen Linear from operands w (weight) and bias of node n, packed now.
+  auto packed_linear = [&](const Node& n, size_t w, size_t bias,
+                           gemm::Activation act) {
+    PackedLinear l;
+    l.packed_b = PackGemmB(view(n.args[w], n.arg_shapes[w], rows));
+    l.k = n.arg_shapes[w][0];
+    l.n = n.arg_shapes[w][1];
+    if (n.args[bias] >= 0) l.bias = view(n.args[bias], n.arg_shapes[bias], rows);
+    l.act = act;
+    ++plan->stats_.num_prepacked;
+    return l;
+  };
   for (const Node& n : nodes) {
     Step step;
     step.kind = n.kind;
-    if (n.kind == OpKind::kMatMulEx && n.args.size() > 1 && n.args[1] >= 0 &&
-        n.arg_shapes[1].size() == 2 &&
-        slots[static_cast<size_t>(n.args[1])].is_constant) {
+    if (n.fused) {
+      step.mlp = Step::Mlp{packed_linear(n, 1, 2, n.act),
+                           packed_linear(n, 3, 4, n.act2)};
+    } else if (Prepackable(g, n)) {
       // Every Linear hits this: a frozen rank-2 weight shared across the
       // batch. Pack it once now; Execute skips the per-call B pack.
       step.packed_b = PackGemmB(view(n.args[1], n.arg_shapes[1], rows));
@@ -554,8 +651,9 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   }
   plan->results_ = std::make_shared<ResultPool>(g.output.numel());
 
-  plan->stats_.traced_ops = num_steps;
+  plan->stats_.traced_ops = traced_ops;
   plan->stats_.num_ops = num_steps;
+  plan->stats_.num_fused = fused;
   plan->stats_.num_inplace = inplace;
   plan->stats_.num_regions = static_cast<int64_t>(regions.size());
   plan->stats_.arena_bytes = arena_bytes;
@@ -564,7 +662,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
         RegionInfo{reg->offset, reg->bytes, reg->first_def, reg->last_use});
   }
 
-  // ---- 6. Freeze-time validation -------------------------------------------
+  // ---- 7. Freeze-time validation -------------------------------------------
   // Replay the example and its first row through the fresh plan and require
   // bitwise equality with the interpreted outputs. A mismatch means a planner
   // bug; refuse the plan rather than serve wrong (or merely different) bits.
@@ -578,7 +676,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
         "bit-identical");
   }
 
-  // ---- 7. Quantization pass (opt-in) ---------------------------------------
+  // ---- 8. Quantization pass (opt-in) ---------------------------------------
   // Runs only after the fp32 plan has passed its memcmp gate, so every step
   // a candidate falls back to is the validated fp32 schedule.
   if (options.quantize) {
@@ -742,6 +840,8 @@ void CompiledPlan::RunStep(const Step& s, Operands& v) {
                               s.q_scales.data(), v.out.data(), m, s.gemm_k,
                               s.gemm_n, v.c.defined() ? v.c.data() : nullptr,
                               s.act);
+      } else if (s.mlp) {
+        MlpPrepackedInto(v.a, s.mlp->fc1, s.mlp->fc2, v.out);
       } else if (s.packed_b.defined()) {
         MatMulExPrepackedInto(v.a, s.packed_b, s.gemm_k, s.gemm_n, v.c,
                               s.act, v.out);
@@ -799,7 +899,8 @@ std::string CompiledPlan::DebugString() const {
   std::ostringstream out;
   out << "CompiledPlan: " << stats_.num_ops << " ops ("
       << stats_.num_inplace << " in-place, " << stats_.num_prepacked
-      << " prepacked), " << stats_.num_regions << " regions, "
+      << " prepacked, " << stats_.num_fused << " fused Linear pairs), "
+      << stats_.num_regions << " regions, "
       << stats_.arena_bytes << " arena bytes";
   if (stats_.num_quantized > 0 || stats_.num_quant_fallbacks > 0) {
     out << ", int8: " << stats_.num_quantized << " quantized / "
@@ -810,8 +911,11 @@ std::string CompiledPlan::DebugString() const {
   out << "  input  " << ShapeToString(views.input.shape()) << "\n";
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& s = steps_[i];
-    out << "  %" << i << " = " << optrace::OpKindName(s.kind) << " "
-        << ShapeToString(views.steps[i].out.shape()) << " @" << s.out_offset;
+    out << "  %" << i << " = " << optrace::OpKindName(s.kind);
+    if (s.mlp) out << "+" << optrace::OpKindName(s.kind);
+    out << " " << ShapeToString(views.steps[i].out.shape()) << " @"
+        << s.out_offset;
+    if (s.mlp) out << "  hidden " << s.mlp->fc1.n << " in-tile";
     if (s.quantized) out << "  int8";
     if (!s.region_path.empty()) out << "  // " << s.region_path;
     out << "\n";

@@ -44,7 +44,8 @@ namespace serve {
 // Aggregate facts about a built plan, for gauges, logs, and tests.
 struct PlanStats {
   int64_t traced_ops = 0;    // ops recorded by the interpreted forward
-  int64_t num_ops = 0;       // schedule length
+  int64_t num_ops = 0;       // schedule length: traced_ops - num_fused
+  int64_t num_fused = 0;     // Linear pairs merged into one step (fp32)
   int64_t num_inplace = 0;   // outputs aliased onto a dying operand's region
   int64_t num_prepacked = 0;  // constant GEMM weights packed at freeze time
   int64_t num_regions = 0;   // arena regions after aliasing

@@ -1,5 +1,7 @@
 #include "tensor/gelu.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -161,37 +163,57 @@ void SelectCoefficients(__mmask16 use_a, const float (&a)[N],
   for (size_t i = 0; i < N; ++i) out[i] = Select(use_a, F(a[i]), F(b[i]));
 }
 
+// |x|'s bit pattern, as a non-negative int32 per lane.
+__m512i AbsBits(__m512 x) {
+  return _mm512_and_si512(_mm512_castps_si512(x),
+                          _mm512_set1_epi32(0x7fffffff));
+}
+
+// libm's |x| range edges, as AbsBits values.
+constexpr int32_t kMidBits = 0x3f580000;  // 0.84375
+constexpr int32_t kBigBits = 0x3fa00000;  // 1.25
+
+// erf for |x| < 0.84375 (`ix` = AbsBits(x)): x + x * pp(x^2) / qq(x^2). For
+// |x| < 2^-28 libm returns x + efx*x instead, scaled by 16 below 2^-119 to
+// dodge underflow; those blends run only when some lane is that small.
+__m512 ErfSmall(__m512 x, __m512i ix) {
+  const __m512 z = Mul(x, x);
+  __m512 small = Add(x, Mul(x, Div(Poly(z, kPp), Poly(z, kQq))));
+  const __mmask16 tiny = Below(ix, 0x31800000);
+  if (tiny != 0) {
+    small = Select(tiny, Add(x, Mul(F(kEfx), x)), small);
+    small = Select(Below(ix, 0x04000000),
+                   Mul(Add(Mul(F(16.0f), x), Mul(F(kEfx16), x)), F(0.0625f)),
+                   small);
+  }
+  return small;
+}
+
+// erf for 0.84375 <= |x| < 1.25: +-(erx + pa(|x|-1) / qa(|x|-1)).
+__m512 ErfMid(__m512 x) {
+  const __m512 ax = _mm512_castsi512_ps(AbsBits(x));
+  const __m512 s = Sub(ax, F(1.0f));
+  const __m512 e = Add(F(kErx), Div(Poly(s, kPa), Poly(s, kQa)));
+  return _mm512_or_ps(_mm512_andnot_ps(ax, x), e);
+}
+
 // libm's four |x| ranges become lane masks. Every lane starts at the
 // |x| >= 6 answer; each other range is evaluated only when some lane is in
 // it, then blended in.
 __m512 Erff16(__m512 x) {
-  const __m512i ix = _mm512_and_si512(_mm512_castps_si512(x),
-                                      _mm512_set1_epi32(0x7fffffff));
+  const __m512i ix = AbsBits(x);
   const __m512 ax = _mm512_castsi512_ps(ix);
   const __m512 sign = _mm512_andnot_ps(ax, x);
   // |x| >= 6 and +-inf: +-1 (libm: one - tiny, rounded). NaN stays NaN.
   __m512 y = Select(_mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), x,
                     _mm512_or_ps(sign, F(1.0f)));
-  const __mmask16 below_mid = Below(ix, 0x3f580000);   // |x| < 0.84375
-  const __mmask16 below_big = Below(ix, 0x3fa00000);   // |x| < 1.25
+  const __mmask16 below_mid = Below(ix, kMidBits);
+  const __mmask16 below_big = Below(ix, kBigBits);
   const __mmask16 below_huge = Below(ix, 0x40c00000);  // |x| < 6
   const __mmask16 mid = _kandn_mask16(below_mid, below_big);
   const __mmask16 big = _kandn_mask16(below_big, below_huge);
-  if (below_mid != 0) {
-    const __m512 z = Mul(x, x);
-    __m512 small = Add(x, Mul(x, Div(Poly(z, kPp), Poly(z, kQq))));
-    // |x| < 2^-28: x + efx*x; below 2^-119 scaled by 16 to dodge underflow.
-    small = Select(Below(ix, 0x31800000), Add(x, Mul(F(kEfx), x)), small);
-    small = Select(Below(ix, 0x04000000),
-                   Mul(Add(Mul(F(16.0f), x), Mul(F(kEfx16), x)), F(0.0625f)),
-                   small);
-    y = Select(below_mid, small, y);
-  }
-  if (mid != 0) {
-    const __m512 s = Sub(ax, F(1.0f));
-    const __m512 e = Add(F(kErx), Div(Poly(s, kPa), Poly(s, kQa)));
-    y = Select(mid, _mm512_or_ps(sign, e), y);
-  }
+  if (below_mid != 0) y = Select(below_mid, ErfSmall(x, ix), y);
+  if (mid != 0) y = Select(mid, ErfMid(x), y);
   if (big != 0) {
     const __m512 s = Div(F(1.0f), Mul(ax, ax));
     const __mmask16 near = Below(ix, 0x4036db6e);  // |x| < 1/0.35
@@ -212,8 +234,8 @@ __m512 Erff16(__m512 x) {
   return y;
 }
 
-// erf(x / sqrt 2), the one erf GELU and its derivative share.
-__m512 ErfOfScaled(__m512 x) { return Erff16(Mul(x, F(kInvSqrt2))); }
+// x / sqrt 2, the argument of the one erf GELU and its derivative share.
+__m512 Scaled(__m512 x) { return Mul(x, F(kInvSqrt2)); }
 
 __m512 GeluFromErf(__m512 x, __m512 e) {
   return Mul(Mul(F(0.5f), x), Add(F(1.0f), e));
@@ -229,41 +251,120 @@ __m512 GeluGradFromErf(__m512 x, __m512 e) {
   return Add(phi_big, Mul(x, phi_small));
 }
 
-__m512 Gelu16(__m512 x) { return GeluFromErf(x, ErfOfScaled(x)); }
-__m512 GeluGrad16(__m512 x) { return GeluGradFromErf(x, ErfOfScaled(x)); }
+// ---- Range-compacted spans --------------------------------------------------
+// On MSD-Mixer's pre-activations ~94% of erf arguments fall in the cheap
+// |u| < 0.84375 range, but a third of 16-lane vectors hold some lane beyond
+// it, and Erff16 then pays that lane's formula on all sixteen. The spans
+// therefore split each kBlock-element block into three passes:
+//  1. every vector runs the small-range formula, stores only its small
+//     lanes, and appends the other lanes' offsets to a mid list
+//     (0.84375 <= |u| < 1.25) or a rest list (|u| >= 1.25, +-inf, NaN);
+//  2. the mid list is gathered 16 lanes at a time through ErfMid and the
+//     results scattered back;
+//  3. the rest list likewise through the whole Erff16.
+// Each lane still takes the formula libm's branch picks for it, so the bits
+// do not change. Pass 1 writes only its own lanes, so passes 2 and 3 gather
+// an untouched x even in place (y == x).
+constexpr int64_t kBlock = 1024;
 
-// Maps op over whole 16-float vectors; the tail runs the same vector code
-// under a lane mask, its missing lanes loaded as zero and never stored.
-template <typename Op>
-void Map16(const float* x, float* y, int64_t n, Op op) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(y + i, op(_mm512_loadu_ps(x + i)));
+// Where pass 1 writes: the `lanes` of the vector at element `at`.
+struct StoreAt {
+  int64_t at;
+  __mmask16 lanes;
+  void operator()(float* dst, __m512 v) const {
+    _mm512_mask_storeu_ps(dst + at, lanes, v);
   }
-  if (i < n) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1);
-    _mm512_mask_storeu_ps(y + i, tail, op(_mm512_maskz_loadu_ps(tail, x + i)));
+};
+
+// Where passes 2 and 3 write: `lanes` of the offsets `idx` from block `base`.
+struct ScatterTo {
+  int64_t base;
+  __m512i idx;
+  __mmask16 lanes;
+  void operator()(float* dst, __m512 v) const {
+    _mm512_mask_i32scatter_ps(dst + base, lanes, idx, v, 4);
+  }
+};
+
+// The lanes [0, count) of a vector, count <= 16.
+__mmask16 FirstLanes(int64_t count) {
+  return count >= 16 ? __mmask16{0xffff}
+                     : static_cast<__mmask16>((1u << count) - 1);
+}
+
+// Appends the element offsets of `lanes` (offsets `at`) to `list`.
+void Append(int32_t* list, int& size, __mmask16 lanes, __m512i at) {
+  _mm512_storeu_si512(list + size, _mm512_maskz_compress_epi32(lanes, at));
+  size += std::popcount(static_cast<unsigned>(lanes));
+}
+
+// Runs `emit(put, x, erf(x / sqrt 2))` once per element of x[0, n), where
+// `put(dst, v)` writes v's lanes to the element's slots of dst (one output
+// span per call).
+template <typename Emit>
+void CompactedSpan(const float* x, int64_t n, Emit emit) {
+  // 16 slack slots: Append stores whole vectors.
+  alignas(64) int32_t mid[kBlock + 16];
+  alignas(64) int32_t rest[kBlock + 16];
+  const __m512i iota =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  for (int64_t base = 0; base < n; base += kBlock) {
+    const int64_t len = std::min(kBlock, n - base);
+    const float* xb = x + base;
+    int mids = 0;
+    int rests = 0;
+    for (int64_t i = 0; i < len; i += 16) {
+      const __mmask16 lanes = FirstLanes(len - i);
+      const __m512 v = _mm512_maskz_loadu_ps(lanes, xb + i);
+      const __m512 u = Scaled(v);
+      const __m512i iu = AbsBits(u);
+      const __mmask16 small = Below(iu, kMidBits) & lanes;
+      if (small != 0) emit(StoreAt{base + i, small}, v, ErfSmall(u, iu));
+      if (small == lanes) continue;
+      const __mmask16 mid_lanes =
+          _kandn_mask16(small, Below(iu, kBigBits)) & lanes;
+      const __m512i at =
+          _mm512_add_epi32(_mm512_set1_epi32(static_cast<int32_t>(i)), iota);
+      Append(mid, mids, mid_lanes, at);
+      Append(rest, rests, lanes & ~(small | mid_lanes), at);
+    }
+    for (int j = 0; j < mids; j += 16) {
+      const __mmask16 lanes = FirstLanes(mids - j);
+      const __m512i idx = _mm512_maskz_loadu_epi32(lanes, mid + j);
+      const __m512 v =
+          _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes, idx, xb, 4);
+      emit(ScatterTo{base, idx, lanes}, v, ErfMid(Scaled(v)));
+    }
+    for (int j = 0; j < rests; j += 16) {
+      const __mmask16 lanes = FirstLanes(rests - j);
+      const __m512i idx = _mm512_maskz_loadu_epi32(lanes, rest + j);
+      // Missing lanes read 16, whose erf is Erff16's cheapest (|u| >= 6).
+      const __m512 v =
+          _mm512_mask_i32gather_ps(F(16.0f), lanes, idx, xb, 4);
+      emit(ScatterTo{base, idx, lanes}, v, Erff16(Scaled(v)));
+    }
   }
 }
 
 }  // namespace
 
-void GeluSpan(const float* x, float* y, int64_t n) { Map16(x, y, n, Gelu16); }
+void GeluSpan(const float* x, float* y, int64_t n) {
+  CompactedSpan(x, n, [y](const auto& put, __m512 v, __m512 e) {
+    put(y, GeluFromErf(v, e));
+  });
+}
 
 void GeluGradSpan(const float* x, float* y, int64_t n) {
-  Map16(x, y, n, GeluGrad16);
+  CompactedSpan(x, n, [y](const auto& put, __m512 v, __m512 e) {
+    put(y, GeluGradFromErf(v, e));
+  });
 }
 
 void GeluAndGradSpan(const float* x, float* y, float* dy, int64_t n) {
-  const auto both = [&](int64_t i, __mmask16 lanes) {
-    const __m512 v = _mm512_maskz_loadu_ps(lanes, x + i);
-    const __m512 e = ErfOfScaled(v);
-    _mm512_mask_storeu_ps(y + i, lanes, GeluFromErf(v, e));
-    _mm512_mask_storeu_ps(dy + i, lanes, GeluGradFromErf(v, e));
-  };
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) both(i, 0xffff);
-  if (i < n) both(i, static_cast<__mmask16>((1u << (n - i)) - 1));
+  CompactedSpan(x, n, [y, dy](const auto& put, __m512 v, __m512 e) {
+    put(y, GeluFromErf(v, e));
+    put(dy, GeluGradFromErf(v, e));
+  });
 }
 
 #else  // scalar libm

@@ -14,11 +14,15 @@
 // AVX-512 builds (AVX512F + AVX512DQ) evaluate 16 lanes at a time through a
 // vector port of glibc 2.36's erff and its FMA expf, and are bit-identical to
 // the scalar form linked against that libm (tests/tensor_test.cc sweeps the
-// float bit patterns; docs/PERFORMANCE.md). Every other build evaluates those
+// float bit patterns; docs/PERFORMANCE.md). They run erff's formulas range
+// by range: per 1024-element block, the cheap |x / sqrt 2| < 0.84375 formula
+// on every vector, then the other lanes gathered 16 at a time through the
+// formula libm's branch picks for them. Every other build evaluates those
 // expressions per element with libm's float erf and exp. `y` may equal `x`
 // (in place) but must not otherwise overlap it; GeluAndGradSpan's `dy`
 // overlaps neither.
-// Internal header: tensor kernels (gemm.cc, tensor_ops.cc) and their tests.
+// Internal header: tensor kernels (gemm.cc, tensor_ops.cc), their tests and
+// microbenches.
 #ifndef MSDMIXER_TENSOR_GELU_H_
 #define MSDMIXER_TENSOR_GELU_H_
 

@@ -318,13 +318,15 @@ void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* packed) {
   }
 }
 
-// msd-hot-path-safe: thread-local grow-only pack scratch. Capacity is
-// bounded by kMc * kKc floats (64 KiB), so each worker allocates at most
-// once and every later GEMM reuses the buffer — no pool lookups and no
-// shared_ptr churn from inside the parallel region, which is what lets the
-// planned serving path (serve/plan.h) run with zero steady-state pool
-// traffic. PackA fully writes every element the micro-kernel reads, so a
-// dirty recycled buffer is fine (the pool made the same promise).
+// msd-hot-path-safe: thread-local grow-only pack scratch. A GEMM asks for
+// at most kMc * kKc floats (64 KiB) and MlpPrepacked for that plus its
+// kMc-row hidden tile, so each worker allocates once per larger request and
+// every later GEMM reuses the buffer — no pool lookups and no shared_ptr
+// churn from inside the parallel region, which is what lets the planned
+// serving path (serve/plan.h) run with zero steady-state pool traffic.
+// PackA, and MlpPrepacked's first GEMM for its hidden tile, fully write
+// every element later read, so a dirty recycled buffer is fine (the pool
+// made the same promise).
 float* APackScratch(int64_t floats) {
   struct Scratch {
     float* data = nullptr;
@@ -539,44 +541,93 @@ void PackB(const float* b, int64_t k, int64_t n, float* packed) {
   });
 }
 
+namespace {
+
+// Row tiles per chunk for a [*, k] x [k, n] GEMM: a chunk holds at least
+// kGemmChunkMacs multiply-adds, so a GEMM smaller than that runs inline.
+int64_t RowTileGrain(int64_t k, int64_t n) {
+  const int64_t tile_macs = kMc * std::max<int64_t>(k, 1) * n;
+  return std::max<int64_t>(1, kGemmChunkMacs / std::max<int64_t>(1, tile_macs));
+}
+
+// One row tile of GemmPrepacked: rows [0, mc) of C (row stride n) from the
+// same rows of A (row stride k), epilogue included. `a_pack` holds
+// kMc * min(k, kKc) floats.
+void RowTile(const float* a, const float* packed_b, float* c, int64_t mc,
+             int64_t k, int64_t n, const float* bias, Activation act,
+             float* gelu_grad, float* a_pack) {
+  if (k == 0) {
+    // Empty inner dimension: the product is all zeros by convention.
+    std::fill(c, c + mc * n, 0.0f);
+  }
+  const int64_t n_panels = CeilDiv(n, kNr);
+  for (int64_t kc0 = 0; kc0 < k; kc0 += kKc) {
+    const int64_t kc = std::min(kKc, k - kc0);
+    PackA(a + kc0, k, mc, kc, a_pack);
+    const bool first = kc0 == 0;
+    for (int64_t jp = 0; jp < n_panels; ++jp) {
+      const float* bp = packed_b + jp * k * kNr + kc0 * kNr;
+      const int64_t j0 = jp * kNr;
+      ColumnPanel(a_pack, bp, kc, c + j0, n, first, mc,
+                  std::min(kNr, n - j0));
+    }
+  }
+  if (bias != nullptr || act != Activation::kIdentity) {
+    EpilogueBiasAct(c, gelu_grad, mc, n, bias, act);
+  }
+}
+
+}  // namespace
+
 // msd-hot-path: innermost training/serving compute kernel.
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
                    float* gelu_grad) {
   if (m == 0 || n == 0) return;
-  const int64_t row_tiles = CeilDiv(m, kMc);
-  const int64_t n_panels = CeilDiv(n, kNr);
   // One whole row tile per loop iteration: the chunk partition (a pure
   // function of row_tiles and the grain) decides only which thread runs a
-  // tile, never how the tile accumulates. A chunk holds at least
-  // kGemmChunkMacs multiply-adds, so a GEMM smaller than that runs inline.
-  const int64_t tile_macs = kMc * std::max<int64_t>(k, 1) * n;
-  const int64_t grain = std::max<int64_t>(1, kGemmChunkMacs / tile_macs);
+  // tile, never how the tile accumulates.
+  const int64_t row_tiles = CeilDiv(m, kMc);
+  const int64_t grain = RowTileGrain(k, n);
   runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
     float* a_pack = APackScratch(kMc * std::min(k, kKc));
     for (int64_t t = tb; t < te; ++t) {
       const int64_t i0 = t * kMc;
+      RowTile(a + i0 * k, packed_b, c + i0 * n, std::min(kMc, m - i0), k, n,
+              bias, act, gelu_grad == nullptr ? nullptr : gelu_grad + i0 * n,
+              a_pack);
+    }
+  });
+}
+
+// msd-hot-path: the serving MLP block's two GEMMs in one pass.
+void MlpPrepacked(const float* a, const MlpLayer& fc1, const MlpLayer& fc2,
+                  float* c, int64_t m, int64_t k, int64_t h, int64_t n) {
+  if (m == 0 || n == 0) return;
+  // Each row tile runs fc1 into the chunk's hidden tile, then fc2 from it:
+  // both are GemmPrepacked's tiles over the same rows, so every element
+  // matches the two separate calls. The grain is the larger GEMM's (the
+  // smaller of the two grains), not that of their summed multiply-adds: the
+  // fused loop then splits only where one of the separate calls would have,
+  // and adds no pool dispatch.
+  const int64_t row_tiles = CeilDiv(m, kMc);
+  const int64_t grain = std::min(RowTileGrain(k, h), RowTileGrain(h, n));
+  runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
+    // The hidden tile sits past the A pack in the same scratch, at a
+    // 16-float (64-byte) offset.
+    const int64_t pack_floats =
+        CeilDiv(kMc * std::max(std::min(k, kKc), std::min(h, kKc)), 16) * 16;
+    float* a_pack = APackScratch(pack_floats + kMc * h);
+    float* hidden = a_pack + pack_floats;
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t i0 = t * kMc;
       const int64_t mc = std::min(kMc, m - i0);
-      if (k == 0) {
-        // Empty inner dimension: the product is all zeros by convention.
-        std::fill(c + i0 * n, c + (i0 + mc) * n, 0.0f);
+      if (h > 0) {
+        RowTile(a + i0 * k, fc1.packed_b, hidden, mc, k, h, fc1.bias, fc1.act,
+                nullptr, a_pack);
       }
-      for (int64_t kc0 = 0; kc0 < k; kc0 += kKc) {
-        const int64_t kc = std::min(kKc, k - kc0);
-        PackA(a + i0 * k + kc0, k, mc, kc, a_pack);
-        const bool first = kc0 == 0;
-        for (int64_t jp = 0; jp < n_panels; ++jp) {
-          const float* bp = packed_b + jp * k * kNr + kc0 * kNr;
-          const int64_t j0 = jp * kNr;
-          ColumnPanel(a_pack, bp, kc, c + i0 * n + j0, n, first, mc,
-                      std::min(kNr, n - j0));
-        }
-      }
-      if (bias != nullptr || act != Activation::kIdentity) {
-        EpilogueBiasAct(c + i0 * n,
-                        gelu_grad == nullptr ? nullptr : gelu_grad + i0 * n,
-                        mc, n, bias, act);
-      }
+      RowTile(hidden, fc2.packed_b, c + i0 * n, mc, h, n, fc2.bias, fc2.act,
+              nullptr, a_pack);
     }
   });
 }

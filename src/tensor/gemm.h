@@ -11,7 +11,9 @@
 // every panel. The optional epilogue (bias add + activation) runs per row
 // tile while C is still cache-hot, so fused Linear layers never materialize
 // the intermediate pre-activation tensor; under training a GELU layer keeps
-// its derivative instead, written by the same epilogue pass.
+// its derivative instead, written by the same epilogue pass. MlpPrepacked
+// chains two such GEMMs per row tile (an MLP block's fc1 and fc2), so the
+// hidden activations between them stay in a per-thread tile.
 //
 // Determinism contract (docs/RUNTIME.md): tile geometry is a pure function
 // of (m, k, n); runtime::ParallelFor distributes whole row tiles, each
@@ -69,6 +71,27 @@ void PackB(const float* b, int64_t k, int64_t n, float* packed);
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
                    float* gelu_grad);
+
+// One Linear of MlpPrepacked: a PackB-packed weight, its bias (nullptr or
+// one float per output column) and its epilogue activation.
+struct MlpLayer {
+  const float* packed_b;
+  const float* bias;
+  Activation act;
+};
+
+// C[m,n] = fc2(fc1(A[m,k])), fc1 a [k, h] layer and fc2 an [h, n] one: the
+// serving MLP block's two GEMMs in one pass. Each kMc-row tile of fc1,
+// bias and activation included, lands in a per-thread hidden tile, and fc2
+// reads it from there, so the [m, h] hidden never reaches memory. Both
+// GEMMs run GemmPrepacked's row-tile body, so C is bit-identical to
+// GemmPrepacked(fc1) into an [m, h] buffer followed by GemmPrepacked(fc2)
+// from it, for any thread count. A chunk's grain comes from the larger of
+// the two GEMMs' per-tile multiply-adds, so the fused call runs inline
+// wherever both separate calls would have. No GELU' output: the fused step
+// serves frozen plans, which never differentiate.
+void MlpPrepacked(const float* a, const MlpLayer& fc1, const MlpLayer& fc2,
+                  float* c, int64_t m, int64_t k, int64_t h, int64_t n);
 
 // dw[k,n] = sum over r in [0, batches) of A_r^T @ G_r, where A_r is the
 // row-major [rows, k] matrix at a + r*rows*k and G_r the [rows, n] matrix at

@@ -12,6 +12,8 @@
 // All three inherit the runtime's determinism contract: chunk boundaries
 // derive from element counts and the grain constants below, never the
 // thread count, so results are bit-identical for any MSD_THREADS value.
+// Cheap per-element loops chunk by kElementwiseChunk, the GELU span and the
+// broadcast odometer by the finer kElementwiseGrain.
 // Internal header: tensor kernels (tensor_ops.cc, conv.cc, fft.cc) and
 // their tests only.
 #ifndef MSDMIXER_TENSOR_KERNELS_H_
@@ -87,11 +89,19 @@ inline void DebugCheckIntoAlias(const Tensor& out, const Tensor& in,
 
 #endif  // MSD_DEBUG_CHECKS_ENABLED
 
-// Minimum elements per chunk for elementwise kernels: small enough to spread
-// mixer-sized tensors across the pool, large enough that chunk dispatch is
-// noise next to the loop body. Chunk *boundaries* derive from these grains
-// and the element count only — never the thread count.
+// Minimum elements per chunk for elementwise work that costs about a
+// nanosecond an element (the exact GELU span, permutes, the broadcast
+// odometer), and the unit GrainForWork aims row loops at: about one pool
+// dispatch's work each. Chunk *boundaries* derive from these grains and the
+// element count only — never the thread count.
 inline constexpr int64_t kElementwiseGrain = 4096;
+// The same floor for the cheap per-element Map and Zip kernels and gradient
+// accumulation (an add or a multiply, ~0.17 ns an element on one AVX-512
+// core): 2^15 elements take about 5 us, no less than one pool dispatch costs
+// (about 3 us back to back, several times that when the workers sleep
+// between calls), so a smaller loop runs inline, as kGemmChunkMacs keeps a
+// small GEMM inline. Elementwise bits do not depend on where chunks start.
+inline constexpr int64_t kElementwiseChunk = int64_t{1} << 15;
 // Reductions chunk coarser: each chunk's partial costs a combine step.
 inline constexpr int64_t kReduceGrain = 8192;
 
@@ -175,9 +185,10 @@ inline int64_t UnflattenOffset(int64_t i, const Shape& shape,
 // MapSpanInto: elementwise unary op into a caller-owned output (same shape),
 // for a kernel that maps a whole contiguous span at a time:
 // span(in, out, count), e.g. the vectorized GELU (tensor/gelu.h). It is
-// called once per kElementwiseGrain chunk.
+// called once per chunk of at least `grain` elements.
 template <typename S>
-void MapSpanInto(const Tensor& a, Tensor& out, S span) {
+void MapSpanInto(const Tensor& a, Tensor& out, S span,
+                 int64_t grain = kElementwiseGrain) {
   MSD_CHECK(a.defined());
   MSD_CHECK(out.defined());
   MSD_DEBUG_VALIDATE_TENSOR(a, "MapKernel");
@@ -187,10 +198,9 @@ void MapSpanInto(const Tensor& a, Tensor& out, S span) {
   MSD_DEBUG_CHECK_INTO_ALIAS(out, a, "MapKernel");
   const float* pa = a.data();
   float* po = out.data();
-  runtime::ParallelFor(0, a.numel(), kElementwiseGrain,
-                       [&](int64_t cb, int64_t ce) {
-                         span(pa + cb, po + cb, ce - cb);
-                       });
+  runtime::ParallelFor(0, a.numel(), grain, [&](int64_t cb, int64_t ce) {
+    span(pa + cb, po + cb, ce - cb);
+  });
 }
 
 // MapKernelInto: MapSpanInto for a per-element f. The allocating MapKernel
@@ -198,9 +208,12 @@ void MapSpanInto(const Tensor& a, Tensor& out, S span) {
 // same loop — bit-identity by construction.
 template <typename F>
 void MapKernelInto(const Tensor& a, Tensor& out, F f) {
-  MapSpanInto(a, out, [&f](const float* in, float* o, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) o[i] = f(in[i]);
-  });
+  MapSpanInto(
+      a, out,
+      [&f](const float* in, float* o, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) o[i] = f(in[i]);
+      },
+      kElementwiseChunk);
 }
 
 // MapKernel: elementwise unary op, parallel over fixed chunks.
@@ -234,7 +247,7 @@ void ZipKernelInto(const Tensor& a, const Tensor& b, Tensor& out, F f) {
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
-    runtime::ParallelFor(0, out.numel(), kElementwiseGrain,
+    runtime::ParallelFor(0, out.numel(), kElementwiseChunk,
                          [&](int64_t cb, int64_t ce) {
                            for (int64_t i = cb; i < ce; ++i) {
                              po[i] = f(pa[i], pb[i]);
@@ -258,7 +271,8 @@ void ZipKernelInto(const Tensor& a, const Tensor& b, Tensor& out, F f) {
     float* po = out.data();
     const int64_t inner = small.numel();
     const int64_t outer = big.numel() / inner;
-    runtime::ParallelFor(0, outer, GrainForWork(inner),
+    runtime::ParallelFor(0, outer,
+                         std::max<int64_t>(1, kElementwiseChunk / inner),
                          [&](int64_t cb, int64_t ce) {
       for (int64_t o = cb; o < ce; ++o) {
         const float* row = pbig + o * inner;
@@ -289,7 +303,7 @@ void ZipKernelInto(const Tensor& a, const Tensor& b, Tensor& out, F f) {
     const float* pbig = big.data();
     const float* psmall = (b_small ? b : a).data();
     float* po = out.data();
-    runtime::ParallelFor(0, out.numel(), kElementwiseGrain,
+    runtime::ParallelFor(0, out.numel(), kElementwiseChunk,
                          [&](int64_t cb, int64_t ce) {
       int64_t s = cb / run;
       for (int64_t i = cb; i < ce; ++s) {
@@ -306,7 +320,8 @@ void ZipKernelInto(const Tensor& a, const Tensor& b, Tensor& out, F f) {
   }
   // General case: odometer walk over the broadcast output shape. Each chunk
   // re-derives its input offsets from its first linear index, so chunks are
-  // independent.
+  // independent. The odometer costs far more than f per element, so chunks
+  // take the finer kElementwiseGrain.
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   MSD_CHECK(out.shape() == out_shape)
       << "ZipKernelInto output shape " << ShapeToString(out.shape())

@@ -575,6 +575,37 @@ void MatMulExPrepackedInto(const Tensor& a, const Tensor& b_packed, int64_t k,
                       act, nullptr);
 }
 
+// msd-hot-path-safe: same contract as MatMulExPrepackedInto, for both
+// Linears of an MLP block; the hidden tile lives in the GEMM's audited
+// thread-local scratch.
+void MlpPrepackedInto(const Tensor& a, const PackedLinear& fc1,
+                      const PackedLinear& fc2, Tensor& out) {
+  MSD_SPAN("tensor/matmul");
+  MSD_CHECK(a.defined() && fc1.packed_b.defined() &&
+            fc2.packed_b.defined() && out.defined());
+  MSD_CHECK_GE(a.rank(), 2);
+  MSD_CHECK_EQ(a.dim(-1), fc1.k);
+  MSD_CHECK_EQ(fc2.k, fc1.n) << "MLP layers disagree on the hidden width";
+  MSD_CHECK_EQ(fc1.packed_b.numel(), gemm::PackedBPanelFloats(fc1.k, fc1.n));
+  MSD_CHECK_EQ(fc2.packed_b.numel(), gemm::PackedBPanelFloats(fc2.k, fc2.n));
+  const int64_t m = fc1.k == 0 ? out.numel() / std::max<int64_t>(fc2.n, 1)
+                               : a.numel() / fc1.k;
+  MSD_CHECK_EQ(out.numel(), m * fc2.n);
+  static obs::Counter& matmul_calls =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
+  static obs::Counter& matmul_flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  matmul_calls.Add(2);
+  matmul_flops.Add(2 * m * fc1.k * fc1.n + 2 * m * fc2.k * fc2.n);
+  if (out.numel() == 0) return;
+  auto layer = [](const PackedLinear& l) {
+    return gemm::MlpLayer{l.packed_b.data(),
+                          l.bias.defined() ? l.bias.data() : nullptr, l.act};
+  };
+  gemm::MlpPrepacked(a.data(), layer(fc1), layer(fc2), out.data(), m, fc1.k,
+                     fc1.n, fc2.n);
+}
+
 Tensor SumAll(const Tensor& a) {
   if (optrace::Active()) optrace::RecordUnsupported("SumAll");
   const float* p = a.data();

@@ -160,6 +160,22 @@ Tensor PackGemmB(const Tensor& b);
 void MatMulExPrepackedInto(const Tensor& a, const Tensor& b_packed, int64_t k,
                            int64_t n, const Tensor& bias, gemm::Activation act,
                            Tensor& out);
+// One frozen Linear of MlpPrepackedInto: its PackGemmB-packed [k, n]
+// weight, bias ([n], or undefined for none) and activation.
+struct PackedLinear {
+  Tensor packed_b;
+  int64_t k = 0;
+  int64_t n = 0;
+  Tensor bias;
+  gemm::Activation act = gemm::Activation::kIdentity;
+};
+// fc2(fc1(a)) with fc2.k == fc1.n: an MLP block's two Linears in one pass
+// (gemm::MlpPrepacked), the hidden activations kept in a per-thread row
+// tile. Bit-identical to MatMulExPrepackedInto(fc1) into a hidden buffer
+// followed by MatMulExPrepackedInto(fc2) from it, and counts the same two
+// calls and their flops in tensor/matmul_*.
+void MlpPrepackedInto(const Tensor& a, const PackedLinear& fc1,
+                      const PackedLinear& fc2, Tensor& out);
 // Reduce over `dims` (already normalized: sorted, deduped, non-negative,
 // non-empty). `out` holds the kept elements.
 void SumInto(const Tensor& a, const std::vector<int64_t>& dims, Tensor& out);

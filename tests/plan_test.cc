@@ -194,14 +194,87 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
   auto session = std::move(session_or).value();
   const serve::CompiledPlan* plan = &session->plan();
   const serve::PlanStats& stats = plan->stats();
-  // The schedule is the trace: one step per recorded op.
-  EXPECT_EQ(stats.num_ops, stats.traced_ops) << plan->DebugString();
+  // Each MLP block's fc1 and fc2 (six blocks per decomposition layer) merge
+  // into one step; every other traced op is its own step.
+  const int64_t mlp_blocks =
+      6 * static_cast<int64_t>(config.patch_sizes.size());
+  EXPECT_EQ(stats.num_fused, mlp_blocks) << plan->DebugString();
+  EXPECT_EQ(stats.num_ops, stats.traced_ops - stats.num_fused)
+      << plan->DebugString();
   EXPECT_GT(stats.num_inplace, 0) << plan->DebugString();
   // Every Linear weight is a frozen rank-2 constant: all of them prepack.
   EXPECT_GT(stats.num_prepacked, 0) << plan->DebugString();
   // Aliasing must actually shrink the region count below one-per-op.
   EXPECT_LT(stats.num_regions, stats.num_ops);
   EXPECT_GT(stats.arena_bytes, 0);
+}
+
+// Two Linears in a row fuse only when the second is the sole reader of the
+// first's output and takes it whole; otherwise both stay steps of their own.
+// Every plan still memcmps the interpreter at every row prefix.
+TEST(PlanStructureTest, LinearPairsFuseOnlyWhenTheHiddenHasOneReader) {
+  Rng rng(12);
+  const Tensor x = Tensor::RandNormal({3, 5, 6}, 0.0f, 1.0f, rng);
+  const Tensor w1 = Tensor::RandNormal({6, 16}, 0.0f, 1.0f, rng);
+  const Tensor b1 = Tensor::RandNormal({16}, 0.0f, 1.0f, rng);
+  const Tensor w2 = Tensor::RandNormal({16, 6}, 0.0f, 0.5f, rng);
+  const Tensor b2 = Tensor::RandNormal({6}, 0.0f, 1.0f, rng);
+  auto fc1 = [&](const Tensor& in) {
+    return MatMulEx(in, w1, b1, gemm::Activation::kGelu);
+  };
+  auto fc2 = [&](const Tensor& hidden) {
+    return MatMulEx(hidden, w2, b2, gemm::Activation::kIdentity);
+  };
+  struct Case {
+    const char* name;
+    serve::CompiledPlan::ForwardFn fn;
+    int64_t fused;
+  };
+  const Case cases[] = {
+      {"MLP block", [&](const Tensor& in) { return Add(in, fc2(fc1(in))); },
+       1},
+      // The hidden also feeds a residual-style side branch.
+      {"second reader",
+       [&](const Tensor& in) {
+         const Tensor hidden = fc1(in);
+         return Add(fc2(hidden), Sum(hidden, {2}, /*keepdim=*/true));
+       },
+       0},
+      // The hidden is what the plan returns; fc2's product is dropped.
+      {"plan output",
+       [&](const Tensor& in) {
+         const Tensor hidden = fc1(in);
+         const Tensor unused = fc2(hidden);
+         return hidden;
+       },
+       0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string why_not;
+    auto plan = serve::CompiledPlan::Compile(c.fn, x, &why_not);
+    ASSERT_NE(plan, nullptr) << why_not;
+    EXPECT_EQ(plan->stats().num_fused, c.fused) << plan->DebugString();
+    EXPECT_EQ(plan->stats().num_ops, plan->stats().traced_ops - c.fused);
+    for (int64_t r = 3; r >= 1; --r) {
+      const Tensor prefix = Slice(x, 0, 0, r);
+      EXPECT_TRUE(BitIdentical(plan->Execute(prefix), c.fn(prefix)))
+          << r << " rows";
+    }
+  }
+
+  // An int8 plan keeps both GEMMs as steps of their own: the quantization
+  // pass calibrates, and adopts, each one separately.
+  serve::CompileOptions options;
+  options.quantize = true;
+  std::string why_not;
+  auto quantized =
+      serve::CompiledPlan::Compile(cases[0].fn, x, &why_not, options);
+  ASSERT_NE(quantized, nullptr) << why_not;
+  EXPECT_EQ(quantized->stats().num_fused, 0) << quantized->DebugString();
+  EXPECT_EQ(quantized->stats().num_ops, quantized->stats().traced_ops);
+  EXPECT_EQ(quantized->stats().num_quantized, 2) << quantized->DebugString();
+  EXPECT_EQ(quantized->stats().num_quant_fallbacks, 0);
 }
 
 TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {

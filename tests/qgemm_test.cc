@@ -3,20 +3,25 @@
 // reference across edge geometries, bit-identity across thread counts, and
 // — satellite coverage — the fp32 gemm::GemmPrepacked against a triple-loop
 // reference on tile- and block-boundary shapes, bit for bit against its
-// per-element FMA chain, and its chunk sizing.
+// per-element FMA chain, and its chunk sizing; the fused gemm::MlpPrepacked
+// against two GemmPrepacked calls and its chunk sizing; and the elementwise
+// kernels' chunk floor.
 #include "tensor/qgemm.h"
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "runtime/parallel.h"
 #include "tensor/gelu.h"
 #include "tensor/gemm.h"
+#include "tensor/tensor_ops.h"
 
 namespace msd {
 namespace {
@@ -505,6 +510,159 @@ TEST(GemmPrepackedEdgeTest, ChunksCarryAtLeastTwoToTheFifteenMacs) {
     const int64_t before = executed.value();
     gemm::GemmPrepacked(a.data(), packed.data(), c_out.data(), g.m, g.k, g.n,
                         nullptr, gemm::Activation::kGelu, nullptr);
+    EXPECT_EQ(executed.value() - before, c.chunks);
+  }
+}
+
+// The elementwise counterpart of the GEMM's chunk floor: cheap Map and Zip
+// loops carry at least 2^15 elements a chunk, so a mixer-sized product runs
+// inline; the exact GELU span keeps 4,096-element chunks.
+TEST(ElementwiseChunkTest, CheapLoopsCarryAtLeastTwoToTheFifteenElements) {
+  Rng rng(91);
+  const Tensor x = Tensor::RandNormal({32, 7, 96, 1}, 0.0f, 1.0f, rng);
+  const Tensor mask = Tensor::RandNormal({32, 1, 1, 1}, 0.0f, 1.0f, rng);
+  const Tensor big = Tensor::RandNormal({64, 7, 512}, 0.0f, 1.0f, rng);
+  const Tensor rows = Tensor::RandNormal({3072, 64}, 0.0f, 1.0f, rng);
+  const Tensor bias = Tensor::RandNormal({64}, 0.0f, 1.0f, rng);
+  struct Case {
+    const char* name;
+    std::function<Tensor()> op;
+    int64_t chunks;
+  };
+  const Case cases[] = {
+      // DropPath's mask product: 21,504 elements, one chunk.
+      {"trailing-run Mul", [&] { return Mul(x, mask); }, 1},
+      {"equal-shape Add", [&] { return Add(x, x); }, 1},
+      {"MulScalar", [&] { return MulScalar(x, 0.5f); }, 1},
+      // 229,376 elements: 7 chunks.
+      {"equal-shape Add, large", [&] { return Add(big, big); }, 7},
+      // 3,072 rows of 64: 512 rows (32,768 elements) a chunk.
+      {"suffix bias Add", [&] { return Add(rows, bias); }, 6},
+      // The GELU span: ceil(21,504 / 4,096) chunks.
+      {"Gelu", [&] { return Gelu(x); }, 6},
+  };
+  obs::Counter& executed =
+      obs::MetricsRegistry::Global().GetCounter("runtime/chunks_executed");
+  runtime::ScopedThreads threads(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const int64_t before = executed.value();
+    const Tensor out = c.op();
+    EXPECT_EQ(executed.value() - before, c.chunks);
+  }
+}
+
+// gemm::MlpPrepacked against its definition: GemmPrepacked(fc1) into an
+// [m, h] buffer, then GemmPrepacked(fc2) from it, memcmp-equal. Every
+// shape of m x k x h x n runs all six fc1/fc2 activation pairs; bias
+// presence and the thread count (1, 2, 8) rotate across shapes so each value
+// of every axis meets each of them. m crosses the 64-row tile, k = 257 and
+// h = 300 cross the 256-deep k block, and n covers the narrow panels.
+TEST(GemmPrepackedEdgeTest, MlpPrepackedMatchesTwoGemmsThroughAHiddenBuffer) {
+  const int64_t ms[] = {1, 7, 63, 64, 65, 200};
+  const int64_t ks[] = {1, 2, 7, 96, 257};
+  const int64_t hs[] = {1, 8, 64, 300};
+  const int64_t ns[] = {1, 2, 7, 8, 9, 64};
+  const gemm::Activation act1s[] = {gemm::Activation::kGelu,
+                                    gemm::Activation::kRelu,
+                                    gemm::Activation::kIdentity};
+  const gemm::Activation act2s[] = {gemm::Activation::kIdentity,
+                                    gemm::Activation::kGelu};
+  const int64_t thread_counts[] = {1, 2, 8};
+  constexpr float kGuard = -99.0f;
+  for (int ti = 0; ti < 3; ++ti) {
+    runtime::ScopedThreads threads(thread_counts[ti]);
+    for (int mi = 0; mi < 6; ++mi) {
+      for (int ki = 0; ki < 5; ++ki) {
+        for (int hi = 0; hi < 4; ++hi) {
+          for (int ni = 0; ni < 6; ++ni) {
+            if ((mi + ki + hi + ni) % 3 != ti) continue;
+            const int64_t m = ms[mi], k = ks[ki], h = hs[hi], n = ns[ni];
+            const uint32_t seed = static_cast<uint32_t>(m * 7 + k * 5 + h * 3 + n);
+            const std::vector<float> a =
+                RandomVec(static_cast<size_t>(m * k), seed, 1.5f);
+            const std::vector<float> w1 =
+                RandomVec(static_cast<size_t>(k * h), seed + 1);
+            const std::vector<float> b1 =
+                RandomVec(static_cast<size_t>(h), seed + 2);
+            const std::vector<float> w2 =
+                RandomVec(static_cast<size_t>(h * n), seed + 3, 0.5f);
+            const std::vector<float> b2 =
+                RandomVec(static_cast<size_t>(n), seed + 4);
+            std::vector<float> packed1(
+                static_cast<size_t>(gemm::PackedBPanelFloats(k, h)));
+            std::vector<float> packed2(
+                static_cast<size_t>(gemm::PackedBPanelFloats(h, n)));
+            gemm::PackB(w1.data(), k, h, packed1.data());
+            gemm::PackB(w2.data(), h, n, packed2.data());
+            for (int combo = 0; combo < 6; ++combo) {
+              const gemm::Activation act1 = act1s[combo / 2];
+              const gemm::Activation act2 = act2s[combo % 2];
+              const int biases = (mi + 2 * ki + hi + ni + combo) % 4;
+              const float* bias1 = biases & 1 ? b1.data() : nullptr;
+              const float* bias2 = biases & 2 ? b2.data() : nullptr;
+              SCOPED_TRACE("m=" + std::to_string(m) + " k=" +
+                           std::to_string(k) + " h=" + std::to_string(h) +
+                           " n=" + std::to_string(n) + " acts " +
+                           std::to_string(static_cast<int>(act1)) + "/" +
+                           std::to_string(static_cast<int>(act2)) +
+                           " biases " + std::to_string(biases) + " threads " +
+                           std::to_string(thread_counts[ti]));
+              std::vector<float> hidden(static_cast<size_t>(m * h));
+              gemm::GemmPrepacked(a.data(), packed1.data(), hidden.data(), m,
+                                  k, h, bias1, act1, nullptr);
+              // Eight guard floats past the output must stay untouched.
+              std::vector<float> want(static_cast<size_t>(m * n + 8), kGuard);
+              gemm::GemmPrepacked(hidden.data(), packed2.data(), want.data(),
+                                  m, h, n, bias2, act2, nullptr);
+              std::vector<float> got(want.size(), kGuard);
+              gemm::MlpPrepacked(a.data(), {packed1.data(), bias1, act1},
+                                 {packed2.data(), bias2, act2}, got.data(), m,
+                                 k, h, n);
+              ASSERT_EQ(FirstBitDifference(got, want), -1);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fused loop's grain is the larger GEMM's, never the one their summed
+// multiply-adds would give, so it splits into pool chunks only where one of
+// the two separate GemmPrepacked calls would have.
+TEST(GemmPrepackedEdgeTest, MlpChunksFollowTheLargerGemm) {
+  struct Case {
+    int64_t m, k, h, n;
+    int64_t chunks;
+  };
+  const Case cases[] = {
+      // 6 tiles of 4,096 + 4,096 MACs: inline, as both GEMMs are (the sum
+      // would split them in two).
+      {384, 2, 32, 2, 1},
+      // offline_fp32's p = 1 MLP: 168 tiles of 4,096 + 4,096 MACs, 8 per
+      // chunk, as each GEMM alone (the sum would give 42 chunks).
+      {10752, 1, 64, 1, 21},
+      // fc1's 8,192-MAC tiles set the grain (4), not fc2's 1,024.
+      {640, 8, 16, 1, 3},
+  };
+  obs::Counter& executed =
+      obs::MetricsRegistry::Global().GetCounter("runtime/chunks_executed");
+  runtime::ScopedThreads threads(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+                 " h=" + std::to_string(c.h) + " n=" + std::to_string(c.n));
+    const std::vector<float> a = RandomVec(static_cast<size_t>(c.m * c.k), 81);
+    std::vector<float> packed1(
+        static_cast<size_t>(gemm::PackedBPanelFloats(c.k, c.h)), 0.5f);
+    std::vector<float> packed2(
+        static_cast<size_t>(gemm::PackedBPanelFloats(c.h, c.n)), 0.25f);
+    std::vector<float> out(static_cast<size_t>(c.m * c.n));
+    const int64_t before = executed.value();
+    gemm::MlpPrepacked(a.data(),
+                       {packed1.data(), nullptr, gemm::Activation::kGelu},
+                       {packed2.data(), nullptr, gemm::Activation::kIdentity},
+                       out.data(), c.m, c.k, c.h, c.n);
     EXPECT_EQ(executed.value() - before, c.chunks);
   }
 }

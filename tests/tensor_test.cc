@@ -1,6 +1,7 @@
 // Unit and property tests for the tensor library.
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "runtime/parallel.h"
 #include "tensor/gelu.h"
 #include "tensor/gemm.h"
@@ -326,6 +328,74 @@ bool IsPortedLibm() {
 constexpr const char* kNotPortedLibm =
     "needs glibc 2.36, the libm whose erff/expf the vector GELU ports";
 
+// Runs the three spans (tensor/gelu.h) over each length around the
+// kernels' 1024-element block, on small-range inputs (|x / sqrt 2| < 0.84375)
+// with `specials` scattered at seeded random positions, at most one in eight
+// elements per span, until every special has been placed. Each span runs in
+// place and out of place; outputs must equal the scalar formulas and the
+// floats past the span must stay untouched. Returns the mismatch count and
+// appends the first few to `first`.
+int64_t CountSpanMismatches(const std::vector<float>& specials,
+                            std::string& first) {
+  constexpr float kGuard = -7.0f;
+  int64_t mismatches = 0;
+  auto check = [&](const char* name, const std::vector<float>& in,
+                   const std::vector<float>& got, bool grad, int64_t n) {
+    for (int64_t i = 0; i < n + 16; ++i) {
+      const size_t u = static_cast<size_t>(i);
+      const float want = i >= n  ? kGuard
+                         : grad ? ScalarGeluGrad(in[u])
+                                : ScalarGelu(in[u]);
+      if (SameFloat(got[u], want)) continue;
+      if (mismatches++ < 8) {
+        char line[192];
+        std::snprintf(line, sizeof(line), "%s n=%lld [%lld](%a) = %a, want %a\n",
+                      name, static_cast<long long>(n),
+                      static_cast<long long>(i), i < n ? in[u] : 0.0f,
+                      got[u], want);
+        first += line;
+      }
+    }
+  };
+  Rng rng(2026);
+  for (int64_t n : {1023, 1024, 1025, 3 * 1024 + 17}) {
+    const int64_t per_span = n / 8;
+    for (size_t next = 0; next < specials.size();) {
+      std::vector<float> in(static_cast<size_t>(n + 16), kGuard);
+      for (int64_t i = 0; i < n; ++i) {
+        in[static_cast<size_t>(i)] = rng.Uniform(-1.19f, 1.19f);
+      }
+      for (int64_t placed = 0; placed < per_span && next < specials.size();
+           ++placed, ++next) {
+        in[static_cast<size_t>(rng.UniformInt(n))] = specials[next];
+      }
+      std::vector<float> y(in.size(), kGuard);
+      std::vector<float> dy(in.size(), kGuard);
+      kernel::GeluSpan(in.data(), y.data(), n);
+      check("GeluSpan", in, y, false, n);
+      y = in;
+      kernel::GeluSpan(y.data(), y.data(), n);
+      check("GeluSpan in place", in, y, false, n);
+      std::fill(y.begin(), y.end(), kGuard);
+      kernel::GeluGradSpan(in.data(), y.data(), n);
+      check("GeluGradSpan", in, y, true, n);
+      y = in;
+      kernel::GeluGradSpan(y.data(), y.data(), n);
+      check("GeluGradSpan in place", in, y, true, n);
+      std::fill(y.begin(), y.end(), kGuard);
+      kernel::GeluAndGradSpan(in.data(), y.data(), dy.data(), n);
+      check("GeluAndGradSpan y", in, y, false, n);
+      check("GeluAndGradSpan dy", in, dy, true, n);
+      y = in;
+      std::fill(dy.begin(), dy.end(), kGuard);
+      kernel::GeluAndGradSpan(y.data(), y.data(), dy.data(), n);
+      check("GeluAndGradSpan in place y", in, y, false, n);
+      check("GeluAndGradSpan in place dy", in, dy, true, n);
+    }
+  }
+  return mismatches;
+}
+
 // Scrambles the lane order: an odd multiplier is a bijection on 32-bit
 // patterns, so consecutive indices land in unrelated |x| ranges and every
 // 16-lane vector mixes erf's branches.
@@ -385,6 +455,11 @@ TEST(TensorOpsTest, GeluKernelsMatchScalarErfFormulas) {
   EXPECT_EQ(at_edges.grad.load(), 0) << at_edges.first;
   EXPECT_EQ(at_edges.epilogue.load(), 0) << at_edges.first;
   EXPECT_EQ(at_edges.epilogue_grad.load(), 0) << at_edges.first;
+
+  // Part 3: the same inputs scattered among small-range values, through
+  // spans that cross the kernels' 1024-element block.
+  std::string first_span;
+  EXPECT_EQ(CountSpanMismatches(edges, first_span), 0) << first_span;
 }
 
 // All 2^32 bit patterns (about five minutes on 4 threads). tools/check.sh's
