@@ -60,23 +60,29 @@ void BM_BiasAddSuffixBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_BiasAddSuffixBroadcast);
 
-void BM_PermuteLastTwo(benchmark::State& state) {
+// The serving plan's axis-MLP permutes of a 32-row batch, [32, 7, L', p]
+// with L' = 96 / p for the argument p: the patch-axis swap (the last two
+// axes) and the channel-axis swap (axes 1 and 3).
+Tensor PlanPermuteInput(int64_t p) {
   Rng rng(1);
-  Tensor a = Tensor::RandNormal({32, 7, 24, 32}, 0, 1, rng);
+  return Tensor::RandNormal({32, 7, 96 / p, p}, 0, 1, rng);
+}
+
+void BM_PermuteLastTwo(benchmark::State& state) {
+  const Tensor a = PlanPermuteInput(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Transpose(a, -1, -2));
   }
 }
-BENCHMARK(BM_PermuteLastTwo);
+BENCHMARK(BM_PermuteLastTwo)->Arg(96)->Arg(48)->Arg(24)->Arg(2)->Arg(1);
 
 void BM_PermuteGeneric(benchmark::State& state) {
-  Rng rng(1);
-  Tensor a = Tensor::RandNormal({32, 7, 24, 32}, 0, 1, rng);
+  const Tensor a = PlanPermuteInput(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Permute(a, {0, 3, 2, 1}));
   }
 }
-BENCHMARK(BM_PermuteGeneric);
+BENCHMARK(BM_PermuteGeneric)->Arg(96)->Arg(48)->Arg(24)->Arg(2)->Arg(1);
 
 void BM_PatchUnpatch(benchmark::State& state) {
   Rng rng(1);

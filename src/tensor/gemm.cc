@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
+#include <type_traits>
 
 #include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/pool.h"
+#include "tensor/transpose8x8.h"
 
 namespace msd {
 namespace gemm {
@@ -27,6 +25,7 @@ constexpr int64_t kNr = 8;
 // 8 KiB) and the A panel stay resident in L1/L2 across the tile.
 constexpr int64_t kMc = 64;
 constexpr int64_t kKc = 256;
+static_assert(kKc % kNr == 0, "an fc1 column panel lies within one fc2 k slice");
 // Fewest multiply-adds one parallel chunk may carry. 2^15 of them take about
 // 3 us on one AVX2 core, no more than the CPU one pool dispatch costs (about
 // 3 us back to back, several times that when the workers sleep between
@@ -38,38 +37,14 @@ int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 // Every kernel below keeps one contract, which is what makes the result
 // bit-identical whichever kernel runs: each C element is one chain of fused
 // multiply-adds in ascending k, starting from +0 on the first kKc slice and
-// from C's stored value on later slices. fma(a, b, acc) == fma(b, a, acc),
-// so a kernel may vectorize over rows or over columns.
+// from C's stored value on later slices, then one add of its column's bias
+// after the last slice. fma(a, b, acc) == fma(b, a, acc), so a kernel may
+// vectorize over rows or over columns.
 
 #if defined(__AVX2__) && defined(__FMA__)
 
-// In-register transpose of eight 8-float rows: r[j][i] <- r[i][j].
-[[gnu::always_inline]] inline void Transpose8x8(__m256 (&r)[8]) {
-  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
-  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
-  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
-  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
-  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
-  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
-  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
-  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
-  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
-}
+using kernel::LaneMask;
+using kernel::Transpose8x8;
 
 // Packs whole 8x8 blocks of one full 8-row A panel (rows at `src`, stride
 // lda) by in-register transposes. Returns how many columns it packed; PackA
@@ -84,12 +59,6 @@ int64_t PackFullPanelBlocks(const float* src, int64_t lda, int64_t kc,
     for (int64_t j = 0; j < 8; ++j) _mm256_storeu_ps(dst + (kk + j) * kMr, r[j]);
   }
   return kk;
-}
-
-// Lanes [0, n) set, for maskload / maskstore.
-__m256i LaneMask(int64_t n) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
 // Row i of a C tile, or zero past the mr rows that exist.
@@ -107,11 +76,14 @@ __m256i LaneMask(int64_t n) {
 // step broadcasts A[i][kk] into a fused multiply-add with B's row, the
 // instruction the fallback's `acc[i] += arow[i] * bv` compiles to. `first`
 // marks the k=0 slice: accumulators start at +0 and C (possibly
-// uninitialized) is not read. Rows past mr compute against PackA's zero
-// padding and are not stored.
+// uninitialized) is not read. `bias` (the panel's 8 floats) is non-null on
+// the last slice only and joins each accumulator with one add just before
+// the store. Rows past mr compute against PackA's zero padding and are not
+// stored.
 [[gnu::always_inline]] inline void Tile8x8(const float* ap, const float* bp,
                                            int64_t kc, float* c, int64_t ldc,
-                                           bool first, int64_t mr) {
+                                           bool first, int64_t mr,
+                                           const float* bias) {
   __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0, c4 = c0,
          c5 = c0, c6 = c0, c7 = c0;
   if (!first) {
@@ -136,6 +108,17 @@ __m256i LaneMask(int64_t n) {
     c6 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 6), b, c6);
     c7 = _mm256_fmadd_ps(_mm256_broadcast_ss(ak + 7), b, c7);
   }
+  if (bias != nullptr) {
+    const __m256 b = _mm256_loadu_ps(bias);
+    c0 = _mm256_add_ps(c0, b);
+    c1 = _mm256_add_ps(c1, b);
+    c2 = _mm256_add_ps(c2, b);
+    c3 = _mm256_add_ps(c3, b);
+    c4 = _mm256_add_ps(c4, b);
+    c5 = _mm256_add_ps(c5, b);
+    c6 = _mm256_add_ps(c6, b);
+    c7 = _mm256_add_ps(c7, b);
+  }
   StoreRow(c, ldc, 0, mr, c0);
   StoreRow(c, ldc, 1, mr, c1);
   StoreRow(c, ldc, 2, mr, c2);
@@ -144,6 +127,30 @@ __m256i LaneMask(int64_t n) {
   StoreRow(c, ldc, 5, mr, c5);
   StoreRow(c, ldc, 6, mr, c6);
   StoreRow(c, ldc, 7, mr, c7);
+}
+
+// One kc-deep slice of an [8 x kCols] tile held as column vectors (lane i =
+// row i of the A panel): each k step loads the panel's 8 packed rows and
+// broadcasts B[kk][j], so it costs one fused multiply-add per real column.
+// `bias` (kCols floats, last slice only) joins each column with one add.
+template <int64_t kCols>
+[[gnu::always_inline]] inline void ColumnVectorSlice(const float* ap,
+                                                     const float* bp,
+                                                     int64_t kc,
+                                                     const float* bias,
+                                                     __m256 (&acc)[8]) {
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 a = _mm256_loadu_ps(ap + kk * kMr);
+    const float* bk = bp + kk * kNr;
+    for (int64_t j = 0; j < kCols; ++j) {
+      acc[j] = _mm256_fmadd_ps(a, _mm256_broadcast_ss(bk + j), acc[j]);
+    }
+  }
+  if (bias != nullptr) {
+    for (int64_t j = 0; j < kCols; ++j) {
+      acc[j] = _mm256_add_ps(acc[j], _mm256_broadcast_ss(bias + j));
+    }
+  }
 }
 
 // Moves an [mr x cols] C tile between memory and column vectors (lane i =
@@ -179,53 +186,82 @@ __m256i LaneMask(int64_t n) {
   for (int64_t i = 0; i < mr; ++i) _mm256_maskstore_ps(c + i * ldc, lanes, v[i]);
 }
 
-// Micro-kernel for a column panel narrower than 8: vectorizes over the A
-// panel's 8 packed rows and broadcasts B[kk][j], so a k step costs one
-// fused multiply-add per real column instead of eight lanes per row.
+// Micro-kernel for a column panel narrower than 8: the column-vector slice,
+// loaded from and stored to C's rows.
 template <int64_t kCols>
 [[gnu::always_inline]] inline void NarrowTile(const float* ap, const float* bp,
                                               int64_t kc, float* c,
                                               int64_t ldc, bool first,
-                                              int64_t mr) {
+                                              int64_t mr, const float* bias) {
   __m256 acc[8];
   for (__m256& v : acc) v = _mm256_setzero_ps();
   if (!first) LoadColumns(c, ldc, mr, kCols, acc);
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const __m256 a = _mm256_loadu_ps(ap + kk * kMr);
-    const float* bk = bp + kk * kNr;
-    for (int64_t j = 0; j < kCols; ++j) {
-      acc[j] = _mm256_fmadd_ps(a, _mm256_broadcast_ss(bk + j), acc[j]);
-    }
-  }
+  ColumnVectorSlice<kCols>(ap, bp, kc, bias, acc);
   StoreColumns(c, ldc, mr, kCols, acc);
 }
 
-// Every kMr-row panel of a packed A block against one nr-wide B panel.
+// MlpPrepacked's fc1 tile: the column-vector slice kept in the layout PackA
+// gives fc2's A, column j of the tile being the 8 floats at dst + j * kMr.
+// The finished tile is kCols contiguous stores, and a later k slice reloads
+// its partial sums from there.
 template <int64_t kCols>
-void ColumnPanelOf(const float* a_pack, const float* bp, int64_t kc, float* c,
-                   int64_t ldc, bool first, int64_t mc) {
-  for (int64_t i = 0; i < mc; i += kMr) {
-    const int64_t mr = std::min(kMr, mc - i);
-    if constexpr (kCols == kNr) {
-      Tile8x8(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first, mr);
-    } else {
-      NarrowTile<kCols>(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first, mr);
-    }
+[[gnu::always_inline]] inline void PanelTile(const float* ap, const float* bp,
+                                             int64_t kc, float* dst,
+                                             bool first, const float* bias) {
+  __m256 acc[8];
+  for (int64_t j = 0; j < kCols; ++j) {
+    acc[j] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(dst + j * kMr);
+  }
+  ColumnVectorSlice<kCols>(ap, bp, kc, bias, acc);
+  for (int64_t j = 0; j < kCols; ++j) _mm256_storeu_ps(dst + j * kMr, acc[j]);
+}
+
+// Calls f(std::integral_constant<int64_t, nr>{}) for a panel width 1..kNr.
+template <typename F>
+void WithPanelWidth(int64_t nr, F&& f) {
+  switch (nr) {
+    case 1: return f(std::integral_constant<int64_t, 1>{});
+    case 2: return f(std::integral_constant<int64_t, 2>{});
+    case 3: return f(std::integral_constant<int64_t, 3>{});
+    case 4: return f(std::integral_constant<int64_t, 4>{});
+    case 5: return f(std::integral_constant<int64_t, 5>{});
+    case 6: return f(std::integral_constant<int64_t, 6>{});
+    case 7: return f(std::integral_constant<int64_t, 7>{});
+    default: return f(std::integral_constant<int64_t, kNr>{});
   }
 }
 
+// Every kMr-row panel of a packed A block against one nr-wide B panel, into
+// C's rows.
 void ColumnPanel(const float* a_pack, const float* bp, int64_t kc, float* c,
-                 int64_t ldc, bool first, int64_t mc, int64_t nr) {
-  switch (nr) {
-    case 1: return ColumnPanelOf<1>(a_pack, bp, kc, c, ldc, first, mc);
-    case 2: return ColumnPanelOf<2>(a_pack, bp, kc, c, ldc, first, mc);
-    case 3: return ColumnPanelOf<3>(a_pack, bp, kc, c, ldc, first, mc);
-    case 4: return ColumnPanelOf<4>(a_pack, bp, kc, c, ldc, first, mc);
-    case 5: return ColumnPanelOf<5>(a_pack, bp, kc, c, ldc, first, mc);
-    case 6: return ColumnPanelOf<6>(a_pack, bp, kc, c, ldc, first, mc);
-    case 7: return ColumnPanelOf<7>(a_pack, bp, kc, c, ldc, first, mc);
-    default: return ColumnPanelOf<kNr>(a_pack, bp, kc, c, ldc, first, mc);
-  }
+                 int64_t ldc, bool first, int64_t mc, int64_t nr,
+                 const float* bias) {
+  WithPanelWidth(nr, [&](auto width) {
+    constexpr int64_t kCols = decltype(width)::value;
+    for (int64_t i = 0; i < mc; i += kMr) {
+      const int64_t mr = std::min(kMr, mc - i);
+      if constexpr (kCols == kNr) {
+        Tile8x8(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first, mr, bias);
+      } else {
+        NarrowTile<kCols>(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first,
+                          mr, bias);
+      }
+    }
+  });
+}
+
+// The same against every A panel, into the hidden panels: A panel ip's tile
+// lands at dst + ip * panel_stride.
+void PanelColumn(const float* a_pack, const float* bp, int64_t kc, float* dst,
+                 int64_t panel_stride, bool first, int64_t panels, int64_t nr,
+                 const float* bias) {
+  WithPanelWidth(nr, [&](auto width) {
+    constexpr int64_t kCols = decltype(width)::value;
+    for (int64_t ip = 0; ip < panels; ++ip) {
+      PanelTile<kCols>(a_pack + ip * kMr * kc, bp, kc,
+                       dst + ip * panel_stride, first, bias);
+    }
+  });
 }
 
 #else  // GCC vector extensions
@@ -252,10 +288,13 @@ V8* AsV8(float* p) { return reinterpret_cast<V8*>(p); }
 
 // 8x8 micro-kernel: C_tile (+)= Ap @ Bp over a kc-deep slice. `first` means
 // this is the k=0 slice, so the accumulator starts at zero and C (which may
-// be uninitialized) is not read. Rows/cols beyond mr/nr are computed against
-// packed zero padding and simply not stored.
+// be uninitialized) is not read. `bias` (nr floats) is non-null on the last
+// slice only and joins each row with one add before the store. Rows/cols
+// beyond mr/nr are computed against packed zero padding and simply not
+// stored.
 void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c,
-                 int64_t ldc, bool first, int64_t mr, int64_t nr) {
+                 int64_t ldc, bool first, int64_t mr, int64_t nr,
+                 const float* bias) {
   const bool full = mr == kMr && nr == kNr;
   V8 acc[kMr];
   if (first) {
@@ -274,6 +313,11 @@ void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c,
     const float* arow = ap + kk * kMr;
     for (int64_t i = 0; i < kMr; ++i) acc[i] += arow[i] * bv;
   }
+  if (bias != nullptr) {
+    float padded[kNr] = {};
+    std::copy(bias, bias + nr, padded);
+    for (int64_t i = 0; i < kMr; ++i) acc[i] += *AsV8(padded);
+  }
   if (full) {
     for (int64_t i = 0; i < kMr; ++i) *AsV8(c + i * ldc) = acc[i];
   } else {
@@ -286,10 +330,40 @@ void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c,
 }
 
 void ColumnPanel(const float* a_pack, const float* bp, int64_t kc, float* c,
-                 int64_t ldc, bool first, int64_t mc, int64_t nr) {
+                 int64_t ldc, bool first, int64_t mc, int64_t nr,
+                 const float* bias) {
   for (int64_t i = 0; i < mc; i += kMr) {
     MicroKernel(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first,
-                std::min(kMr, mc - i), nr);
+                std::min(kMr, mc - i), nr, bias);
+  }
+}
+
+// MlpPrepacked's fc1 tile in the layout PackA gives fc2's A: column j is
+// one V8 over the A panel's 8 rows at dst + j * kMr, accumulated as
+// `acc[j] += a * b`, the per-element arithmetic of MicroKernel.
+void PanelTile(const float* ap, const float* bp, int64_t kc, float* dst,
+               bool first, int64_t nr, const float* bias) {
+  V8 acc[kNr] = {};
+  if (!first) {
+    for (int64_t j = 0; j < nr; ++j) acc[j] = *AsV8(dst + j * kMr);
+  }
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    const V8 av = *AsV8(ap + kk * kMr);
+    const float* bk = bp + kk * kNr;
+    for (int64_t j = 0; j < nr; ++j) acc[j] += av * bk[j];
+  }
+  if (bias != nullptr) {
+    for (int64_t j = 0; j < nr; ++j) acc[j] += bias[j];
+  }
+  for (int64_t j = 0; j < nr; ++j) *AsV8(dst + j * kMr) = acc[j];
+}
+
+void PanelColumn(const float* a_pack, const float* bp, int64_t kc, float* dst,
+                 int64_t panel_stride, bool first, int64_t panels, int64_t nr,
+                 const float* bias) {
+  for (int64_t ip = 0; ip < panels; ++ip) {
+    PanelTile(a_pack + ip * kMr * kc, bp, kc, dst + ip * panel_stride, first,
+              nr, bias);
   }
 }
 
@@ -320,11 +394,11 @@ void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* packed) {
 
 // msd-hot-path-safe: thread-local grow-only pack scratch. A GEMM asks for
 // at most kMc * kKc floats (64 KiB) and MlpPrepacked for that plus its
-// kMc-row hidden tile, so each worker allocates once per larger request and
-// every later GEMM reuses the buffer — no pool lookups and no shared_ptr
-// churn from inside the parallel region, which is what lets the planned
-// serving path (serve/plan.h) run with zero steady-state pool traffic.
-// PackA, and MlpPrepacked's first GEMM for its hidden tile, fully write
+// kMc-row hidden panels, so each worker allocates once per larger request
+// and every later GEMM reuses the buffer — no pool lookups and no
+// shared_ptr churn from inside the parallel region, which is what lets the
+// planned serving path (serve/plan.h) run with zero steady-state pool
+// traffic. PackA, and MlpPrepacked's fc1 for its hidden panels, fully write
 // every element later read, so a dirty recycled buffer is fine (the pool
 // made the same promise).
 float* APackScratch(int64_t floats) {
@@ -475,25 +549,14 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
 
 #endif
 
-}  // namespace
-
-// Bias add + activation over `rows` finished C rows, applied while the tile
-// is cache-hot. Relu / Sigmoid / Tanh are byte-for-byte tensor_ops.cc's
-// expressions; Gelu is the one function tensor_ops.cc's Gelu also calls
-// (tensor/gelu.h). The rows are contiguous, so the activation runs over all
-// of them as one span: elementwise, so no bit depends on where a row starts.
-// `gelu_grad` (optional, kGelu only) receives GELU' from the same erf.
-// Public (gemm.h) so the quantized kernel's dequant output runs through the
-// very same code.
-void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
-                     const float* bias, Activation act) {
-  if (bias != nullptr) {
-    for (int64_t r = 0; r < rows; ++r) {
-      float* row = c + r * n;
-      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
-    }
-  }
-  const int64_t count = rows * n;
+// `act` over `count` contiguous floats, in place. Relu / Sigmoid / Tanh are
+// byte-for-byte tensor_ops.cc's expressions; Gelu is the one function
+// tensor_ops.cc's Gelu also calls (tensor/gelu.h). Elementwise, so it runs
+// over a whole row tile, or MlpPrepacked's hidden panels, as one span and no
+// bit depends on the layout. `gelu_grad` (optional, kGelu only) receives
+// GELU' from the same erf.
+void ApplyActivation(float* c, float* gelu_grad, int64_t count,
+                     Activation act) {
   switch (act) {
     case Activation::kIdentity:
       break;
@@ -516,6 +579,23 @@ void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
       }
       break;
   }
+}
+
+}  // namespace
+
+// Bias add + activation over `rows` finished C rows, applied while the tile
+// is cache-hot. The fp32 kernels add their bias in registers and call only
+// the activation; the bias pass here serves the quantized kernel's dequant
+// output (tensor/qgemm.h), which runs through the very same activation code.
+void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
+                     const float* bias, Activation act) {
+  if (bias != nullptr) {
+    for (int64_t r = 0; r < rows; ++r) {
+      float* row = c + r * n;
+      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
+    }
+  }
+  ApplyActivation(c, gelu_grad, rows * n, act);
 }
 
 int64_t PackedBPanelFloats(int64_t k, int64_t n) {
@@ -550,31 +630,76 @@ int64_t RowTileGrain(int64_t k, int64_t n) {
   return std::max<int64_t>(1, kGemmChunkMacs / std::max<int64_t>(1, tile_macs));
 }
 
+// kKc-deep slices of a k-deep product; one empty slice when k == 0, so the
+// kernels still write the bias (or +0) over the tile.
+int64_t KSlices(int64_t k) { return std::max<int64_t>(1, CeilDiv(k, kKc)); }
+
+// One kKc-deep slice [kc0, kc0 + kc) of a row tile: C rows [0, mc) (row
+// stride n) (+)= the slice's packed A panels against each B panel. `bias` is
+// non-null on the last slice only.
+void SliceProduct(const float* a_pack, const float* packed_b, int64_t kc0,
+                  int64_t kc, int64_t k, float* c, int64_t mc, int64_t n,
+                  const float* bias) {
+  const int64_t n_panels = CeilDiv(n, kNr);
+  for (int64_t jp = 0; jp < n_panels; ++jp) {
+    const int64_t j0 = jp * kNr;
+    ColumnPanel(a_pack, packed_b + jp * k * kNr + kc0 * kNr, kc, c + j0, n,
+                kc0 == 0, mc, std::min(kNr, n - j0),
+                bias == nullptr ? nullptr : bias + j0);
+  }
+}
+
 // One row tile of GemmPrepacked: rows [0, mc) of C (row stride n) from the
 // same rows of A (row stride k), epilogue included. `a_pack` holds
 // kMc * min(k, kKc) floats.
 void RowTile(const float* a, const float* packed_b, float* c, int64_t mc,
              int64_t k, int64_t n, const float* bias, Activation act,
              float* gelu_grad, float* a_pack) {
-  if (k == 0) {
-    // Empty inner dimension: the product is all zeros by convention.
-    std::fill(c, c + mc * n, 0.0f);
-  }
-  const int64_t n_panels = CeilDiv(n, kNr);
-  for (int64_t kc0 = 0; kc0 < k; kc0 += kKc) {
+  const int64_t slices = KSlices(k);
+  for (int64_t s = 0; s < slices; ++s) {
+    const int64_t kc0 = s * kKc;
     const int64_t kc = std::min(kKc, k - kc0);
     PackA(a + kc0, k, mc, kc, a_pack);
-    const bool first = kc0 == 0;
-    for (int64_t jp = 0; jp < n_panels; ++jp) {
-      const float* bp = packed_b + jp * k * kNr + kc0 * kNr;
+    SliceProduct(a_pack, packed_b, kc0, kc, k, c, mc, n,
+                 s + 1 == slices ? bias : nullptr);
+  }
+  ApplyActivation(c, gelu_grad, mc * n, act);
+}
+
+// Floats of MlpPrepacked's hidden panels before h slice `hc0`: every earlier
+// slice holds kKc columns of each of the row tile's `panels` A panels.
+int64_t HiddenSliceOffset(int64_t hc0, int64_t panels) {
+  return hc0 * panels * kMr;
+}
+
+// MlpPrepacked's fc1 for one row tile: act(A[mc, k] @ W1 + b1) lands in
+// `hidden` as the kMr-row panels PackA would make of it for fc2, one set per
+// kKc-deep slice of h (HiddenSliceOffset), each panel holding its slice's
+// columns. Rows past mc hold what PackA's zero padding computes to; fc2
+// turns them into accumulator lanes it never stores. `a_pack` holds
+// kMc * min(k, kKc) floats.
+void Fc1IntoPanels(const float* a, const MlpLayer& fc1, int64_t mc, int64_t k,
+                   int64_t h, float* a_pack, float* hidden) {
+  const int64_t panels = CeilDiv(mc, kMr);
+  const int64_t h_panels = CeilDiv(h, kNr);
+  const int64_t slices = KSlices(k);
+  for (int64_t s = 0; s < slices; ++s) {
+    const int64_t kc0 = s * kKc;
+    const int64_t kc = std::min(kKc, k - kc0);
+    PackA(a + kc0, k, mc, kc, a_pack);
+    const bool last = s + 1 == slices;
+    for (int64_t jp = 0; jp < h_panels; ++jp) {
+      // kKc is a multiple of kNr, so a B panel never straddles two slices.
       const int64_t j0 = jp * kNr;
-      ColumnPanel(a_pack, bp, kc, c + j0, n, first, mc,
-                  std::min(kNr, n - j0));
+      const int64_t hc0 = j0 / kKc * kKc;
+      const int64_t hc = std::min(kKc, h - hc0);
+      PanelColumn(a_pack, fc1.packed_b + jp * k * kNr + kc0 * kNr, kc,
+                  hidden + HiddenSliceOffset(hc0, panels) + (j0 - hc0) * kMr,
+                  hc * kMr, s == 0, panels, std::min(kNr, h - j0),
+                  last && fc1.bias != nullptr ? fc1.bias + j0 : nullptr);
     }
   }
-  if (bias != nullptr || act != Activation::kIdentity) {
-    EpilogueBiasAct(c, gelu_grad, mc, n, bias, act);
-  }
+  ApplyActivation(hidden, nullptr, panels * kMr * h, fc1.act);
 }
 
 }  // namespace
@@ -604,30 +729,33 @@ void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
 void MlpPrepacked(const float* a, const MlpLayer& fc1, const MlpLayer& fc2,
                   float* c, int64_t m, int64_t k, int64_t h, int64_t n) {
   if (m == 0 || n == 0) return;
-  // Each row tile runs fc1 into the chunk's hidden tile, then fc2 from it:
-  // both are GemmPrepacked's tiles over the same rows, so every element
-  // matches the two separate calls. The grain is the larger GEMM's (the
-  // smaller of the two grains), not that of their summed multiply-adds: the
-  // fused loop then splits only where one of the separate calls would have,
-  // and adds no pool dispatch.
+  // Each row tile runs fc1 into the chunk's hidden panels, then fc2 from
+  // them: every element is the FMA chain GemmPrepacked's tiles compute over
+  // the same rows, so the result matches the two separate calls. The grain
+  // is the larger GEMM's (the smaller of the two grains), not that of their
+  // summed multiply-adds: the fused loop then splits only where one of the
+  // separate calls would have, and adds no pool dispatch.
   const int64_t row_tiles = CeilDiv(m, kMc);
   const int64_t grain = std::min(RowTileGrain(k, h), RowTileGrain(h, n));
   runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
-    // The hidden tile sits past the A pack in the same scratch, at a
+    // The hidden panels sit past fc1's A pack in the same scratch, at a
     // 16-float (64-byte) offset.
-    const int64_t pack_floats =
-        CeilDiv(kMc * std::max(std::min(k, kKc), std::min(h, kKc)), 16) * 16;
+    const int64_t pack_floats = CeilDiv(kMc * std::min(k, kKc), 16) * 16;
     float* a_pack = APackScratch(pack_floats + kMc * h);
     float* hidden = a_pack + pack_floats;
     for (int64_t t = tb; t < te; ++t) {
       const int64_t i0 = t * kMc;
       const int64_t mc = std::min(kMc, m - i0);
-      if (h > 0) {
-        RowTile(a + i0 * k, fc1.packed_b, hidden, mc, k, h, fc1.bias, fc1.act,
-                nullptr, a_pack);
+      const int64_t panels = CeilDiv(mc, kMr);
+      Fc1IntoPanels(a + i0 * k, fc1, mc, k, h, a_pack, hidden);
+      const int64_t slices = KSlices(h);
+      for (int64_t s = 0; s < slices; ++s) {
+        const int64_t hc0 = s * kKc;
+        SliceProduct(hidden + HiddenSliceOffset(hc0, panels), fc2.packed_b,
+                     hc0, std::min(kKc, h - hc0), h, c + i0 * n, mc, n,
+                     s + 1 == slices ? fc2.bias : nullptr);
       }
-      RowTile(hidden, fc2.packed_b, c + i0 * n, mc, h, n, fc2.bias, fc2.act,
-              nullptr, a_pack);
+      ApplyActivation(c + i0 * n, nullptr, mc * n, fc2.act);
     }
   });
 }

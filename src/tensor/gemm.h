@@ -8,12 +8,15 @@
 // eight registers, and a narrower panel (n < 8, or n's last panel) runs a
 // kernel that vectorizes over the panel's 8 rows, one FMA per k step per
 // real column; other builds run one GCC vector-extension 8x8 kernel for
-// every panel. The optional epilogue (bias add + activation) runs per row
-// tile while C is still cache-hot, so fused Linear layers never materialize
-// the intermediate pre-activation tensor; under training a GELU layer keeps
-// its derivative instead, written by the same epilogue pass. MlpPrepacked
-// chains two such GEMMs per row tile (an MLP block's fc1 and fc2), so the
-// hidden activations between them stay in a per-thread tile.
+// every panel. Every kernel adds the bias in registers after the last k
+// slice, just before its store, and the optional activation then runs per
+// row tile while C is still cache-hot, so fused Linear layers never
+// materialize the intermediate pre-activation tensor; under training a GELU
+// layer keeps its derivative instead, written by the same activation pass.
+// MlpPrepacked chains two such GEMMs per row tile (an MLP block's fc1 and
+// fc2): fc1 writes its tile straight into the packed A panels fc2 reads, so
+// the hidden activations between them stay in a per-thread buffer and are
+// never packed.
 //
 // Determinism contract (docs/RUNTIME.md): tile geometry is a pure function
 // of (m, k, n); runtime::ParallelFor distributes whole row tiles, each
@@ -56,11 +59,12 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, const float* bias = nullptr,
           Activation act = Activation::kIdentity, float* gelu_grad = nullptr);
 
-// The shared bias+activation epilogue: bias add (when non-null) and `act`
-// over `rows` contiguous C rows of width n, applied while the tile is
-// cache-hot. `gelu_grad` is Gemm's: written for kGelu only, when non-null.
-// Exposed so the quantized kernel (tensor/qgemm.h) fuses its dequant output
-// into the exact same formulas — one epilogue, every GEMM flavor.
+// Bias add (when non-null) and `act` over `rows` contiguous C rows of width
+// n. `gelu_grad` is Gemm's: written for kGelu only, when non-null. The fp32
+// kernels add their bias in registers and run only this activation; the
+// quantized kernel (tensor/qgemm.h) runs its dequant output through the
+// whole epilogue. One rounded add of the bias either way, so both give the
+// bits of C = A@B, then C += bias, then act(C).
 void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
                      const float* bias, Activation act);
 
@@ -82,14 +86,17 @@ struct MlpLayer {
 
 // C[m,n] = fc2(fc1(A[m,k])), fc1 a [k, h] layer and fc2 an [h, n] one: the
 // serving MLP block's two GEMMs in one pass. Each kMc-row tile of fc1,
-// bias and activation included, lands in a per-thread hidden tile, and fc2
-// reads it from there, so the [m, h] hidden never reaches memory. Both
-// GEMMs run GemmPrepacked's row-tile body, so C is bit-identical to
+// bias and activation included, lands in a per-thread buffer laid out as
+// the 8-row packed A panels fc2 consumes (one set per 256-deep slice of h),
+// written by a tile that vectorizes over 8 rows and broadcasts fc1's
+// weights; fc2 reads the panels in place, so the [m, h] hidden never
+// reaches memory and is never packed. Every element is still one FMA chain
+// in ascending k from +0 plus one bias add, so C is bit-identical to
 // GemmPrepacked(fc1) into an [m, h] buffer followed by GemmPrepacked(fc2)
-// from it, for any thread count. A chunk's grain comes from the larger of
-// the two GEMMs' per-tile multiply-adds, so the fused call runs inline
-// wherever both separate calls would have. No GELU' output: the fused step
-// serves frozen plans, which never differentiate.
+// from it, for any thread count and on every build. A chunk's grain comes
+// from the larger of the two GEMMs' per-tile multiply-adds, so the fused
+// call runs inline wherever both separate calls would have. No GELU'
+// output: the fused step serves frozen plans, which never differentiate.
 void MlpPrepacked(const float* a, const MlpLayer& fc1, const MlpLayer& fc2,
                   float* c, int64_t m, int64_t k, int64_t h, int64_t n);
 

@@ -13,6 +13,7 @@
 #include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/optrace.h"
+#include "tensor/transpose8x8.h"
 
 namespace msd {
 
@@ -784,98 +785,287 @@ Tensor ArgMax(const Tensor& a, int64_t dim) {
 
 namespace {
 
+// Most axes Permute takes: PermuteInto works on fixed arrays of this size.
+constexpr int64_t kMaxPermuteRank = 8;
+
+// Validates `perm` for a rank-`rank` tensor and writes its axes, normalized
+// to [0, rank), to `norm`.
+void NormalizePermutation(const std::vector<int64_t>& perm, int64_t rank,
+                          int64_t (&norm)[kMaxPermuteRank]) {
+  MSD_CHECK_EQ(static_cast<int64_t>(perm.size()), rank);
+  MSD_CHECK_LE(rank, kMaxPermuteRank)
+      << "Permute takes at most " << kMaxPermuteRank << " axes";
+  uint32_t seen = 0;
+  for (int64_t i = 0; i < rank; ++i) {
+    const int64_t p = NormalizeDim(perm[static_cast<size_t>(i)], rank);
+    MSD_CHECK(((seen >> p) & 1u) == 0) << "duplicate axis in permutation";
+    seen |= 1u << p;
+    norm[i] = p;
+  }
+}
+
 // Validates `perm` against `a` and returns (normalized perm, result shape).
 std::pair<std::vector<int64_t>, Shape> PermuteOutShape(
     const Tensor& a, const std::vector<int64_t>& perm) {
   MSD_DEBUG_VALIDATE_TENSOR(a, "Permute");
   const int64_t rank = a.rank();
-  MSD_CHECK_EQ(static_cast<int64_t>(perm.size()), rank);
-  std::vector<bool> seen(static_cast<size_t>(rank), false);
-  std::vector<int64_t> norm(static_cast<size_t>(rank));
+  int64_t norm[kMaxPermuteRank];
+  NormalizePermutation(perm, rank, norm);
   Shape out_shape(static_cast<size_t>(rank));
   for (int64_t i = 0; i < rank; ++i) {
-    const int64_t p = NormalizeDim(perm[static_cast<size_t>(i)], rank);
-    MSD_CHECK(!seen[static_cast<size_t>(p)]) << "duplicate axis in permutation";
-    seen[static_cast<size_t>(p)] = true;
-    norm[static_cast<size_t>(i)] = p;
-    out_shape[static_cast<size_t>(i)] = a.dim(p);
+    out_shape[static_cast<size_t>(i)] = a.dim(norm[i]);
   }
-  return {std::move(norm), std::move(out_shape)};
+  return {std::vector<int64_t>(norm, norm + rank), std::move(out_shape)};
+}
+
+// A permutation with its size-1 axes dropped and every run of input axes
+// that stays adjacent and in order in the output merged into one axis, so
+// equal data movements get one form: output axis i reads input axis
+// perm[i], of extent dims[perm[i]]. An identity has rank 0 or 1.
+struct CanonicalPermute {
+  int64_t rank = 0;
+  int64_t dims[kMaxPermuteRank];
+  int64_t perm[kMaxPermuteRank];
+};
+
+CanonicalPermute Canonicalize(const Shape& shape,
+                              const int64_t (&norm)[kMaxPermuteRank]) {
+  const int64_t rank = static_cast<int64_t>(shape.size());
+  // Input axes longer than 1, renumbered in input order.
+  int64_t kept_of[kMaxPermuteRank];
+  int64_t kept_dims[kMaxPermuteRank];
+  int64_t kept = 0;
+  for (int64_t a = 0; a < rank; ++a) {
+    const int64_t d = shape[static_cast<size_t>(a)];
+    kept_of[a] = d == 1 ? -1 : kept;
+    if (d != 1) kept_dims[kept++] = d;
+  }
+  // The kept axes in output order, and which of them open a merged run:
+  // one whose output predecessor is not its input predecessor.
+  int64_t order[kMaxPermuteRank];
+  int64_t n = 0;
+  for (int64_t i = 0; i < rank; ++i) {
+    if (kept_of[norm[i]] >= 0) order[n++] = kept_of[norm[i]];
+  }
+  bool opens[kMaxPermuteRank] = {};
+  for (int64_t i = 0; i < n; ++i) {
+    if (i == 0 || order[i] != order[i - 1] + 1) opens[order[i]] = true;
+  }
+  // Runs are contiguous in input order: number them, multiply their
+  // extents, then list them in output order.
+  CanonicalPermute c;
+  int64_t run_of[kMaxPermuteRank];
+  for (int64_t x = 0; x < n; ++x) {
+    if (opens[x]) c.dims[c.rank++] = 1;
+    run_of[x] = c.rank - 1;
+    c.dims[c.rank - 1] *= kept_dims[x];
+  }
+  int64_t o = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (i == 0 || order[i] != order[i - 1] + 1) c.perm[o++] = run_of[order[i]];
+  }
+  return c;
+}
+
+#if defined(__AVX2__)
+
+// dst[j * ldd + i] = src[i * lds + j] for i < rows, j < cols (both <= 8),
+// through one in-register 8x8 transpose; masked lanes are neither read nor
+// written. Loads, shuffles and stores move bits, NaN payloads included.
+[[gnu::always_inline]] inline void TransposeBlock(const float* src,
+                                                  int64_t lds, float* dst,
+                                                  int64_t ldd, int64_t rows,
+                                                  int64_t cols) {
+  __m256 r[8];
+  const __m256i col_lanes = kernel::LaneMask(cols);
+  for (int64_t i = 0; i < 8; ++i) {
+    if (i >= rows) {
+      r[i] = _mm256_setzero_ps();
+    } else if (cols == 8) {
+      r[i] = _mm256_loadu_ps(src + i * lds);
+    } else {
+      r[i] = _mm256_maskload_ps(src + i * lds, col_lanes);
+    }
+  }
+  kernel::Transpose8x8(r);
+  const __m256i row_lanes = kernel::LaneMask(rows);
+  for (int64_t j = 0; j < cols; ++j) {
+    if (rows == 8) {
+      _mm256_storeu_ps(dst + j * ldd, r[j]);
+    } else {
+      _mm256_maskstore_ps(dst + j * ldd, row_lanes, r[j]);
+    }
+  }
+}
+
+// Shortest side a matrix needs for 8x8 blocks: below it most of each
+// block's transpose would move padding, and plain loops are faster.
+constexpr int64_t kMinBlockSide = 6;
+
+#endif
+
+// dst[y * ldd + x] = src[x * lds + y] for an [rows, cols] matrix of single
+// floats: 8x8 blocks on AVX2 builds when both sides are long enough, else
+// plain loops with the long side innermost.
+void TransposeMatrix(const float* src, int64_t lds, float* dst, int64_t ldd,
+                     int64_t rows, int64_t cols) {
+#if defined(__AVX2__)
+  if (std::min(rows, cols) >= kMinBlockSide) {
+    for (int64_t x0 = 0; x0 < rows; x0 += 8) {
+      for (int64_t y0 = 0; y0 < cols; y0 += 8) {
+        TransposeBlock(src + x0 * lds + y0, lds, dst + y0 * ldd + x0, ldd,
+                       std::min<int64_t>(8, rows - x0),
+                       std::min<int64_t>(8, cols - y0));
+      }
+    }
+    return;
+  }
+#endif
+  if (rows <= cols) {
+    for (int64_t x = 0; x < rows; ++x) {
+      for (int64_t y = 0; y < cols; ++y) dst[y * ldd + x] = src[x * lds + y];
+    }
+  } else {
+    for (int64_t y = 0; y < cols; ++y) {
+      for (int64_t x = 0; x < rows; ++x) dst[y * ldd + x] = src[x * lds + y];
+    }
+  }
+}
+
+// A canonical permutation that swaps two axes, x and y, with every other
+// axis in place: out[o][y][m][x][r] = in[o][x][m][y][r], where o, m and r
+// are the merged axes before, between and after the pair (extent 1 when
+// absent).
+struct AxisSwap {
+  int64_t outer, x, mid, y, inner;
+};
+
+// Whether `c` is such a swap, and if so its extents.
+bool AsAxisSwap(const CanonicalPermute& c, AxisSwap* swap) {
+  int64_t first = -1, second = -1;
+  for (int64_t i = 0; i < c.rank; ++i) {
+    if (c.perm[i] == i) continue;
+    if (first < 0) {
+      first = i;
+    } else if (second < 0) {
+      second = i;
+    } else {
+      return false;
+    }
+  }
+  // Two moved axes of a permutation can only trade places.
+  if (second < 0) return false;
+  *swap = {1, c.dims[first], 1, c.dims[second], 1};
+  for (int64_t i = 0; i < first; ++i) swap->outer *= c.dims[i];
+  for (int64_t i = first + 1; i < second; ++i) swap->mid *= c.dims[i];
+  for (int64_t i = second + 1; i < c.rank; ++i) swap->inner *= c.dims[i];
+  return true;
+}
+
+// The swap as strided 2D transposes, one [x, y] matrix per (o, m) pair:
+// TransposeMatrix when each element is one float, a copy per run of
+// `inner` floats otherwise. Each matrix writes its own output elements, so
+// matrices run in parallel.
+void SwapAxes(const float* in, float* out, const AxisSwap& s) {
+  const int64_t lds = s.mid * s.y * s.inner;
+  const int64_t ldd = s.mid * s.x * s.inner;
+  const size_t run_bytes = static_cast<size_t>(s.inner) * sizeof(float);
+  runtime::ParallelFor(0, s.outer * s.mid, GrainForWork(s.x * s.y * s.inner),
+                       [&](int64_t ub, int64_t ue) {
+    // One division per chunk; the (o, m) pair then steps like an odometer.
+    int64_t o = ub / s.mid;
+    int64_t m = ub % s.mid;
+    for (int64_t u = ub; u < ue; ++u) {
+      const float* src = in + (o * s.x * s.mid + m) * s.y * s.inner;
+      float* dst = out + (o * s.y * s.mid + m) * s.x * s.inner;
+      if (s.inner == 1) {
+        TransposeMatrix(src, lds, dst, ldd, s.x, s.y);
+      } else {
+        for (int64_t x = 0; x < s.x; ++x) {
+          for (int64_t y = 0; y < s.y; ++y) {
+            std::memcpy(dst + y * ldd + x * s.inner,
+                        src + x * lds + y * s.inner, run_bytes);
+          }
+        }
+      }
+      if (++m == s.mid) {
+        m = 0;
+        ++o;
+      }
+    }
+  });
+}
+
+// Any other canonical permutation: an odometer over the output's axes
+// gathering each element from its input offset.
+void GatherPermuted(const float* in, float* out, const CanonicalPermute& c,
+                    int64_t numel) {
+  const int64_t rank = c.rank;
+  int64_t in_strides[kMaxPermuteRank];
+  for (int64_t a = rank - 1, stride = 1; a >= 0; --a) {
+    in_strides[a] = stride;
+    stride *= c.dims[a];
+  }
+  // Extent of each output axis, and the input stride it advances.
+  int64_t out_dims[kMaxPermuteRank];
+  int64_t gather[kMaxPermuteRank];
+  for (int64_t i = 0; i < rank; ++i) {
+    out_dims[i] = c.dims[c.perm[i]];
+    gather[i] = in_strides[c.perm[i]];
+  }
+  runtime::ParallelFor(0, numel, kernel::kElementwiseGrain,
+                       [&](int64_t cb, int64_t ce) {
+    int64_t index[kMaxPermuteRank];
+    int64_t off = 0;
+    for (int64_t axis = rank - 1, rest = cb; axis >= 0; --axis) {
+      index[axis] = rest % out_dims[axis];
+      rest /= out_dims[axis];
+      off += index[axis] * gather[axis];
+    }
+    for (int64_t i = cb; i < ce; ++i) {
+      out[i] = in[off];
+      for (int64_t axis = rank - 1; axis >= 0; --axis) {
+        ++index[axis];
+        off += gather[axis];
+        if (index[axis] < out_dims[axis]) break;
+        off -= gather[axis] * out_dims[axis];
+        index[axis] = 0;
+      }
+    }
+  });
 }
 
 }  // namespace
 
-// msd-hot-path-safe: same contract as AddInto (the gather path's odometer
-// index vector is chunk-local and audited with it).
+// Same contract as AddInto. The permutation is canonicalized first
+// (CanonicalPermute): an identity is one memcpy, a swap of two axes strided
+// 2D transposes, anything else the odometer gather.
 void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
                  Tensor& out) {
-  auto [norm, out_shape] = PermuteOutShape(a, perm);
+  MSD_DEBUG_VALIDATE_TENSOR(a, "Permute");
   const int64_t rank = a.rank();
-  MSD_CHECK(out.shape() == out_shape)
-      << "PermuteInto output shape mismatch: " << ShapeToString(out.shape());
+  int64_t norm[kMaxPermuteRank];
+  NormalizePermutation(perm, rank, norm);
+  MSD_CHECK_EQ(out.rank(), rank) << "PermuteInto output rank mismatch";
+  for (int64_t i = 0; i < rank; ++i) {
+    MSD_CHECK_EQ(out.dim(i), a.dim(norm[i]))
+        << "PermuteInto output shape mismatch on axis " << i;
+  }
   // A gather can never run in place: output slot i reads input slot
   // sigma(i) while slot i may still be pending.
   MSD_DEBUG_CHECK_NO_ALIAS(out, a, "PermuteInto");
-  // Fast path: swapping the last two axes (batched 2D transpose), the
-  // dominant movement pattern in the mixer's axis-MLP blocks. Parallel over
-  // batch matrices — each writes a disjoint output block.
-  if (rank >= 2) {
-    bool last_two_swap = true;
-    for (int64_t i = 0; i < rank - 2; ++i) {
-      if (norm[static_cast<size_t>(i)] != i) {
-        last_two_swap = false;
-        break;
-      }
-    }
-    last_two_swap = last_two_swap &&
-                    norm[static_cast<size_t>(rank - 2)] == rank - 1 &&
-                    norm[static_cast<size_t>(rank - 1)] == rank - 2;
-    if (last_two_swap) {
-      const int64_t rows = a.dim(-2);
-      const int64_t cols = a.dim(-1);
-      const int64_t batch = a.numel() / std::max<int64_t>(1, rows * cols);
-      const float* pa = a.data();
-      float* po = out.data();
-      runtime::ParallelFor(0, batch, GrainForWork(rows * cols),
-                           [&](int64_t bb, int64_t be) {
-        for (int64_t b = bb; b < be; ++b) {
-          const float* src = pa + b * rows * cols;
-          float* dst = po + b * rows * cols;
-          for (int64_t r = 0; r < rows; ++r) {
-            const float* s = src + r * cols;
-            for (int64_t c = 0; c < cols; ++c) dst[c * rows + r] = s[c];
-          }
-        }
-      });
-      return;
-    }
+  const int64_t numel = a.numel();
+  if (numel == 0) return;
+  const CanonicalPermute c = Canonicalize(a.shape(), norm);
+  AxisSwap swap;
+  if (c.rank <= 1) {
+    std::memcpy(out.data(), a.data(),
+                static_cast<size_t>(numel) * sizeof(float));
+  } else if (AsAxisSwap(c, &swap)) {
+    SwapAxes(a.data(), out.data(), swap);
+  } else {
+    GatherPermuted(a.data(), out.data(), c, numel);
   }
-
-  const auto in_strides = RowMajorStrides(a.shape());
-  // Stride to advance in the *input* when the i-th *output* axis increments.
-  std::vector<int64_t> gather_strides(static_cast<size_t>(rank));
-  for (int64_t i = 0; i < rank; ++i) {
-    gather_strides[static_cast<size_t>(i)] =
-        in_strides[static_cast<size_t>(norm[static_cast<size_t>(i)])];
-  }
-  const float* pa = a.data();
-  float* po = out.data();
-  runtime::ParallelFor(0, a.numel(), kernel::kElementwiseGrain,
-                       [&](int64_t cb, int64_t ce) {
-    std::vector<int64_t> index(static_cast<size_t>(rank), 0);
-    int64_t off = kernel::UnflattenOffset(cb, out_shape, gather_strides, index);
-    for (int64_t i = cb; i < ce; ++i) {
-      po[i] = pa[off];
-      for (int64_t axis = rank - 1; axis >= 0; --axis) {
-        const size_t u = static_cast<size_t>(axis);
-        ++index[u];
-        off += gather_strides[u];
-        if (index[u] < out_shape[u]) break;
-        off -= gather_strides[u] * out_shape[u];
-        index[u] = 0;
-      }
-    }
-  });
 }
 
 Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {

@@ -103,7 +103,8 @@ Tensor MaxReduce(const Tensor& a, int64_t dim, bool keepdim);
 Tensor ArgMax(const Tensor& a, int64_t dim);
 
 // ---- Movement ---------------------------------------------------------------
-// Reorders axes: out.dim(i) == in.dim(perm[i]). Materializes a new buffer.
+// Reorders axes: out.dim(i) == in.dim(perm[i]), for at most 8 axes.
+// Materializes a new buffer.
 Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm);
 // Swaps two axes.
 Tensor Transpose(const Tensor& a, int64_t dim0, int64_t dim1);
@@ -171,7 +172,7 @@ struct PackedLinear {
 };
 // fc2(fc1(a)) with fc2.k == fc1.n: an MLP block's two Linears in one pass
 // (gemm::MlpPrepacked), the hidden activations kept in a per-thread row
-// tile. Bit-identical to MatMulExPrepackedInto(fc1) into a hidden buffer
+// tile in fc2's packed layout. Bit-identical to MatMulExPrepackedInto(fc1) into a hidden buffer
 // followed by MatMulExPrepackedInto(fc2) from it, and counts the same two
 // calls and their flops in tensor/matmul_*.
 void MlpPrepackedInto(const Tensor& a, const PackedLinear& fc1,
@@ -179,6 +180,10 @@ void MlpPrepackedInto(const Tensor& a, const PackedLinear& fc1,
 // Reduce over `dims` (already normalized: sorted, deduped, non-negative,
 // non-empty). `out` holds the kept elements.
 void SumInto(const Tensor& a, const std::vector<int64_t>& dims, Tensor& out);
+// `out` holds a permuted as Permute would return it. Allocates nothing: the
+// permutation is reduced to its canonical form first (size-1 axes dropped,
+// axes that stay adjacent merged), so an identity is one memcpy and a swap
+// of two axes runs as strided 2D transposes.
 void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
                  Tensor& out);
 void SliceInto(const Tensor& a, int64_t dim, int64_t start, int64_t length,

@@ -557,7 +557,10 @@ TEST(ElementwiseChunkTest, CheapLoopsCarryAtLeastTwoToTheFifteenElements) {
 // shape of m x k x h x n runs all six fc1/fc2 activation pairs; bias
 // presence and the thread count (1, 2, 8) rotate across shapes so each value
 // of every axis meets each of them. m crosses the 64-row tile, k = 257 and
-// h = 300 cross the 256-deep k block, and n covers the narrow panels.
+// h = 300 cross the 256-deep k block, and n covers the narrow panels. The
+// 65-row shapes with n in {7, 9} and k = 257, h = 300 or (k, h) = (7, 64)
+// also meet a reference that shares no kernel with either side: the scalar
+// FmaChain and EpilogueBiasAct composed twice.
 TEST(GemmPrepackedEdgeTest, MlpPrepackedMatchesTwoGemmsThroughAHiddenBuffer) {
   const int64_t ms[] = {1, 7, 63, 64, 65, 200};
   const int64_t ks[] = {1, 2, 7, 96, 257};
@@ -578,6 +581,9 @@ TEST(GemmPrepackedEdgeTest, MlpPrepackedMatchesTwoGemmsThroughAHiddenBuffer) {
           for (int ni = 0; ni < 6; ++ni) {
             if ((mi + ki + hi + ni) % 3 != ti) continue;
             const int64_t m = ms[mi], k = ks[ki], h = hs[hi], n = ns[ni];
+            const bool scalar_reference =
+                m == 65 && (n == 7 || n == 9) &&
+                (k == 257 || h == 300 || (k == 7 && h == 64));
             const uint32_t seed = static_cast<uint32_t>(m * 7 + k * 5 + h * 3 + n);
             const std::vector<float> a =
                 RandomVec(static_cast<size_t>(m * k), seed, 1.5f);
@@ -620,6 +626,27 @@ TEST(GemmPrepackedEdgeTest, MlpPrepackedMatchesTwoGemmsThroughAHiddenBuffer) {
                                  {packed2.data(), bias2, act2}, got.data(), m,
                                  k, h, n);
               ASSERT_EQ(FirstBitDifference(got, want), -1);
+              if (scalar_reference) {
+                std::vector<float> hidden_ref(static_cast<size_t>(m * h));
+                for (int64_t i = 0; i < m; ++i) {
+                  for (int64_t j = 0; j < h; ++j) {
+                    hidden_ref[static_cast<size_t>(i * h + j)] =
+                        FmaChain(a, w1, k, h, i, j);
+                  }
+                }
+                gemm::EpilogueBiasAct(hidden_ref.data(), nullptr, m, h, bias1,
+                                      act1);
+                std::vector<float> scalar(want.size(), kGuard);
+                for (int64_t i = 0; i < m; ++i) {
+                  for (int64_t j = 0; j < n; ++j) {
+                    scalar[static_cast<size_t>(i * n + j)] =
+                        FmaChain(hidden_ref, w2, h, n, i, j);
+                  }
+                }
+                gemm::EpilogueBiasAct(scalar.data(), nullptr, m, n, bias2,
+                                      act2);
+                ASSERT_EQ(FirstBitDifference(got, scalar), -1);
+              }
             }
           }
         }

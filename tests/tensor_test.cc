@@ -659,6 +659,104 @@ TEST(TensorOpsTest, TransposeSwapsAxes) {
   EXPECT_EQ(t.at({1, 3, 2}), a.at({1, 2, 3}));
 }
 
+// Input bits for the permute test: every element distinct, covering -0,
+// signaling and negative quiet NaNs with payloads, and subnormals of both
+// signs, so a permute that computes instead of moving bits shows.
+std::vector<uint32_t> PermuteTestBits(int64_t numel) {
+  std::vector<uint32_t> bits(static_cast<size_t>(numel));
+  for (int64_t i = 0; i < numel; ++i) {
+    const uint32_t u = static_cast<uint32_t>(i);
+    switch (i % 6) {
+      case 0: bits[static_cast<size_t>(i)] = 0x3f800000u + u; break;
+      case 1: bits[static_cast<size_t>(i)] = 0x7f800000u | (u + 1); break;
+      case 2: bits[static_cast<size_t>(i)] = 0xffc00000u | u; break;
+      case 3: bits[static_cast<size_t>(i)] = u + 1; break;
+      case 4: bits[static_cast<size_t>(i)] = 0x80000000u | (u + 1); break;
+      default:
+        bits[static_cast<size_t>(i)] = i == 5 ? 0x80000000u : 0xc0000000u + u;
+    }
+  }
+  return bits;
+}
+
+// out[i] = in[offset of i's input index], by division per output element:
+// the definition of a permute, independent of PermuteInto's canonical
+// form, transposes and odometer.
+std::vector<uint32_t> ScalarPermute(const std::vector<uint32_t>& in,
+                                    const Shape& shape,
+                                    const std::vector<int64_t>& perm) {
+  const size_t rank = shape.size();
+  std::vector<int64_t> strides(rank, 1);
+  for (size_t a = rank; a-- > 1;) strides[a - 1] = strides[a] * shape[a];
+  std::vector<uint32_t> out(in.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    int64_t rest = static_cast<int64_t>(i);
+    int64_t off = 0;
+    for (size_t axis = rank; axis-- > 0;) {
+      const size_t from = static_cast<size_t>(perm[axis]);
+      off += rest % shape[from] * strides[from];
+      rest /= shape[from];
+    }
+    out[i] = in[static_cast<size_t>(off)];
+  }
+  return out;
+}
+
+// Permute (PermuteInto's memcpy, blocked transpose and gather paths) equals
+// the scalar index loop bit for bit: all 24 orders of rank-4 shapes with
+// extents from {1, 2, 7, 8, 9, 17} and a size-1 axis in every position; the
+// serving plan's four axis-MLP permutes of [rows, 7, L', p] (p in {96, 48,
+// 24, 2, 1}, L' = 96 / p, at 1 and 32 rows) and back; and rank-5 swaps with
+// a run of axes between the swapped pair, with and without a trailing run.
+// At 1, 2 and 8 threads.
+TEST(TensorOpsTest, PermuteFastPathsMatchScalarGather) {
+  std::vector<std::pair<Shape, std::vector<int64_t>>> cases;
+  const Shape rank4[] = {{1, 7, 8, 9},   {7, 1, 9, 17}, {2, 17, 1, 8},
+                         {9, 8, 7, 1},   {1, 9, 1, 17}, {8, 9, 17, 2},
+                         {17, 2, 9, 7},  {7, 8, 2, 9},  {9, 17, 8, 8}};
+  for (const Shape& shape : rank4) {
+    std::vector<int64_t> perm = {0, 1, 2, 3};
+    do {
+      cases.push_back({shape, perm});
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  for (int64_t rows : {1, 32}) {
+    for (int64_t p : {96, 48, 24, 2, 1}) {
+      const Shape shape = {rows, 7, 96 / p, p};
+      for (const std::vector<int64_t>& perm :
+           {std::vector<int64_t>{0, 3, 2, 1}, std::vector<int64_t>{0, 1, 3, 2}}) {
+        cases.push_back({shape, perm});
+        // The way back: the swap again, from the permuted shape.
+        Shape moved(4);
+        for (size_t i = 0; i < 4; ++i) {
+          moved[i] = shape[static_cast<size_t>(perm[i])];
+        }
+        cases.push_back({moved, perm});
+      }
+    }
+  }
+  cases.push_back({{2, 9, 3, 5, 17}, {0, 4, 2, 3, 1}});
+  cases.push_back({{3, 17, 2, 5, 9}, {0, 3, 2, 1, 4}});
+  cases.push_back({{5, 9, 1, 3, 8}, {3, 1, 2, 0, 4}});
+  for (int64_t threads : {1, 2, 8}) {
+    runtime::ScopedThreads scoped(threads);
+    for (const auto& [shape, perm] : cases) {
+      SCOPED_TRACE(ShapeToString(shape) + " perm " + ShapeToString(perm) +
+                   " threads " + std::to_string(threads));
+      const int64_t numel = NumElementsOf(shape);
+      const std::vector<uint32_t> bits = PermuteTestBits(numel);
+      Tensor a = Tensor::Uninitialized(shape);
+      std::memcpy(a.data(), bits.data(), bits.size() * sizeof(uint32_t));
+      const Tensor got = Permute(a, perm);
+      const std::vector<uint32_t> want = ScalarPermute(bits, shape, perm);
+      ASSERT_EQ(got.numel(), numel);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(uint32_t)),
+                0);
+    }
+  }
+}
+
 TEST(TensorOpsTest, SliceMiddle) {
   Tensor a = Tensor::Arange(10).Reshape({2, 5});
   Tensor s = Slice(a, 1, 1, 3);

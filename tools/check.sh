@@ -10,7 +10,9 @@
 #                 coverage of the planned forward (--require-reachable
 #                 CompiledPlan::Execute / InferenceSession::RunPlanned), of
 #                 the fused MLP-block GEMM its fp32 plans run
-#                 (MlpPrepacked), of the int8 kernel entry points
+#                 (MlpPrepacked, and its fc1 into fc2's packed panels,
+#                 Fc1IntoPanels), of the axis-MLP permutes (PermuteInto),
+#                 of the int8 kernel entry points
 #                 (QGemmPrepacked / QuantizeActivationsPerRow), and of the
 #                 multi-tenant serving
 #                 core (SocketServer::Run, the epoll loop root, and
@@ -181,15 +183,18 @@ for leg in "${LEGS[@]}"; do
       # exit 2 a configuration error (e.g. a suppression without a
       # justification) — both fail the leg.
       # --require-reachable turns silent hot-path coverage loss into a
-      # failure: the planned forward, and the fused MLP GEMM its fp32 plans
-      # dispatch, must stay visible to the BFS from the PredictBatch root or
-      # a clean report proves nothing about them.
+      # failure: the planned forward, the fused MLP GEMM its fp32 plans
+      # dispatch and the permutes around it must stay visible to the BFS
+      # from the PredictBatch root or a clean report proves nothing about
+      # them.
       note "leg analyze: msd_analyze over src/"
       json="${builddir}/analyze_report.json"
       if ! "${builddir}/tools/msd_analyze" --json \
           --require-reachable "InferenceSession::RunPlanned" \
           --require-reachable "CompiledPlan::Execute" \
           --require-reachable "MlpPrepacked" \
+          --require-reachable "Fc1IntoPanels" \
+          --require-reachable "PermuteInto" \
           --require-reachable "QGemmPrepacked" \
           --require-reachable "QuantizeActivationsPerRow" \
           --require-reachable "SocketServer::Run" \
