@@ -10,7 +10,9 @@
 // lands in BENCH_*.json trajectories.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,6 +20,7 @@
 #include "core/patching.h"
 #include "core/residual_loss.h"
 #include "metrics/metrics.h"
+#include "nn/layers.h"
 #include "runtime/parallel.h"
 #include "tasks/trainer.h"
 #include "tensor/fft.h"
@@ -403,6 +406,53 @@ void BM_LinearGeluThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dy.numel());
 }
 BENCHMARK(BM_LinearGeluThreads)->Arg(1)->Arg(4);
+
+// Every node below `y`, parents before children (Variable::Backward's order
+// before it reverses it).
+std::vector<AutogradNode*> NodesBelow(const Variable& y) {
+  std::vector<AutogradNode*> order;
+  std::unordered_set<AutogradNode*> seen;
+  std::function<void(AutogradNode*)> visit = [&](AutogradNode* n) {
+    if (!seen.insert(n).second) return;
+    for (const auto& p : n->parents) visit(p.get());
+    order.push_back(n);
+  };
+  visit(y.node().get());
+  return order;
+}
+
+// One MLP block branch's backward, fc2(GELU(fc1(x))) as MlpBlock records it,
+// at train_forecast's shapes: 21504 rows (32 windows x 7 channels x 96
+// steps) of f features (Arg: 1, 7 or 96) -> 32 hidden -> f. Each iteration
+// runs the branch's backward closures once, as Variable::Backward would
+// below a loss, from a fixed upstream gradient; x and all four parameters
+// require grad. Items are hidden activations.
+void BM_MlpBranchBackward(benchmark::State& state) {
+  const int64_t f = state.range(0);
+  Rng rng(1);
+  Linear fc1(f, 32, rng);
+  Linear fc2(32, f, rng);
+  Variable x(Tensor::RandNormal({32, 7, 96, f}, 0, 1, rng), true);
+  const Variable y = MlpBranch(x, fc1.Operands(), fc2.Operands());
+  const Tensor dy = Tensor::RandNormal(y.shape(), 0, 1, rng);
+  const std::vector<AutogradNode*> nodes = NodesBelow(y);
+  std::vector<Variable> leaves = fc1.Parameters();
+  for (const Variable& p : fc2.Parameters()) leaves.push_back(p);
+  leaves.push_back(x);
+  for (auto _ : state) {
+    for (Variable& leaf : leaves) leaf.ZeroGrad();
+    y.node()->grad = dy;
+    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+      AutogradNode* n = *it;
+      if (n->backward_fn == nullptr || !n->grad.defined()) continue;
+      n->backward_fn(*n);
+      n->grad = Tensor();
+    }
+    benchmark::DoNotOptimize(x.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel() / f * 32);
+}
+BENCHMARK(BM_MlpBranchBackward)->Arg(1)->Arg(7)->Arg(96);
 
 // DropPath's per-sample mask product, [32, 7, 96, 1] times [32, 1, 1, 1]:
 // each mask element scales one contiguous run of 672 floats.

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.h"
 #include "tensor/conv.h"
+#include "tensor/optrace.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -22,6 +23,18 @@ bool WillRecord(const std::vector<NodePtr>& parents) {
   return false;
 }
 
+// NaN/Inf guard on every differentiable op output (debug-checks builds).
+// Fatal: a non-finite value this deep in a training graph is already silent
+// corruption.
+void DebugCheckFinite([[maybe_unused]] const Tensor& value) {
+#if MSD_DEBUG_CHECKS_ENABLED
+  const int64_t bad = debug::FirstNonFinite(value.data(), value.numel());
+  MSD_CHECK_EQ(bad, -1) << "debug check: non-finite value in op output "
+                        << "(element " << bad << " of shape "
+                        << ShapeToString(value.shape()) << ")";
+#endif
+}
+
 // Creates the result node; records parents + backward closure only when
 // WillRecord(parents). A closure computes no gradient for a parent that does
 // not require one: AccumulateGrad would discard it.
@@ -30,16 +43,7 @@ Variable MakeOp(Tensor value, std::vector<NodePtr> parents,
   static obs::Counter& nodes_created =
       obs::MetricsRegistry::Global().GetCounter("autograd/nodes_created");
   nodes_created.Add(1);
-#if MSD_DEBUG_CHECKS_ENABLED
-  {
-    // NaN/Inf guard on every differentiable op output. Fatal: a non-finite
-    // value this deep in a training graph is already silent corruption.
-    const int64_t bad = debug::FirstNonFinite(value.data(), value.numel());
-    MSD_CHECK_EQ(bad, -1) << "debug check: non-finite value in op output "
-                          << "(element " << bad << " of shape "
-                          << ShapeToString(value.shape()) << ")";
-  }
-#endif
+  DebugCheckFinite(value);
   auto node = std::make_shared<AutogradNode>();
   node->value = std::move(value);
   if (WillRecord(parents)) {
@@ -200,22 +204,49 @@ Variable Tanh(const Variable& a) {
 
 namespace {
 
-// dA = G B^T and dB = A^T G for A @ B with upstream gradient `g`, each only
-// when its operand requires grad (AccumulateGrad reduces broadcast batches).
-// A rank-2 weight shared by a batched input (every Linear on a rank >= 3
-// tensor) takes the one-pass kernel, which gives the bits of the per-batch
-// product once AccumulateGrad has reduced its batches.
-void AccumulateMatMulGrads(AutogradNode& na, AutogradNode& nb,
-                           const Tensor& g) {
-  if (na.requires_grad) {
-    AccumulateGrad(na, MatMul(g, Transpose(nb.value, -1, -2)));
+// dB = A^T G for A @ B (+ bias) with upstream gradient `g`, and the bias
+// gradient, each only when its operand requires grad (AccumulateGrad
+// reduces broadcast batches, and a bias gradient over every leading dim
+// down to [n]). A rank-2 weight shared by a batched input (every Linear on
+// a rank >= 3 tensor) takes the one-pass kernel, which gives the bits of
+// the per-batch product once AccumulateGrad has reduced its batches, and
+// which hands back the bias gradient from the same pass when it streams
+// g's rows as vectors.
+void AccumulateWeightGrads(const Tensor& a, AutogradNode& nb,
+                           AutogradNode* nbias, const Tensor& g) {
+  const bool bias_requires = nbias != nullptr && nbias->requires_grad;
+  Tensor bias_grad;
+  if (nb.requires_grad) {
+    if (nb.value.rank() == 2 && a.rank() >= 3) {
+      AccumulateGrad(nb, LinearWeightGrad(a, g, bias_requires ? &bias_grad
+                                                              : nullptr));
+    } else {
+      AccumulateGrad(nb, MatMul(Transpose(a, -1, -2), g));
+    }
   }
-  if (!nb.requires_grad) return;
-  if (nb.value.rank() == 2 && na.value.rank() >= 3) {
-    AccumulateGrad(nb, LinearWeightGrad(na.value, g));
+  if (!bias_requires) return;
+  if (bias_grad.defined()) {
+    AccumulateGrad(*nbias, std::move(bias_grad));
   } else {
-    AccumulateGrad(nb, MatMul(Transpose(na.value, -1, -2), g));
+    AccumulateGrad(*nbias, g);
   }
+}
+
+// dA = G B^T, then AccumulateWeightGrads. A rank-2 B is read transposed in
+// place (LinearInputGrad); a batched one is transposed first.
+void AccumulateMatMulGrads(AutogradNode& na, AutogradNode& nb,
+                           AutogradNode* nbias, const Tensor& g) {
+  if (na.requires_grad) {
+    AccumulateGrad(na, nb.value.rank() == 2
+                           ? LinearInputGrad(g, nb.value)
+                           : MatMul(g, Transpose(nb.value, -1, -2)));
+  }
+  AccumulateWeightGrads(na.value, nb, nbias, g);
+}
+
+const Tensor& ValueOrUndefined(const Variable& v) {
+  static const Tensor kUndefined;
+  return v.defined() ? v.value() : kUndefined;
 }
 
 }  // namespace
@@ -225,7 +256,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
   NodePtr nb = b.node();
   return MakeOp(
       MatMul(a.value(), b.value()), {na, nb}, [na, nb](AutogradNode& self) {
-        AccumulateMatMulGrads(*na, *nb, self.grad);
+        AccumulateMatMulGrads(*na, *nb, nullptr, self.grad);
       });
 }
 
@@ -241,9 +272,8 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
   // GELU'(z) from the erf it evaluates for the output anyway (one extra
   // tensor), and only when this node will record.
   Tensor gelu_grad;
-  Tensor value =
-      MatMulEx(a.value(), b.value(), bias.defined() ? bias.value() : Tensor(),
-               act, WillRecord(parents) ? &gelu_grad : nullptr);
+  Tensor value = MatMulEx(a.value(), b.value(), ValueOrUndefined(bias), act,
+                          WillRecord(parents) ? &gelu_grad : nullptr);
   return MakeOp(
       std::move(value), std::move(parents),
       [na, nb, nbias, act, gelu_grad](AutogradNode& self) {
@@ -270,9 +300,55 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
             dz = Mul(self.grad, Mul(y, Sub(Tensor::Ones(y.shape()), y)));
             break;
         }
-        AccumulateMatMulGrads(*na, *nb, dz);
-        // AccumulateGrad reduces dz over every leading dim down to [n].
-        if (nbias != nullptr) AccumulateGrad(*nbias, dz);
+        AccumulateMatMulGrads(*na, *nb, nbias.get(), dz);
+      });
+}
+
+Variable MlpBranch(const Variable& x, const LinearOperands& fc1,
+                   const LinearOperands& fc2) {
+  MSD_CHECK(fc1.weight.rank() == 2 && fc2.weight.rank() == 2)
+      << "MlpBranch takes rank-2 weights";
+  NodePtr nx = x.node();
+  NodePtr nw1 = fc1.weight.node();
+  NodePtr nb1 = fc1.bias.defined() ? fc1.bias.node() : nullptr;
+  NodePtr nw2 = fc2.weight.node();
+  NodePtr nb2 = fc2.bias.defined() ? fc2.bias.node() : nullptr;
+  std::vector<NodePtr> below_gelu = {nx, nw1};
+  if (nb1 != nullptr) below_gelu.push_back(nb1);
+  // GELU' is kept only when something below the GELU takes a gradient, as a
+  // composed fc1 node would keep it.
+  Tensor gelu_grad;
+  Tensor h;
+  {
+    optrace::RegionScope region(fc1.region);
+    h = MatMulEx(x.value(), fc1.weight.value(), ValueOrUndefined(fc1.bias),
+                 gemm::Activation::kGelu,
+                 WillRecord(below_gelu) ? &gelu_grad : nullptr);
+  }
+  DebugCheckFinite(h);
+  Tensor y;
+  {
+    optrace::RegionScope region(fc2.region);
+    y = MatMulEx(h, fc2.weight.value(), ValueOrUndefined(fc2.bias),
+                 gemm::Activation::kIdentity);
+  }
+  std::vector<NodePtr> parents = std::move(below_gelu);
+  parents.push_back(nw2);
+  if (nb2 != nullptr) parents.push_back(nb2);
+  return MakeOp(
+      std::move(y), std::move(parents),
+      [nx, nw1, nb1, nw2, nb2, h, gelu_grad](AutogradNode& self) {
+        const Tensor& dy = self.grad;
+        AccumulateWeightGrads(h, *nw2, nb2.get(), dy);
+        if (!gelu_grad.defined()) return;
+        // dz = (dy @ W2^T) ⊙ GELU', each element rounded once after its FMA
+        // chain in the GEMM's row tiles: the bits of the composed graph's
+        // Mul(grad_h, GELU'), with grad_h never stored.
+        const Tensor dz = LinearInputGrad(dy, nw2->value, gelu_grad);
+        if (nx->requires_grad) {
+          AccumulateGrad(*nx, LinearInputGrad(dz, nw1->value));
+        }
+        AccumulateWeightGrads(nx->value, *nw1, nb1.get(), dz);
       });
 }
 

@@ -7,6 +7,7 @@
 #ifndef MSDMIXER_AUTOGRAD_OPS_H_
 #define MSDMIXER_AUTOGRAD_OPS_H_
 
+#include <string>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -50,6 +51,30 @@ Variable MatMul(const Variable& a, const Variable& b);
 // derivative from the output.
 Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
                   gemm::Activation act);
+
+// One Linear as MlpBranch reads it: its weight [in, out], its bias [out]
+// (undefined for none), and the name its GEMM records under during an op
+// capture (tensor/optrace.h), which keeps the Linear's module path in a
+// traced plan.
+struct LinearOperands {
+  Variable weight;
+  Variable bias;
+  std::string region;
+};
+
+// fc2(GELU(fc1(x))), an MLP block's branch (paper Fig. 3a), as one node.
+// The forward runs the two fused GEMMs a composed graph would record,
+// MatMulEx(x, W1, b1, kGelu) then MatMulEx(h, W2, b2, kIdentity), each in
+// its Linear's region, so traced plans and their fusion see the same ops.
+// The node keeps the hidden h and, when something below the GELU takes a
+// gradient, GELU' of fc1's pre-activation. The backward forms
+// dz = (dY W2^T) ⊙ GELU' in the row tiles of the GEMM that computes dY W2^T
+// (LinearInputGrad), takes dW2 and dW1 from the one-pass weight gradient
+// (with b2's and b1's gradients from the same pass where it streams the
+// upstream gradient as vectors) and dx = dz W1^T with W1 read transposed in
+// place. Every gradient has the composed graph's bits.
+Variable MlpBranch(const Variable& x, const LinearOperands& fc1,
+                   const LinearOperands& fc2);
 
 // 2D convolution: input [B, C, H, W] (*) kernel [O, C, kh, kw]; stride and
 // symmetric zero padding per tensor/conv.h.

@@ -45,23 +45,27 @@ void AddInto(Tensor& dst, const Tensor& src) {
 
 }  // namespace
 
-void AccumulateGrad(AutogradNode& node, const Tensor& g) {
+void AccumulateGrad(AutogradNode& node, Tensor g) {
   if (!node.requires_grad) return;
-  Tensor reduced = ReduceTo(g, node.value.shape());
+  // A reduction returns a fresh buffer, which drops this call's share of the
+  // caller's.
+  if (g.shape() != node.value.shape()) g = ReduceTo(g, node.value.shape());
 #if MSD_DEBUG_CHECKS_ENABLED
   {
-    const int64_t bad = debug::FirstNonFinite(reduced.data(), reduced.numel());
+    const int64_t bad = debug::FirstNonFinite(g.data(), g.numel());
     MSD_CHECK_EQ(bad, -1) << "debug check: non-finite gradient (element "
                           << bad << " of shape "
                           << ShapeToString(node.value.shape()) << ")";
   }
 #endif
-  if (!node.grad.defined()) {
-    // Clone: `reduced` may alias `g` (ReduceTo is a pass-through when shapes
-    // match) and the caller may reuse that buffer.
-    node.grad = reduced.Clone();
+  if (node.grad.defined()) {
+    AddInto(node.grad, g);
+  } else if (g.use_count() == 1) {
+    // Nothing else can see this buffer, so the in-place adds of later
+    // contributions reach only this node's gradient.
+    node.grad = std::move(g);
   } else {
-    AddInto(node.grad, reduced);
+    node.grad = g.Clone();
   }
 }
 

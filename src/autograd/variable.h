@@ -44,8 +44,12 @@ struct AutogradNode {
 
 // Accumulates `g` into `node`'s gradient, reducing over broadcast dims so the
 // stored gradient always matches the value's shape. No-op if the node does
-// not require (or propagate) gradients.
-void AccumulateGrad(AutogradNode& node, const Tensor& g);
+// not require (or propagate) gradients. A first gradient adopts `g`'s buffer
+// when this call holds its only reference (a temporary passed in, or the
+// fresh result of the reduction); a buffer another Tensor still shares (an
+// lvalue the caller keeps, such as self.grad or a Reshape of it) is copied,
+// because later contributions are added into the stored gradient in place.
+void AccumulateGrad(AutogradNode& node, Tensor g);
 
 class Variable {
  public:

@@ -13,9 +13,9 @@ MlpBlock::MlpBlock(int64_t features, int64_t hidden, float drop_path,
 }
 
 Variable MlpBlock::DoForward(const Variable& input) {
-  // fc1 + GELU run as one fused GEMM; fc2 fuses its bias the same way.
-  Variable branch =
-      fc2_->Forward(fc1_->ForwardActivated(input, ActivationKind::kGelu));
+  // fc1 + GELU and fc2 run as two fused GEMMs recorded under fc1's and fc2's
+  // module paths, and train as one node with a hand-written backward.
+  Variable branch = MlpBranch(input, fc1_->Operands(), fc2_->Operands());
   return Add(input, drop_path_->Forward(branch));
 }
 

@@ -27,6 +27,9 @@ class Linear : public Module {
   // y = act(x W + b) in a single fused op; preferred over composing Forward
   // with a separate activation on hot paths.
   Variable ForwardActivated(const Variable& input, ActivationKind act);
+  // Weight, bias and region name for an op that runs this layer inside a
+  // larger node (MlpBranch).
+  LinearOperands Operands() const { return {weight_, bias_, name()}; }
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }

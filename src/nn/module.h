@@ -54,6 +54,10 @@ class Module {
   void SetTraining(bool training);
   bool training() const { return training_; }
 
+  // The name this module was registered under (empty for a root module):
+  // the region its ops record under in a traced forward.
+  const std::string& name() const { return name_; }
+
  protected:
   Module() = default;
 

@@ -434,7 +434,9 @@ constexpr int64_t kWgLanes = 32;
 // Operands of one weight-gradient tile. The tile computes
 // T[i][l] = sum_r sum_y u_r[y][i] * v_r[y][l] for i < mu, l < lanes, where
 // u_r[y] = u + (r*rows + y)*ldu and likewise for v: `u` is broadcast one
-// element at a time and `v` is loaded as vectors.
+// element at a time and `v` is loaded as vectors. With `col_sums` it also
+// writes S[l] = sum_r sum_y v_r[y][l], added from +0 in ascending (r, y) as
+// each row of v arrives.
 struct WgTile {
   const float* u;
   const float* v;
@@ -444,6 +446,7 @@ struct WgTile {
   int64_t rows;
   int64_t mu;
   int64_t lanes;
+  bool col_sums;
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -451,16 +454,20 @@ struct WgTile {
 // The tile with kRows broadcast lines and kVecs vectors: each batch's
 // partial starts at +0 and takes one fused multiply-add per row y (the
 // instruction Tile8x8 and NarrowTile use), then joins the running sum,
-// which also starts at +0, with one add. Lanes of the last vector past
-// `lanes` load as zero and are never stored.
-template <int64_t kRows, int64_t kVecs>
-void WeightGradTileOf(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+// which also starts at +0, with one add. kSums adds each loaded row of v
+// into the column sums too. Lanes of the last vector past `lanes` load as
+// zero and are never stored.
+template <int64_t kRows, int64_t kVecs, bool kSums>
+void WeightGradTileOf(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
+                      float (&sums)[kWgLanes]) {
   const int64_t tail = t.lanes - 8 * (kVecs - 1);
   const __m256i mask = LaneMask(tail);
   __m256 sum[kRows][kVecs];
   for (auto& row : sum) {
     for (__m256& s : row) s = _mm256_setzero_ps();
   }
+  __m256 col[kVecs];
+  for (__m256& s : col) s = _mm256_setzero_ps();
   for (int64_t r = 0; r < t.batches; ++r) {
     const float* ur = t.u + r * t.rows * t.ldu;
     const float* vr = t.v + r * t.rows * t.ldv;
@@ -477,6 +484,11 @@ void WeightGradTileOf(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
       const float* last = vy + 8 * (kVecs - 1);
       vv[kVecs - 1] =
           tail == 8 ? _mm256_loadu_ps(last) : _mm256_maskload_ps(last, mask);
+      if constexpr (kSums) {
+        for (int64_t q = 0; q < kVecs; ++q) {
+          col[q] = _mm256_add_ps(col[q], vv[q]);
+        }
+      }
       const float* uy = ur + y * t.ldu;
       for (int64_t i = 0; i < kRows; ++i) {
         const __m256 b = _mm256_broadcast_ss(uy + i);
@@ -496,23 +508,30 @@ void WeightGradTileOf(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
       _mm256_storeu_ps(&tile[i][8 * q], sum[i][q]);
     }
   }
-}
-
-template <int64_t kRows>
-void WeightGradTileRows(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
-  switch (CeilDiv(t.lanes, 8)) {
-    case 1: return WeightGradTileOf<kRows, 1>(t, tile);
-    case 2: return WeightGradTileOf<kRows, 2>(t, tile);
-    case 3: return WeightGradTileOf<kRows, 3>(t, tile);
-    default: return WeightGradTileOf<kRows, 4>(t, tile);
+  if constexpr (kSums) {
+    for (int64_t q = 0; q < kVecs; ++q) _mm256_storeu_ps(&sums[8 * q], col[q]);
   }
 }
 
-void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+template <int64_t kRows, bool kSums>
+void WeightGradTileRows(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
+                        float (&sums)[kWgLanes]) {
+  switch (CeilDiv(t.lanes, 8)) {
+    case 1: return WeightGradTileOf<kRows, 1, kSums>(t, tile, sums);
+    case 2: return WeightGradTileOf<kRows, 2, kSums>(t, tile, sums);
+    case 3: return WeightGradTileOf<kRows, 3, kSums>(t, tile, sums);
+    default: return WeightGradTileOf<kRows, 4, kSums>(t, tile, sums);
+  }
+}
+
+void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
+                    float (&sums)[kWgLanes]) {
   if (t.mu == 1) {
-    WeightGradTileRows<1>(t, tile);
+    t.col_sums ? WeightGradTileRows<1, true>(t, tile, sums)
+               : WeightGradTileRows<1, false>(t, tile, sums);
   } else {
-    WeightGradTileRows<kWgRows>(t, tile);
+    t.col_sums ? WeightGradTileRows<kWgRows, true>(t, tile, sums)
+               : WeightGradTileRows<kWgRows, false>(t, tile, sums);
   }
 }
 
@@ -520,10 +539,12 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
 
 // The same tile in MicroKernel's `acc += a * b` form, so a build without
 // FMA rounds the weight gradient exactly as its own GEMM does. Lanes past
-// `lanes` read a zero-padded copy of the row.
-void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
+// `lanes` read a zero-padded copy of the row, which the column sums add too.
+void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
+                    float (&sums)[kWgLanes]) {
   constexpr int64_t kVecs = kWgLanes / kNr;
   V8 sum[kWgRows][kVecs] = {};
+  V8 col[kVecs] = {};
   for (int64_t r = 0; r < t.batches; ++r) {
     const float* ur = t.u + r * t.rows * t.ldu;
     const float* vr = t.v + r * t.rows * t.ldv;
@@ -531,6 +552,9 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
     for (int64_t y = 0; y < t.rows; ++y) {
       float vy[kWgLanes] = {};
       std::copy(vr + y * t.ldv, vr + y * t.ldv + t.lanes, vy);
+      if (t.col_sums) {
+        for (int64_t q = 0; q < kVecs; ++q) col[q] += *AsV8(vy + 8 * q);
+      }
       const float* uy = ur + y * t.ldu;
       for (int64_t i = 0; i < t.mu; ++i) {
         for (int64_t q = 0; q < kVecs; ++q) {
@@ -544,6 +568,9 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes]) {
   }
   for (int64_t i = 0; i < kWgRows; ++i) {
     for (int64_t q = 0; q < kVecs; ++q) *AsV8(&tile[i][8 * q]) = sum[i][q];
+  }
+  if (t.col_sums) {
+    for (int64_t q = 0; q < kVecs; ++q) *AsV8(&sums[8 * q]) = col[q];
   }
 }
 
@@ -621,6 +648,19 @@ void PackB(const float* b, int64_t k, int64_t n, float* packed) {
   });
 }
 
+void PackBTransposed(const float* bt, int64_t k, int64_t n, float* packed) {
+  // B's panel jp is rows [jp*kNr, jp*kNr + kNr) of bt, k deep: exactly the
+  // A panel PackA makes of those rows (8 floats per k, zero past n).
+  static_assert(kMr == kNr, "a packed A panel is a packed B panel of bt");
+  runtime::ParallelFor(0, CeilDiv(n, kNr), kernel::GrainForWork(k * kNr),
+                       [&](int64_t pb, int64_t pe) {
+    for (int64_t jp = pb; jp < pe; ++jp) {
+      PackA(bt + jp * kNr * k, k, std::min(kNr, n - jp * kNr), k,
+            packed + jp * k * kNr);
+    }
+  });
+}
+
 namespace {
 
 // Row tiles per chunk for a [*, k] x [k, n] GEMM: a chunk holds at least
@@ -650,11 +690,12 @@ void SliceProduct(const float* a_pack, const float* packed_b, int64_t kc0,
 }
 
 // One row tile of GemmPrepacked: rows [0, mc) of C (row stride n) from the
-// same rows of A (row stride k), epilogue included. `a_pack` holds
-// kMc * min(k, kKc) floats.
+// same rows of A (row stride k), epilogue included. `scale` (nullptr, or
+// the tile's rows of GemmScaledPrepacked's S) multiplies each element once
+// after its last slice. `a_pack` holds kMc * min(k, kKc) floats.
 void RowTile(const float* a, const float* packed_b, float* c, int64_t mc,
              int64_t k, int64_t n, const float* bias, Activation act,
-             float* gelu_grad, float* a_pack) {
+             float* gelu_grad, const float* scale, float* a_pack) {
   const int64_t slices = KSlices(k);
   for (int64_t s = 0; s < slices; ++s) {
     const int64_t kc0 = s * kKc;
@@ -663,7 +704,32 @@ void RowTile(const float* a, const float* packed_b, float* c, int64_t mc,
     SliceProduct(a_pack, packed_b, kc0, kc, k, c, mc, n,
                  s + 1 == slices ? bias : nullptr);
   }
+  if (scale != nullptr) {
+    // Mul's expression, C first: one rounded product per finished chain.
+    for (int64_t i = 0; i < mc * n; ++i) c[i] = c[i] * scale[i];
+  }
   ApplyActivation(c, gelu_grad, mc * n, act);
+}
+
+// GemmPrepacked and GemmScaledPrepacked: every row tile through RowTile.
+void PrepackedRowTiles(const float* a, const float* packed_b, float* c,
+                       int64_t m, int64_t k, int64_t n, const float* bias,
+                       Activation act, float* gelu_grad, const float* scale) {
+  if (m == 0 || n == 0) return;
+  // One whole row tile per loop iteration: the chunk partition (a pure
+  // function of row_tiles and the grain) decides only which thread runs a
+  // tile, never how the tile accumulates.
+  const int64_t row_tiles = CeilDiv(m, kMc);
+  const int64_t grain = RowTileGrain(k, n);
+  runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
+    float* a_pack = APackScratch(kMc * std::min(k, kKc));
+    for (int64_t t = tb; t < te; ++t) {
+      const int64_t i0 = t * kMc;
+      RowTile(a + i0 * k, packed_b, c + i0 * n, std::min(kMc, m - i0), k, n,
+              bias, act, gelu_grad == nullptr ? nullptr : gelu_grad + i0 * n,
+              scale == nullptr ? nullptr : scale + i0 * n, a_pack);
+    }
+  });
 }
 
 // Floats of MlpPrepacked's hidden panels before h slice `hc0`: every earlier
@@ -708,21 +774,14 @@ void Fc1IntoPanels(const float* a, const MlpLayer& fc1, int64_t mc, int64_t k,
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
                    float* gelu_grad) {
-  if (m == 0 || n == 0) return;
-  // One whole row tile per loop iteration: the chunk partition (a pure
-  // function of row_tiles and the grain) decides only which thread runs a
-  // tile, never how the tile accumulates.
-  const int64_t row_tiles = CeilDiv(m, kMc);
-  const int64_t grain = RowTileGrain(k, n);
-  runtime::ParallelFor(0, row_tiles, grain, [&](int64_t tb, int64_t te) {
-    float* a_pack = APackScratch(kMc * std::min(k, kKc));
-    for (int64_t t = tb; t < te; ++t) {
-      const int64_t i0 = t * kMc;
-      RowTile(a + i0 * k, packed_b, c + i0 * n, std::min(kMc, m - i0), k, n,
-              bias, act, gelu_grad == nullptr ? nullptr : gelu_grad + i0 * n,
-              a_pack);
-    }
-  });
+  PrepackedRowTiles(a, packed_b, c, m, k, n, bias, act, gelu_grad, nullptr);
+}
+
+void GemmScaledPrepacked(const float* a, const float* packed_b,
+                         const float* scale, float* c, int64_t m, int64_t k,
+                         int64_t n) {
+  PrepackedRowTiles(a, packed_b, c, m, k, n, nullptr, Activation::kIdentity,
+                    nullptr, scale);
 }
 
 // msd-hot-path: the serving MLP block's two GEMMs in one pass.
@@ -769,13 +828,17 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   GemmPrepacked(a, packed.get(), c, m, k, n, bias, act, gelu_grad);
 }
 
-void SharedWeightGrad(const float* a, const float* g, float* dw,
-                      int64_t batches, int64_t rows, int64_t k, int64_t n) {
-  if (k == 0 || n == 0) return;
+bool SharedWeightGrad(const float* a, const float* g, float* dw,
+                      int64_t batches, int64_t rows, int64_t k, int64_t n,
+                      float* g_col_sums) {
+  if (k == 0 || n == 0) return false;
   // Vectors run along whichever of dw's axes needs fewer of them (n on a
   // tie). Along n they are dw's rows; along k the tile holds dw^T, and
   // fma(a, g, acc) == fma(g, a, acc) keeps the bits.
   const bool along_n = k * CeilDiv(n, 8) <= n * CeilDiv(k, 8);
+  // Along n each tile streams whole rows of g for its lanes; the first row
+  // of tiles (u0 == 0) covers every lane once and also sums them.
+  const bool sums = g_col_sums != nullptr && along_n;
   const float* u = along_n ? a : g;
   const float* v = along_n ? g : a;
   const int64_t ldu = along_n ? k : n;
@@ -796,9 +859,14 @@ void SharedWeightGrad(const float* a, const float* g, float* dw,
                              batches,
                              rows,
                              std::min(kWgRows, ldu - u0),
-                             std::min(kWgLanes, ldv - v0)};
+                             std::min(kWgLanes, ldv - v0),
+                             sums && u0 == 0};
       float tile[kWgRows][kWgLanes];
-      WeightGradTile(tile_args, tile);
+      float col[kWgLanes];
+      WeightGradTile(tile_args, tile, col);
+      if (tile_args.col_sums) {
+        std::copy(col, col + tile_args.lanes, g_col_sums + v0);
+      }
       for (int64_t i = 0; i < tile_args.mu; ++i) {
         for (int64_t l = 0; l < tile_args.lanes; ++l) {
           if (along_n) {
@@ -810,6 +878,7 @@ void SharedWeightGrad(const float* a, const float* g, float* dw,
       }
     }
   });
+  return sums;
 }
 
 }  // namespace gemm

@@ -29,7 +29,13 @@
 // reads the activations and the upstream gradient in place, keeps a 2 x 32
 // output tile's per-batch partial and running sum in registers while it
 // streams every batch, and parallelizes over output tiles only, so each
-// element's arithmetic is the same for every thread count.
+// element's arithmetic is the same for every thread count. Its first row of
+// tiles can also sum the upstream gradient's columns, which is the Linear's
+// bias gradient. A Linear's input gradient reads its row-major weight
+// transposed in place (PackBTransposed), and an MLP block's backward
+// multiplies each finished element of dY @ W2^T by GELU' in the GEMM's own
+// row tiles (GemmScaledPrepacked), so the gradient at the pre-activation
+// takes no separate pass.
 #ifndef MSDMIXER_TENSOR_GEMM_H_
 #define MSDMIXER_TENSOR_GEMM_H_
 
@@ -72,9 +78,24 @@ void EpilogueBiasAct(float* c, float* gelu_grad, int64_t rows, int64_t n,
 // many. `packed` must hold PackedBPanelFloats(k, n) floats.
 int64_t PackedBPanelFloats(int64_t k, int64_t n);
 void PackB(const float* b, int64_t k, int64_t n, float* packed);
+// PackB of B = bt^T, reading the row-major [n, k] matrix `bt` in place: the
+// packed floats are PackB's of a materialized transpose, zero padding
+// included, so a product against them has that transpose's bits. Each
+// kNr-wide panel of B is kNr rows of bt, packed as the GEMM packs A panels.
+void PackBTransposed(const float* bt, int64_t k, int64_t n, float* packed);
 void GemmPrepacked(const float* a, const float* packed_b, float* c, int64_t m,
                    int64_t k, int64_t n, const float* bias, Activation act,
                    float* gelu_grad);
+// C[m,n] = (A[m,k] @ B) ⊙ S[m,n], S row-major like C: each row tile runs
+// GemmPrepacked's FMA chains (no bias, no activation), then multiplies every
+// finished element by its S entry with one rounded product before the tile
+// leaves the cache. The product comes after the last kKc slice of k, so C
+// has the bits of GemmPrepacked into a buffer followed by an elementwise
+// Mul(C, S): -0, NaN and subnormal S entries included. `scale` may be
+// nullptr, which gives GemmPrepacked's plain product.
+void GemmScaledPrepacked(const float* a, const float* packed_b,
+                         const float* scale, float* c, int64_t m, int64_t k,
+                         int64_t n);
 
 // One Linear of MlpPrepacked: a PackB-packed weight, its bias (nullptr or
 // one float per output column) and its epilogue activation.
@@ -110,8 +131,18 @@ void MlpPrepacked(const float* a, const MlpLayer& fc1, const MlpLayer& fc2,
 //  * the batch partials are added in ascending r, starting from +0.
 // `dw` may be uninitialized; every element is written. Parallel over output
 // tiles; runs inline when the whole product is below one GEMM chunk.
-void SharedWeightGrad(const float* a, const float* g, float* dw,
-                      int64_t batches, int64_t rows, int64_t k, int64_t n);
+//
+// `g_col_sums` (nullptr, or n floats) asks for G's column sums over all
+// batches * rows rows as well: column j summed from +0 in ascending row
+// order, which is a prefix Sum's order, so an all-(-0) column gives +0. They
+// come from the tiles in the first row of dw's tile grid, which load G's
+// rows as vectors anyway; that holds when the vectors run along n
+// (k * ceil(n / 8) <= n * ceil(k / 8), true whenever n is a multiple of 8).
+// Returns whether `g_col_sums` was written; when it was not, the caller
+// sums G itself.
+bool SharedWeightGrad(const float* a, const float* g, float* dw,
+                      int64_t batches, int64_t rows, int64_t k, int64_t n,
+                      float* g_col_sums = nullptr);
 
 }  // namespace gemm
 }  // namespace msd

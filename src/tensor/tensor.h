@@ -76,6 +76,11 @@ class Tensor {
   float* data();
   const float* data() const;
 
+  // How many Tensors share this buffer (0 when undefined; a FromExternal
+  // view counts its owner's references). 1 means no other handle can see a
+  // write through this one.
+  long use_count() const { return storage_.use_count(); }
+
   // Element access by multi-index (bounds-checked); for tests and small code.
   float at(std::initializer_list<int64_t> index) const;
   void set(std::initializer_list<int64_t> index, float value);

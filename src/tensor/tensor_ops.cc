@@ -513,7 +513,7 @@ void MatMulExInto(const Tensor& a, const Tensor& b, const Tensor& bias,
   MatMulExImpl(a, b, bias, act, out, nullptr);
 }
 
-Tensor LinearWeightGrad(const Tensor& a, const Tensor& g) {
+Tensor LinearWeightGrad(const Tensor& a, const Tensor& g, Tensor* g_col_sums) {
   MSD_SPAN("tensor/matmul");
   MSD_DEBUG_VALIDATE_TENSOR(a, "LinearWeightGrad");
   MSD_DEBUG_VALIDATE_TENSOR(g, "LinearWeightGrad");
@@ -536,8 +536,50 @@ Tensor LinearWeightGrad(const Tensor& a, const Tensor& g) {
   matmul_calls.Add(1);
   matmul_flops.Add(2 * batches * k * rows * n);
   Tensor dw = Tensor::Uninitialized({k, n});
-  gemm::SharedWeightGrad(a.data(), g.data(), dw.data(), batches, rows, k, n);
+  Tensor sums = g_col_sums == nullptr ? Tensor() : Tensor::Uninitialized({n});
+  if (gemm::SharedWeightGrad(a.data(), g.data(), dw.data(), batches, rows, k,
+                             n, sums.defined() ? sums.data() : nullptr)) {
+    *g_col_sums = std::move(sums);
+  }
   return dw;
+}
+
+Tensor LinearInputGrad(const Tensor& g, const Tensor& w, const Tensor& scale) {
+  MSD_SPAN("tensor/matmul");
+  MSD_DEBUG_VALIDATE_TENSOR(g, "LinearInputGrad");
+  MSD_DEBUG_VALIDATE_TENSOR(w, "LinearInputGrad");
+  MSD_CHECK_GE(g.rank(), 2);
+  MSD_CHECK_EQ(w.rank(), 2) << "LinearInputGrad takes a rank-2 weight";
+  const int64_t k = w.dim(0);
+  const int64_t n = w.dim(1);
+  MSD_CHECK_EQ(g.dim(-1), n) << "LinearInputGrad operands disagree: "
+                             << ShapeToString(g.shape()) << " x "
+                             << ShapeToString(w.shape()) << "^T";
+  if (optrace::Active()) optrace::RecordUnsupported("LinearInputGrad");
+  Shape out_shape = g.shape();
+  out_shape.back() = k;
+  if (scale.defined()) {
+    MSD_CHECK(scale.shape() == out_shape)
+        << "LinearInputGrad scale " << ShapeToString(scale.shape())
+        << " vs result " << ShapeToString(out_shape);
+  }
+  const int64_t m =
+      NumElementsOf(Shape(g.shape().begin(), g.shape().end() - 1));
+  static obs::Counter& matmul_calls =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
+  static obs::Counter& matmul_flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  matmul_calls.Add(1);
+  matmul_flops.Add(2 * m * n * k);
+  Tensor out = Tensor::Uninitialized(std::move(out_shape));
+  if (out.numel() == 0) return out;
+  // The product is g [m, n] @ B for B = w^T [n, k], packed from w's rows.
+  Tensor packed = Tensor::Uninitialized({gemm::PackedBPanelFloats(n, k)});
+  gemm::PackBTransposed(w.data(), n, k, packed.data());
+  gemm::GemmScaledPrepacked(g.data(), packed.data(),
+                            scale.defined() ? scale.data() : nullptr,
+                            out.data(), m, n, k);
+  return out;
 }
 
 Tensor PackGemmB(const Tensor& b) {

@@ -84,8 +84,23 @@ Tensor MatMulEx(const Tensor& a, const Tensor& b, const Tensor& bias,
 // of `a` [..., y, k], given the upstream gradient `g` [..., y, n] of the same
 // leading shape: the [k, n] sum over leading indices of a^T @ g, bit-identical
 // to ReduceTo(MatMul(Transpose(a, -1, -2), g), {k, n}) (gemm::SharedWeightGrad)
-// and counted as that one MatMul.
-Tensor LinearWeightGrad(const Tensor& a, const Tensor& g);
+// and counted as that one MatMul. When `g_col_sums` is non-null and the
+// kernel streams g's rows as vectors, it also receives the Linear's bias
+// gradient from the same pass: [n], the bits of ReduceTo(g, {n}). Otherwise
+// it is left undefined and the caller reduces g itself.
+Tensor LinearWeightGrad(const Tensor& a, const Tensor& g,
+                        Tensor* g_col_sums = nullptr);
+
+// Gradient of a Linear's input: g [..., n] @ w^T for a rank-2 weight
+// w [k, n], read transposed in place (gemm::PackBTransposed), so no
+// transpose of w is materialized. Bit-identical to
+// MatMul(g, Transpose(w, -1, -2)) and counted as that MatMul. A defined
+// `scale` (the result's shape, [..., k]) multiplies each element once after
+// its FMA chain (gemm::GemmScaledPrepacked): the bits of
+// Mul(MatMul(g, Transpose(w, -1, -2)), scale), as when an MLP block's
+// backward forms the gradient at the GELU's input from GELU'.
+Tensor LinearInputGrad(const Tensor& g, const Tensor& w,
+                       const Tensor& scale = Tensor());
 
 // ---- Reductions ------------------------------------------------------------
 // Scalar (rank-0) total.

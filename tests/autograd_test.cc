@@ -5,12 +5,15 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/variable.h"
 #include "obs/metrics.h"
+#include "runtime/parallel.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -180,9 +183,10 @@ TEST(VariableTest, LinearBackwardRunsOnlyTheProductsItReads) {
 
 // Mul, Div and Sub compute nothing for an operand that does not require
 // grad. With a constant operand the backward allocates exactly that
-// operand's gradient tensors fewer (its products and the copy
-// AccumulateGrad keeps) than with two trainable operands, and the other
-// gradient keeps its bits.
+// operand's gradient tensors fewer than with two trainable operands (its
+// products; AccumulateGrad adopts the last of them as the leaf's gradient,
+// and copies only a buffer the node still holds), and the other gradient
+// keeps its bits.
 TEST(VariableTest, ElementwiseBackwardSkipsConstantOperands) {
   using BinaryOp = Variable (*)(const Variable&, const Variable&);
   struct Case {
@@ -192,12 +196,12 @@ TEST(VariableTest, ElementwiseBackwardSkipsConstantOperands) {
     int64_t constant_grad_allocs;
   };
   const Case cases[] = {
-      {"Mul(x, c)", Mul, false, 2},  // g * x, copy
-      {"Mul(c, x)", Mul, true, 2},
-      {"Div(x, c)", Div, false, 5},  // g * x, c^2, divide, negate, copy
-      {"Div(c, x)", Div, true, 2},   // g / x, copy
-      {"Sub(x, c)", Sub, false, 2},  // negate, copy
-      {"Sub(c, x)", Sub, true, 1},   // copy
+      {"Mul(x, c)", Mul, false, 1},  // g * x, adopted
+      {"Mul(c, x)", Mul, true, 1},
+      {"Div(x, c)", Div, false, 4},  // g * x, c^2, divide, negate (adopted)
+      {"Div(c, x)", Div, true, 1},   // g / x, adopted
+      {"Sub(x, c)", Sub, false, 1},  // negate, adopted
+      {"Sub(c, x)", Sub, true, 1},   // copy of self.grad, which the node keeps
   };
   const Tensor xt = TestInput({4, 3, 5}, 71);
   const Tensor ct = TestInput({4, 3, 5}, 72, 3.0f, 0.5f);
@@ -250,6 +254,144 @@ TEST(VariableTest, FusedGeluSavesItsDerivativeOnlyWhenRecording) {
     EXPECT_EQ(forward_allocs(true) - forward_allocs(false), 1);
     NoGradGuard guard;
     EXPECT_EQ(forward_allocs(true), forward_allocs(false));
+  }
+}
+
+// The MLP block's branch as one node (MlpBranch) against the composed graph
+// MatMulEx(kGelu) -> MatMulEx under the same probe-weighted loss: the
+// forward and all five gradients memcmp-equal, for rank-2 and rank-4
+// inputs, with every subset of x, W1, b1, W2 and b2 requiring grad, at 1, 2
+// and 8 threads. Widths cover a fc1 and a fc2 whose weight gradient does
+// and does not sum the bias gradient in its own pass, hidden widths under
+// and over one 8-wide panel, row counts off the GEMM's 64-row tile, a
+// feature count over one 256-deep k slice, and a branch without biases.
+TEST(VariableTest, MlpBranchMatchesComposedGraphBitForBit) {
+  struct Case {
+    Shape in_shape;
+    int64_t hidden;
+    bool bias;
+  };
+  const Case cases[] = {
+      {{70, 7}, 32, true},       {{2, 3, 11, 7}, 32, true},
+      {{2, 5, 13, 1}, 32, true}, {{3, 2, 9, 16}, 8, true},
+      {{130, 9}, 20, true},      {{2, 2, 5, 3}, 5, false},
+      {{2, 1, 33, 257}, 12, true},
+  };
+  for (const Case& c : cases) {
+    const int64_t f = c.in_shape.back();
+    const Tensor xt = TestInput(c.in_shape, 91);
+    const Tensor w1t = TestInput({f, c.hidden}, 92);
+    const Tensor b1t = TestInput({c.hidden}, 93);
+    const Tensor w2t = TestInput({c.hidden, f}, 94);
+    const Tensor b2t = TestInput({f}, 95);
+    const Tensor probe = TestInput(c.in_shape, 96);
+    for (int mask = 0; mask < 32; ++mask) {
+      // Operand slots: x, W1, b1, W2, b2; b1 and b2 exist only with bias.
+      const auto needs = [mask](size_t slot) {
+        return (mask >> slot & 1) != 0;
+      };
+      const auto present = [&c](size_t slot) {
+        return c.bias || (slot != 2 && slot != 4);
+      };
+      for (int64_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(ShapeToString(c.in_shape) + " hidden " +
+                     std::to_string(c.hidden) + " mask " +
+                     std::to_string(mask) + " threads " +
+                     std::to_string(threads));
+        runtime::ScopedThreads scoped(threads);
+        struct Run {
+          Tensor y;
+          std::vector<Tensor> grads;
+        };
+        const auto run = [&](bool fused) {
+          const Tensor values[] = {xt, w1t, b1t, w2t, b2t};
+          std::vector<Variable> leaves(5);
+          for (size_t i = 0; i < leaves.size(); ++i) {
+            if (present(i)) leaves[i] = Variable(values[i], needs(i));
+          }
+          Variable y;
+          if (fused) {
+            y = MlpBranch(leaves[0], {leaves[1], leaves[2], "fc1"},
+                          {leaves[3], leaves[4], "fc2"});
+          } else {
+            y = MatMulEx(MatMulEx(leaves[0], leaves[1], leaves[2],
+                                  gemm::Activation::kGelu),
+                         leaves[3], leaves[4], gemm::Activation::kIdentity);
+          }
+          Run r{y.value(), {}};
+          if (mask != 0) SumAll(Mul(y, Variable(probe))).Backward();
+          for (const Variable& leaf : leaves) {
+            r.grads.push_back(leaf.defined() ? leaf.grad() : Tensor());
+          }
+          return r;
+        };
+        const Run fused = run(true);
+        const Run composed = run(false);
+        EXPECT_TRUE(BitIdentical(fused.y, composed.y));
+        for (size_t i = 0; i < fused.grads.size(); ++i) {
+          SCOPED_TRACE("operand " + std::to_string(i));
+          ASSERT_EQ(fused.grads[i].defined(), composed.grads[i].defined());
+          EXPECT_EQ(fused.grads[i].defined(), needs(i) && present(i));
+          if (fused.grads[i].defined()) {
+            EXPECT_TRUE(BitIdentical(fused.grads[i], composed.grads[i]));
+          }
+        }
+      }
+    }
+  }
+}
+
+// AccumulateGrad adopts a first gradient's buffer only when its call holds
+// the only reference. A buffer the caller keeps (an lvalue, or a Reshape
+// of one) is copied, and the in-place add of a later contribution reaches
+// only the node's own gradient.
+TEST(VariableTest, AccumulateGradAdoptsOnlyUnsharedBuffers) {
+  const Tensor first = TestInput({3, 4}, 101);
+  const Tensor second = TestInput({3, 4}, 102);
+  const Tensor first_bits = first.Clone();
+  const Tensor sum = Add(first, second);
+
+  // Shared: the caller keeps `kept` (and a Reshape of it shares the buffer).
+  for (bool reshaped : {false, true}) {
+    SCOPED_TRACE(reshaped ? "reshape of a kept buffer" : "kept lvalue");
+    AutogradNode node;
+    node.value = Tensor::Zeros({3, 4});
+    node.requires_grad = true;
+    Tensor kept = first.Clone();
+    AccumulateGrad(node, reshaped ? kept.Reshape({12}).Reshape({3, 4}) : kept);
+    EXPECT_NE(node.grad.data(), kept.data());
+    AccumulateGrad(node, second);
+    EXPECT_TRUE(BitIdentical(kept, first_bits));
+    EXPECT_TRUE(BitIdentical(node.grad, sum));
+  }
+
+  // Unshared: a temporary's buffer becomes the gradient, and a later add
+  // lands in it without touching anything the caller holds.
+  {
+    AutogradNode node;
+    node.value = Tensor::Zeros({3, 4});
+    node.requires_grad = true;
+    Tensor temporary = first.Clone();
+    const float* buffer = temporary.data();
+    AccumulateGrad(node, std::move(temporary));
+    EXPECT_EQ(node.grad.data(), buffer);
+    EXPECT_EQ(node.grad.use_count(), 1);
+    AccumulateGrad(node, second);
+    EXPECT_EQ(node.grad.data(), buffer);
+    EXPECT_TRUE(BitIdentical(node.grad, sum));
+    EXPECT_TRUE(BitIdentical(first, first_bits));
+    EXPECT_TRUE(BitIdentical(second, TestInput({3, 4}, 102)));
+  }
+
+  // A broadcast gradient is reduced into a fresh buffer, which is adopted.
+  {
+    AutogradNode node;
+    node.value = Tensor::Zeros({4});
+    node.requires_grad = true;
+    AccumulateGrad(node, first);
+    EXPECT_EQ(node.grad.use_count(), 1);
+    EXPECT_TRUE(BitIdentical(node.grad, ReduceTo(first, {4})));
+    EXPECT_TRUE(BitIdentical(first, first_bits));
   }
 }
 

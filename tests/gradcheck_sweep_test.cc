@@ -320,6 +320,36 @@ void AddOpCases(std::vector<SweepCase>* cases) {
         },
         Uniform({2, 2, 3, 3}, -1.0f, 1.0f, 2103), 2104);
   });
+  // The MLP block's branch as one node (MlpBranch), one case per operand
+  // slot: rank-4 x (the one-pass weight gradients, whose first tile row
+  // also sums fc1's bias gradient) and a rank-2 x.
+  const auto mlp_branch = [add](std::string name, int slot, Shape x_shape,
+                                uint64_t seed) {
+    add(std::move(name), [slot, x_shape, seed] {
+      const int64_t f = x_shape.back();
+      Tensor operands[] = {Uniform(x_shape, -1.0f, 1.0f, seed),
+                           Uniform({f, 6}, -1.0f, 1.0f, seed + 1),
+                           Uniform({6}, -1.0f, 1.0f, seed + 2),
+                           Uniform({6, f}, -1.0f, 1.0f, seed + 3),
+                           Uniform({f}, -1.0f, 1.0f, seed + 4)};
+      return CheckScalarized(
+          [&](const Variable& v) {
+            std::vector<Variable> in;
+            for (int i = 0; i < 5; ++i) {
+              in.push_back(i == slot ? v : Variable(operands[i]));
+            }
+            return MlpBranch(in[0], {in[1], in[2], "fc1"},
+                             {in[3], in[4], "fc2"});
+          },
+          operands[slot], seed + 5);
+    });
+  };
+  mlp_branch("MlpBranch_input", 0, {2, 2, 3, 4}, 2111);
+  mlp_branch("MlpBranch_fc1_weight", 1, {2, 2, 3, 4}, 2121);
+  mlp_branch("MlpBranch_fc1_bias", 2, {2, 2, 3, 4}, 2131);
+  mlp_branch("MlpBranch_fc2_weight", 3, {2, 2, 3, 4}, 2141);
+  mlp_branch("MlpBranch_fc2_bias", 4, {2, 2, 3, 4}, 2151);
+  mlp_branch("MlpBranch_rank2_input", 0, {5, 3}, 2161);
   add("Conv2d_input", [] {
     const Variable k(Uniform({3, 2, 3, 3}, -0.5f, 0.5f, 281));
     return CheckScalarized(

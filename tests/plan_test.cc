@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,19 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
   EXPECT_EQ(stats.num_fused, mlp_blocks) << plan->DebugString();
   EXPECT_EQ(stats.num_ops, stats.traced_ops - stats.num_fused)
       << plan->DebugString();
+  // Each fused step names both Linears' module paths.
+  {
+    const std::string text = plan->DebugString();
+    std::istringstream lines(text);
+    int64_t labelled = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("/block/fc1 + ") != std::string::npos &&
+          line.find("/block/fc2") != std::string::npos) {
+        ++labelled;
+      }
+    }
+    EXPECT_EQ(labelled, mlp_blocks) << text;
+  }
   EXPECT_GT(stats.num_inplace, 0) << plan->DebugString();
   // Every Linear weight is a frozen rank-2 constant: all of them prepack.
   EXPECT_GT(stats.num_prepacked, 0) << plan->DebugString();

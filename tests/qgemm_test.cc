@@ -3,15 +3,18 @@
 // reference across edge geometries, bit-identity across thread counts, and
 // — satellite coverage — the fp32 gemm::GemmPrepacked against a triple-loop
 // reference on tile- and block-boundary shapes, bit for bit against its
-// per-element FMA chain, and its chunk sizing; the fused gemm::MlpPrepacked
-// against two GemmPrepacked calls and its chunk sizing; and the elementwise
-// kernels' chunk floor.
+// per-element FMA chain, and its chunk sizing; the scaled row tiles on a
+// transposed pack against PackB of a transpose and Mul; the fused
+// gemm::MlpPrepacked against two GemmPrepacked calls and its chunk sizing;
+// and the elementwise kernels' chunk floor.
 #include "tensor/qgemm.h"
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -474,6 +477,73 @@ TEST(GemmPrepackedEdgeTest, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(
         std::memcmp(got.data(), base.data(), base.size() * sizeof(float)), 0)
         << t << " threads";
+  }
+}
+
+// A Linear's input gradient and an MLP block's dz: GemmScaledPrepacked on a
+// PackBTransposed weight against its definition, PackB of a materialized
+// transpose, GemmPrepacked into a buffer, then the tensor Mul by the scale.
+// The packs are memcmp-equal and so is C, for k on both sides of the
+// 256-deep slice, n below, at and past one 8-wide panel, m off the 64-row
+// tile, and a scale holding -0, quiet and payload NaNs and subnormals, at
+// 1, 2 and 8 threads. A null scale gives the plain product.
+TEST(GemmPrepackedEdgeTest, ScaledTransposedProductMatchesPackBThenMul) {
+  const int64_t m = 130;
+  const auto bits = [](uint32_t u) {
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+  };
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            bits(0xffc00123u),
+                            1e-40f,
+                            -3e-42f};
+  for (int64_t k : {1, 7, 32, 257}) {
+    for (int64_t n : {1, 7, 8, 9, 32}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      const std::vector<float> a = RandomVec(static_cast<size_t>(m * k), 81);
+      const std::vector<float> bt = RandomVec(static_cast<size_t>(n * k), 82);
+      std::vector<float> b(static_cast<size_t>(k * n));
+      for (int64_t j = 0; j < n; ++j) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+          b[static_cast<size_t>(kk * n + j)] =
+              bt[static_cast<size_t>(j * k + kk)];
+        }
+      }
+      std::vector<float> scale = RandomVec(static_cast<size_t>(m * n), 83);
+      for (size_t i = 0; i < scale.size(); i += 5) {
+        scale[i] = specials[(i / 5) % std::size(specials)];
+      }
+      const size_t packed_floats =
+          static_cast<size_t>(gemm::PackedBPanelFloats(k, n));
+      std::vector<float> packed(packed_floats, -9.0f);
+      std::vector<float> packed_t(packed_floats, -7.0f);
+      gemm::PackB(b.data(), k, n, packed.data());
+      gemm::PackBTransposed(bt.data(), k, n, packed_t.data());
+      EXPECT_EQ(FirstBitDifference(packed_t, packed), -1);
+
+      std::vector<float> product(static_cast<size_t>(m * n));
+      gemm::GemmPrepacked(a.data(), packed.data(), product.data(), m, k, n,
+                          nullptr, gemm::Activation::kIdentity, nullptr);
+      const Tensor want_t =
+          Mul(Tensor({m, n}, product), Tensor({m, n}, scale));
+      const std::vector<float> want(want_t.data(),
+                                    want_t.data() + want_t.numel());
+      for (int64_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        runtime::ScopedThreads scoped(threads);
+        std::vector<float> got(want.size(), -99.0f);
+        gemm::GemmScaledPrepacked(a.data(), packed_t.data(), scale.data(),
+                                  got.data(), m, k, n);
+        EXPECT_EQ(FirstBitDifference(got, want), -1);
+        std::vector<float> plain(want.size(), -99.0f);
+        gemm::GemmScaledPrepacked(a.data(), packed_t.data(), nullptr,
+                                  plain.data(), m, k, n);
+        EXPECT_EQ(FirstBitDifference(plain, product), -1);
+      }
+    }
   }
 }
 

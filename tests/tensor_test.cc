@@ -956,6 +956,53 @@ TEST(LinearWeightGradTest, SignedZeroPartialsAddToPositiveZero) {
   }
 }
 
+// The bias gradient from the weight-gradient pass: where SharedWeightGrad
+// streams g's rows as vectors (n a multiple of 8, or k * ceil(n / 8) <=
+// n * ceil(k / 8)), LinearWeightGrad hands back the prefix Sum of g over
+// every leading row, bit for bit, with the same weight gradient; elsewhere
+// it leaves the sums undefined. An all-(-0) column sums to +0 from the +0
+// start, as the prefix Sum's does. At 1, 2 and 8 threads.
+TEST(LinearWeightGradTest, ColumnSumsMatchPrefixSum) {
+  const std::vector<WeightGradCase> cases = WeightGradCases();
+  for (int64_t threads : {1, 2, 8}) {
+    runtime::ScopedThreads scoped(threads);
+    Rng rng(47);
+    int64_t mismatches = 0;
+    int64_t summed = 0;
+    for (const WeightGradCase& c : cases) {
+      Shape a_shape = c.lead;
+      Shape g_shape = c.lead;
+      a_shape.insert(a_shape.end(), {c.y, c.k});
+      g_shape.insert(g_shape.end(), {c.y, c.n});
+      const Tensor a = WithSignedZeros(a_shape, rng);
+      Tensor g = WithSignedZeros(g_shape, rng);
+      // The last column holds only -0.
+      for (int64_t r = 0; r < g.numel() / c.n; ++r) {
+        g.data()[r * c.n + c.n - 1] = -0.0f;
+      }
+      Tensor sums;
+      const Tensor dw = LinearWeightGrad(a, g, &sums);
+      const bool along_n =
+          c.k * ((c.n + 7) / 8) <= c.n * ((c.k + 7) / 8);
+      bool ok = BitIdentical(dw, LinearWeightGrad(a, g)) &&
+                sums.defined() == along_n;
+      if (sums.defined()) {
+        ++summed;
+        ok = ok && BitIdentical(sums, ReduceTo(g, {c.n})) &&
+             !std::signbit(sums.data()[c.n - 1]);
+      }
+      if (ok) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "a " << ShapeToString(a_shape) << ", g "
+                      << ShapeToString(g_shape) << ", threads " << threads;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << cases.size() << " cases at "
+                             << threads << " threads";
+    EXPECT_GT(summed, 0);
+  }
+}
+
 // ---- Contiguous-run broadcasts -----------------------------------------------
 
 // f(a, b) by broadcasting's definition, one output element at a time.

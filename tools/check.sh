@@ -36,7 +36,9 @@
 #                 lost -march=native compares the scalar loop with itself).
 #   debug-checks  MSD_DEBUG_CHECKS=ON; full ctest, and the quickstart losses
 #                 must be bit-identical to the release leg — the invariant
-#                 layer must observe, never perturb.
+#                 layer must observe, never perturb. The compared lines
+#                 include quickstart's digest: every epoch loss at %.9g and
+#                 a hash of its forecast's bytes.
 #   asan-ubsan    AddressSanitizer + UndefinedBehaviorSanitizer (abort on
 #                 first finding); full ctest.
 #   tsan          ThreadSanitizer over the full suite with MSD_THREADS=4, so
@@ -143,11 +145,14 @@ configure_and_build() {  # builddir target... -- cmake-args...
   fi
 }
 
-# Training losses only (strip wall-clock columns): the bit-identity contract
-# is about numerics, not timing.
+# Training numerics only (strip wall-clock columns): the bit-identity
+# contract is about numerics, not timing. The epoch lines go to stderr, so
+# both streams are captured; the digest line carries every epoch loss at
+# %.9g and an FNV-1a hash of the forecast's bytes, so one ulp anywhere in
+# the losses or the forecast changes it.
 quickstart_losses() {  # builddir outfile
-  "$1/examples/quickstart" |
-    grep -E 'epoch +[0-9]+/|Test MSE|component S|residual:' |
+  "$1/examples/quickstart" 2>&1 |
+    grep -E 'epoch +[0-9]+/|Test MSE|component S|residual:|^digest ' |
     sed -E 's/ [0-9.]+s$//' > "$2"
 }
 
