@@ -10,7 +10,6 @@ namespace obs {
 
 namespace {
 
-#if MSD_PROFILING_ENABLED
 // Stack top of the calling thread's open spans (for nesting / self-time).
 thread_local ScopedSpan* g_span_top = nullptr;
 
@@ -21,7 +20,6 @@ int32_t ThisThreadId() {
   thread_local int32_t id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
-#endif
 
 std::string MsToJson(int64_t ns) {
   char buf[40];
@@ -189,8 +187,6 @@ bool Profiler::WriteChromeTrace(const std::string& path) const {
   return std::fclose(f) == 0 && written == json.size();
 }
 
-#if MSD_PROFILING_ENABLED
-
 ScopedSpan::ScopedSpan(const char* label)
     : label_(label),
       parent_(nullptr),
@@ -210,8 +206,6 @@ ScopedSpan::~ScopedSpan() {
   Profiler::Global().RecordSpan(label_, start_ns_, end_ns, child_ns_,
                                 ThisThreadId());
 }
-
-#endif  // MSD_PROFILING_ENABLED
 
 }  // namespace obs
 }  // namespace msd

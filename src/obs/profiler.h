@@ -2,8 +2,7 @@
 // per-label, and export an aggregate JSON report plus a
 // chrome://tracing-compatible event file.
 //
-// Usage (hot paths use the macro so spans vanish entirely when profiling is
-// compiled out via -DMSD_ENABLE_PROFILING=OFF):
+// Usage:
 //
 //   void MatMulKernel(...) {
 //     MSD_SPAN("tensor/matmul");
@@ -42,10 +41,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef MSD_PROFILING_ENABLED
-#define MSD_PROFILING_ENABLED 1
-#endif
 
 namespace msd {
 namespace obs {
@@ -131,8 +126,6 @@ class Profiler {
   int64_t capacity_ = 65536;
 };
 
-#if MSD_PROFILING_ENABLED
-
 class ScopedSpan {
  public:
   // `label` must outlive the profiler (use string literals).
@@ -154,23 +147,6 @@ class ScopedSpan {
 #define MSD_SPAN_CONCAT(a, b) MSD_SPAN_CONCAT_INNER(a, b)
 #define MSD_SPAN(label) \
   ::msd::obs::ScopedSpan MSD_SPAN_CONCAT(msd_span_, __COUNTER__)(label)
-
-#else  // !MSD_PROFILING_ENABLED
-
-// Compiled-out spans: constructing one is a no-op the optimizer removes.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* label) { (void)label; }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#define MSD_SPAN(label) \
-  do {                  \
-  } while (false)
-
-#endif  // MSD_PROFILING_ENABLED
 
 }  // namespace obs
 }  // namespace msd

@@ -41,8 +41,6 @@ int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 // after the last slice. fma(a, b, acc) == fma(b, a, acc), so a kernel may
 // vectorize over rows or over columns.
 
-#if defined(__AVX2__) && defined(__FMA__)
-
 using kernel::LaneMask;
 using kernel::Transpose8x8;
 
@@ -73,8 +71,7 @@ int64_t PackFullPanelBlocks(const float* src, int64_t lda, int64_t kc,
 
 // 8x8 micro-kernel for a full column panel: C_tile (+)= Ap @ Bp over a
 // kc-deep slice, the 64 accumulators held in eight named registers. Each k
-// step broadcasts A[i][kk] into a fused multiply-add with B's row, the
-// instruction the fallback's `acc[i] += arow[i] * bv` compiles to. `first`
+// step broadcasts A[i][kk] into a fused multiply-add with B's row. `first`
 // marks the k=0 slice: accumulators start at +0 and C (possibly
 // uninitialized) is not read. `bias` (the panel's 8 floats) is non-null on
 // the last slice only and joins each accumulator with one add just before
@@ -264,111 +261,6 @@ void PanelColumn(const float* a_pack, const float* bp, int64_t kc, float* dst,
   });
 }
 
-#else  // GCC vector extensions
-
-int64_t PackFullPanelBlocks(const float*, int64_t, int64_t, float*) {
-  return 0;
-}
-
-// One C row of the register tile (kNr floats). Explicit GCC vector type:
-// the scalar x vector broadcast-FMA form below compiles to one fused
-// multiply-add per row per k step, where plain nested loops tempt the
-// auto-vectorizer into cross-row permute shuffles that run ~2x slower.
-// aligned(4) permits unaligned loads; may_alias makes the float* punning
-// well-defined.
-typedef float V8
-    __attribute__((vector_size(kNr * sizeof(float)), aligned(4), may_alias));
-
-// Loads/stores go through pointer casts rather than helpers that take or
-// return V8 by value: without AVX (sanitizer legs build with
-// -DMSD_NATIVE_ARCH=OFF) a 32-byte vector in a function signature trips
-// -Werror=psabi, while pointers to vector types have a stable ABI.
-const V8* AsV8(const float* p) { return reinterpret_cast<const V8*>(p); }
-V8* AsV8(float* p) { return reinterpret_cast<V8*>(p); }
-
-// 8x8 micro-kernel: C_tile (+)= Ap @ Bp over a kc-deep slice. `first` means
-// this is the k=0 slice, so the accumulator starts at zero and C (which may
-// be uninitialized) is not read. `bias` (nr floats) is non-null on the last
-// slice only and joins each row with one add before the store. Rows/cols
-// beyond mr/nr are computed against packed zero padding and simply not
-// stored.
-void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c,
-                 int64_t ldc, bool first, int64_t mr, int64_t nr,
-                 const float* bias) {
-  const bool full = mr == kMr && nr == kNr;
-  V8 acc[kMr];
-  if (first) {
-    for (int64_t i = 0; i < kMr; ++i) acc[i] = V8{};
-  } else if (full) {
-    for (int64_t i = 0; i < kMr; ++i) acc[i] = *AsV8(c + i * ldc);
-  } else {
-    float edge[kMr][kNr] = {};
-    for (int64_t i = 0; i < mr; ++i) {
-      for (int64_t j = 0; j < nr; ++j) edge[i][j] = c[i * ldc + j];
-    }
-    for (int64_t i = 0; i < kMr; ++i) acc[i] = *AsV8(edge[i]);
-  }
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const V8 bv = *AsV8(bp + kk * kNr);
-    const float* arow = ap + kk * kMr;
-    for (int64_t i = 0; i < kMr; ++i) acc[i] += arow[i] * bv;
-  }
-  if (bias != nullptr) {
-    float padded[kNr] = {};
-    std::copy(bias, bias + nr, padded);
-    for (int64_t i = 0; i < kMr; ++i) acc[i] += *AsV8(padded);
-  }
-  if (full) {
-    for (int64_t i = 0; i < kMr; ++i) *AsV8(c + i * ldc) = acc[i];
-  } else {
-    float edge[kMr][kNr];
-    for (int64_t i = 0; i < mr; ++i) *AsV8(edge[i]) = acc[i];
-    for (int64_t i = 0; i < mr; ++i) {
-      for (int64_t j = 0; j < nr; ++j) c[i * ldc + j] = edge[i][j];
-    }
-  }
-}
-
-void ColumnPanel(const float* a_pack, const float* bp, int64_t kc, float* c,
-                 int64_t ldc, bool first, int64_t mc, int64_t nr,
-                 const float* bias) {
-  for (int64_t i = 0; i < mc; i += kMr) {
-    MicroKernel(a_pack + i * kc, bp, kc, c + i * ldc, ldc, first,
-                std::min(kMr, mc - i), nr, bias);
-  }
-}
-
-// MlpPrepacked's fc1 tile in the layout PackA gives fc2's A: column j is
-// one V8 over the A panel's 8 rows at dst + j * kMr, accumulated as
-// `acc[j] += a * b`, the per-element arithmetic of MicroKernel.
-void PanelTile(const float* ap, const float* bp, int64_t kc, float* dst,
-               bool first, int64_t nr, const float* bias) {
-  V8 acc[kNr] = {};
-  if (!first) {
-    for (int64_t j = 0; j < nr; ++j) acc[j] = *AsV8(dst + j * kMr);
-  }
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const V8 av = *AsV8(ap + kk * kMr);
-    const float* bk = bp + kk * kNr;
-    for (int64_t j = 0; j < nr; ++j) acc[j] += av * bk[j];
-  }
-  if (bias != nullptr) {
-    for (int64_t j = 0; j < nr; ++j) acc[j] += bias[j];
-  }
-  for (int64_t j = 0; j < nr; ++j) *AsV8(dst + j * kMr) = acc[j];
-}
-
-void PanelColumn(const float* a_pack, const float* bp, int64_t kc, float* dst,
-                 int64_t panel_stride, bool first, int64_t panels, int64_t nr,
-                 const float* bias) {
-  for (int64_t ip = 0; ip < panels; ++ip) {
-    PanelTile(a_pack + ip * kMr * kc, bp, kc, dst + ip * panel_stride, first,
-              nr, bias);
-  }
-}
-
-#endif
-
 // Packs the [mc, kc] block of A starting at `a` (row stride `lda`) into
 // kMr-row panels: panel ip holds columns kk = 0..kc-1 as 8 consecutive
 // row values, zero-padded past mc so the micro-kernel never branches on row
@@ -448,8 +340,6 @@ struct WgTile {
   int64_t lanes;
   bool col_sums;
 };
-
-#if defined(__AVX2__) && defined(__FMA__)
 
 // The tile with kRows broadcast lines and kVecs vectors: each batch's
 // partial starts at +0 and takes one fused multiply-add per row y (the
@@ -534,47 +424,6 @@ void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
                : WeightGradTileRows<kWgRows, false>(t, tile, sums);
   }
 }
-
-#else  // GCC vector extensions
-
-// The same tile in MicroKernel's `acc += a * b` form, so a build without
-// FMA rounds the weight gradient exactly as its own GEMM does. Lanes past
-// `lanes` read a zero-padded copy of the row, which the column sums add too.
-void WeightGradTile(const WgTile& t, float (&tile)[kWgRows][kWgLanes],
-                    float (&sums)[kWgLanes]) {
-  constexpr int64_t kVecs = kWgLanes / kNr;
-  V8 sum[kWgRows][kVecs] = {};
-  V8 col[kVecs] = {};
-  for (int64_t r = 0; r < t.batches; ++r) {
-    const float* ur = t.u + r * t.rows * t.ldu;
-    const float* vr = t.v + r * t.rows * t.ldv;
-    V8 part[kWgRows][kVecs] = {};
-    for (int64_t y = 0; y < t.rows; ++y) {
-      float vy[kWgLanes] = {};
-      std::copy(vr + y * t.ldv, vr + y * t.ldv + t.lanes, vy);
-      if (t.col_sums) {
-        for (int64_t q = 0; q < kVecs; ++q) col[q] += *AsV8(vy + 8 * q);
-      }
-      const float* uy = ur + y * t.ldu;
-      for (int64_t i = 0; i < t.mu; ++i) {
-        for (int64_t q = 0; q < kVecs; ++q) {
-          part[i][q] += uy[i] * *AsV8(vy + 8 * q);
-        }
-      }
-    }
-    for (int64_t i = 0; i < t.mu; ++i) {
-      for (int64_t q = 0; q < kVecs; ++q) sum[i][q] += part[i][q];
-    }
-  }
-  for (int64_t i = 0; i < kWgRows; ++i) {
-    for (int64_t q = 0; q < kVecs; ++q) *AsV8(&tile[i][8 * q]) = sum[i][q];
-  }
-  if (t.col_sums) {
-    for (int64_t q = 0; q < kVecs; ++q) *AsV8(&sums[8 * q]) = col[q];
-  }
-}
-
-#endif
 
 // `act` over `count` contiguous floats, in place. Relu / Sigmoid / Tanh are
 // byte-for-byte tensor_ops.cc's expressions; Gelu is the one function

@@ -4,11 +4,10 @@
 // Scheme (BLIS-style): B is packed once into kNr-wide column panels, then
 // the output is walked in kMc-row tiles; within a tile, kKc-deep slices of A
 // are packed into kMr-row panels and a micro-kernel accumulates C per panel
-// pair. On AVX2+FMA builds a full 8-column panel runs an 8x8 tile held in
-// eight registers, and a narrower panel (n < 8, or n's last panel) runs a
-// kernel that vectorizes over the panel's 8 rows, one FMA per k step per
-// real column; other builds run one GCC vector-extension 8x8 kernel for
-// every panel. Every kernel adds the bias in registers after the last k
+// pair. A full 8-column panel runs an 8x8 AVX2 tile held in eight
+// registers, and a narrower panel (n < 8, or n's last panel) runs a kernel
+// that vectorizes over the panel's 8 rows, one FMA per k step per real
+// column. Every kernel adds the bias in registers after the last k
 // slice, just before its store, and the optional activation then runs per
 // row tile while C is still cache-hot, so fused Linear layers never
 // materialize the intermediate pre-activation tensor; under training a GELU

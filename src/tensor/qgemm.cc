@@ -7,10 +7,7 @@
 #include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/kernels.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
+#include "tensor/transpose8x8.h"
 
 namespace msd {
 namespace qgemm {
@@ -105,7 +102,6 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
       int16_t* dst = a_q + i * stride;
       float absmax = 0.0f;
       int64_t kk = 0;
-#if defined(__AVX2__)
       if (k >= 8) {
         const __m256 sign_mask = _mm256_set1_ps(-0.0f);
         __m256 vmax = _mm256_setzero_ps();
@@ -121,43 +117,38 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
         mx = _mm_max_ss(mx, _mm_shuffle_ps(mx, mx, 1));
         absmax = _mm_cvtss_f32(mx);
       }
-#endif
       for (; kk < k; ++kk) absmax = std::max(absmax, std::fabs(src[kk]));
       a_scales[i] = absmax / 127.0f;
       if (absmax > 0.0f) {
         const float inv = 127.0f / absmax;
         kk = 0;
-#if defined(__AVX2__)
-        {
-          const __m256 vinv = _mm256_set1_ps(inv);
-          const __m256 vhi = _mm256_set1_ps(127.0f);
-          const __m256 vlo = _mm256_set1_ps(-127.0f);
-          for (; kk + 16 <= k; kk += 16) {
-            __m256 x0 = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
-            __m256 x1 = _mm256_mul_ps(_mm256_loadu_ps(src + kk + 8), vinv);
-            x0 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x0));
-            x1 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x1));
-            // cvtps2dq rounds per the ambient MXCSR mode (nearest-even),
-            // matching QuantValue's nearbyintf; clamping before the convert
-            // commutes with rounding on the integer bounds.
-            const __m256i q0 = _mm256_cvtps_epi32(x0);
-            const __m256i q1 = _mm256_cvtps_epi32(x1);
-            // packs interleaves the two 128-bit lanes; permute restores
-            // element order before the contiguous int16 store.
-            const __m256i packed = _mm256_permute4x64_epi64(
-                _mm256_packs_epi32(q0, q1), _MM_SHUFFLE(3, 1, 2, 0));
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + kk), packed);
-          }
-          for (; kk + 8 <= k; kk += 8) {
-            __m256 x = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
-            x = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x));
-            const __m256i q = _mm256_cvtps_epi32(x);
-            const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(q),
-                                              _mm256_extracti128_si256(q, 1));
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + kk), w);
-          }
+        const __m256 vinv = _mm256_set1_ps(inv);
+        const __m256 vhi = _mm256_set1_ps(127.0f);
+        const __m256 vlo = _mm256_set1_ps(-127.0f);
+        for (; kk + 16 <= k; kk += 16) {
+          __m256 x0 = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
+          __m256 x1 = _mm256_mul_ps(_mm256_loadu_ps(src + kk + 8), vinv);
+          x0 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x0));
+          x1 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x1));
+          // cvtps2dq rounds per the ambient MXCSR mode (nearest-even),
+          // matching QuantValue's nearbyintf; clamping before the convert
+          // commutes with rounding on the integer bounds.
+          const __m256i q0 = _mm256_cvtps_epi32(x0);
+          const __m256i q1 = _mm256_cvtps_epi32(x1);
+          // packs interleaves the two 128-bit lanes; permute restores
+          // element order before the contiguous int16 store.
+          const __m256i packed = _mm256_permute4x64_epi64(
+              _mm256_packs_epi32(q0, q1), _MM_SHUFFLE(3, 1, 2, 0));
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + kk), packed);
         }
-#endif
+        for (; kk + 8 <= k; kk += 8) {
+          __m256 x = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
+          x = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x));
+          const __m256i q = _mm256_cvtps_epi32(x);
+          const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                            _mm256_extracti128_si256(q, 1));
+          _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + kk), w);
+        }
         for (; kk < k; ++kk) {
           dst[kk] = static_cast<int16_t>(QuantValue(src[kk], inv));
         }
@@ -170,8 +161,6 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
 }
 
 namespace {
-
-#if defined(__AVX2__)
 
 // e^z for eight lanes, z <= 0 (clamped to -87 where e^z underflows to 0
 // anyway): exp2 range reduction with a degree-6 polynomial on the
@@ -222,15 +211,12 @@ inline __m256 Gelu8(__m256 x) {
                        _mm256_add_ps(one, th));
 }
 
-#endif  // __AVX2__
-
 // Bias + activation for the quantized path. Gelu takes the vectorized
 // approximation above (deterministic: one fixed expression per element,
 // tail columns go through the same vector code via a padded buffer); every
 // other activation shares gemm::EpilogueBiasAct verbatim.
 void QuantEpilogue(float* c, int64_t rows, int64_t n, const float* bias,
                    gemm::Activation act) {
-#if defined(__AVX2__)
   if (act == gemm::Activation::kGelu) {
     for (int64_t r = 0; r < rows; ++r) {
       float* row = c + r * n;
@@ -253,7 +239,6 @@ void QuantEpilogue(float* c, int64_t rows, int64_t n, const float* bias,
     }
     return;
   }
-#endif
   gemm::EpilogueBiasAct(c, nullptr, rows, n, bias, act);
 }
 
@@ -268,7 +253,6 @@ void QuantEpilogue(float* c, int64_t rows, int64_t n, const float* bias,
 void QMicroKernel(const int16_t* const* rows_p, const float* row_scales,
                   const int8_t* bp, const float* bs, int64_t k_quads,
                   float* c, int64_t ldc, int64_t rows, int64_t cols) {
-#if defined(__AVX2__)
   __m256i acc_lo[kQr];
   __m256i acc_hi[kQr];
   for (int64_t i = 0; i < kQr; ++i) {
@@ -312,33 +296,6 @@ void QMicroKernel(const int16_t* const* rows_p, const float* row_scales,
       for (int64_t j = 0; j < cols; ++j) c[i * ldc + j] = buf[j];
     }
   }
-#else
-  // Scalar fallback: identical integer sums (exact, order-free) and the
-  // identical dequant expression float(acc) * a_scale * b_scale.
-  int32_t acc[kQr][kNr];
-  for (int64_t i = 0; i < kQr; ++i) {
-    for (int64_t j = 0; j < kNr; ++j) acc[i][j] = 0;
-  }
-  for (int64_t q = 0; q < k_quads; ++q) {
-    const int8_t* bq = bp + q * kKq * kNr;
-    for (int64_t i = 0; i < rows; ++i) {
-      const int16_t* aq = rows_p[i] + q * kKq;
-      for (int64_t j = 0; j < kNr; ++j) {
-        const int8_t* col = bq + j * kKq;
-        acc[i][j] += static_cast<int32_t>(aq[0]) * col[0] +
-                     static_cast<int32_t>(aq[1]) * col[1] +
-                     static_cast<int32_t>(aq[2]) * col[2] +
-                     static_cast<int32_t>(aq[3]) * col[3];
-      }
-    }
-  }
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) {
-      const float f = static_cast<float>(acc[i][j]) * row_scales[i];
-      c[i * ldc + j] = f * bs[j];
-    }
-  }
-#endif
 }
 
 }  // namespace

@@ -21,10 +21,7 @@
 // Determinism contract (docs/RUNTIME.md): integer accumulation is exact, so
 // blocking and thread count cannot change a single bit; the dequant and
 // activation apply one fixed per-element float expression. Results are
-// bit-identical for any MSD_THREADS value. The scalar fallback (sanitizer
-// legs build with MSD_NATIVE_ARCH=OFF) computes the identical integer sums
-// and the identical dequant expression, so a given build is deterministic
-// end to end.
+// bit-identical for any MSD_THREADS value.
 #ifndef MSDMIXER_TENSOR_QGEMM_H_
 #define MSDMIXER_TENSOR_QGEMM_H_
 

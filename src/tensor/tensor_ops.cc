@@ -909,8 +909,6 @@ CanonicalPermute Canonicalize(const Shape& shape,
   return c;
 }
 
-#if defined(__AVX2__)
-
 // dst[j * ldd + i] = src[i * lds + j] for i < rows, j < cols (both <= 8),
 // through one in-register 8x8 transpose; masked lanes are neither read nor
 // written. Loads, shuffles and stores move bits, NaN payloads included.
@@ -944,14 +942,11 @@ CanonicalPermute Canonicalize(const Shape& shape,
 // block's transpose would move padding, and plain loops are faster.
 constexpr int64_t kMinBlockSide = 6;
 
-#endif
-
 // dst[y * ldd + x] = src[x * lds + y] for an [rows, cols] matrix of single
-// floats: 8x8 blocks on AVX2 builds when both sides are long enough, else
-// plain loops with the long side innermost.
+// floats: 8x8 blocks when both sides are long enough, else plain loops with
+// the long side innermost.
 void TransposeMatrix(const float* src, int64_t lds, float* dst, int64_t ldd,
                      int64_t rows, int64_t cols) {
-#if defined(__AVX2__)
   if (std::min(rows, cols) >= kMinBlockSide) {
     for (int64_t x0 = 0; x0 < rows; x0 += 8) {
       for (int64_t y0 = 0; y0 < cols; y0 += 8) {
@@ -962,7 +957,6 @@ void TransposeMatrix(const float* src, int64_t lds, float* dst, int64_t ldd,
     }
     return;
   }
-#endif
   if (rows <= cols) {
     for (int64_t x = 0; x < rows; ++x) {
       for (int64_t y = 0; y < cols; ++y) dst[y * ldd + x] = src[x * lds + y];

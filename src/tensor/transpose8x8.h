@@ -1,11 +1,14 @@
 // AVX2 building blocks shared by the GEMM's A packing and PermuteInto's
 // transposes: an in-register 8x8 float transpose and a lane mask for
-// maskload / maskstore. Internal header: tensor kernels only. Builds without
-// AVX2 get nothing from it and keep their scalar or vector-extension loops.
+// maskload / maskstore. Internal header: tensor kernels only. Every kernel
+// file that uses AVX2 intrinsics includes it, so it also holds the library's
+// one ISA check: AVX2 and FMA are the floor, with no fallback kernels.
 #ifndef MSDMIXER_TENSOR_TRANSPOSE8X8_H_
 #define MSDMIXER_TENSOR_TRANSPOSE8X8_H_
 
-#if defined(__AVX2__)
+#if !defined(__AVX2__) || !defined(__FMA__)
+#error "msdmixer requires AVX2 and FMA: compile with -march=x86-64-v3 or -march=native on such a CPU"
+#endif
 
 #include <immintrin.h>
 
@@ -50,7 +53,5 @@ inline __m256i LaneMask(int64_t n) {
 
 }  // namespace kernel
 }  // namespace msd
-
-#endif  // __AVX2__
 
 #endif  // MSDMIXER_TENSOR_TRANSPOSE8X8_H_

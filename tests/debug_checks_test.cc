@@ -48,7 +48,7 @@ TEST(DebugHelpers, FirstNonFinite) {
 }
 
 TEST(DebugHelpers, RangesOverlap) {
-  char buffer[16];
+  char buffer[16] = {};
   EXPECT_TRUE(debug::RangesOverlap(buffer, 8, buffer + 4, 8));
   EXPECT_TRUE(debug::RangesOverlap(buffer, 16, buffer + 4, 2));
   EXPECT_FALSE(debug::RangesOverlap(buffer, 4, buffer + 4, 4));

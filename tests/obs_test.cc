@@ -241,8 +241,6 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(JsonParse("\"unterminated", &v));
 }
 
-#if MSD_PROFILING_ENABLED
-
 TEST(ProfilerTest, SpanNestingAndSelfTime) {
   Profiler& profiler = Profiler::Global();
   profiler.Reset();
@@ -349,8 +347,6 @@ TEST(ProfilerTest, TraceCapacityCapsEventsButNotAggregates) {
   profiler.SetTraceCapacity(65536);
   profiler.Reset();
 }
-
-#endif  // MSD_PROFILING_ENABLED
 
 }  // namespace
 }  // namespace obs

@@ -358,20 +358,14 @@ TEST(GemmPrepackedEdgeTest, MatchesNaiveReferenceAtBlockBoundaries) {
 }
 
 // C[i][j] as the GEMM's contract defines it, whichever kernel computes it:
-// one fused multiply-add per k, in ascending k, from +0 (a multiply and a
-// separate add where the build has no FMA, as the fallback kernel compiles
-// there).
+// one fused multiply-add per k, in ascending k, from +0.
 float FmaChain(const std::vector<float>& a, const std::vector<float>& b,
                int64_t k, int64_t n, int64_t i, int64_t j) {
   float acc = 0.0f;
   for (int64_t kk = 0; kk < k; ++kk) {
     const float x = a[static_cast<size_t>(i * k + kk)];
     const float y = b[static_cast<size_t>(kk * n + j)];
-#if defined(__FMA__)
     acc = std::fma(x, y, acc);
-#else
-    acc = acc + x * y;
-#endif
   }
   return acc;
 }

@@ -40,7 +40,14 @@
 #                 include quickstart's digest: every epoch loss at %.9g and
 #                 a hash of its forecast's bytes.
 #   asan-ubsan    AddressSanitizer + UndefinedBehaviorSanitizer (abort on
-#                 first finding); full ctest.
+#                 first finding); full ctest, then quickstart, whose lines
+#                 and digest must match the release leg's. The sanitizer
+#                 legs build MSD_NATIVE_ARCH=OFF (-march=x86-64-v3, the
+#                 library's AVX2+FMA floor), so they run the same GEMM,
+#                 transpose and weight-gradient kernels as release; only
+#                 the GELU runs its scalar libm form instead of 16 lanes,
+#                 and that is bit-identical. A matching digest therefore
+#                 also shows that the leg ran release's arithmetic.
 #   tsan          ThreadSanitizer over the full suite with MSD_THREADS=4, so
 #                 every parallel kernel (src/runtime dispatch), the
 #                 profiler's per-thread merge, the trainer path, and the
@@ -49,12 +56,18 @@
 #                 netio_test's multi-connection epoll loop and its
 #                 two-tenant in-band RELOAD, exporter_test's trace-ring
 #                 writer/reader races, msd_serve_selftest) run on a real
-#                 multi-threaded pool under the race detector.
+#                 multi-threaded pool under the race detector; then
+#                 quickstart at MSD_THREADS=4, whose lines and digest must
+#                 match the release leg's (x86-64-v3, as asan-ubsan).
 #   perfbench     python3 perfbench/test_perfbench.py: builds the benchmark
 #                 (BENCHMARK.json) from this checkout, which compiles
 #                 against the serve/ APIs, and runs its short-mode checks
 #                 on every workload. Skipped with a note when python3 is
 #                 absent.
+#
+# debug-checks, asan-ubsan and tsan compare with the release leg's lines in
+# build-check/release/, from this run or an earlier one; when there are
+# none, they pass with "digest not compared" in their detail.
 #
 # Usage: tools/check.sh [--tidy] [--jobs N] [--leg NAME]...
 #   --tidy     also run clang-tidy (src/common + src/tensor); skipped with a
@@ -150,10 +163,28 @@ configure_and_build() {  # builddir target... -- cmake-args...
 # both streams are captured; the digest line carries every epoch loss at
 # %.9g and an FNV-1a hash of the forecast's bytes, so one ulp anywhere in
 # the losses or the forecast changes it.
+# The unfiltered output goes to quickstart.log beside it, so a sanitizer
+# report that fails the run is not lost to the filter.
 quickstart_losses() {  # builddir outfile
-  "$1/examples/quickstart" 2>&1 |
+  "$1/examples/quickstart" 2>&1 | tee "$1/quickstart.log" |
     grep -E 'epoch +[0-9]+/|Test MSE|component S|residual:|^digest ' |
     sed -E 's/ [0-9.]+s$//' > "$2"
+}
+
+# Every leg computes release's bits: a passing leg's quickstart lines must
+# equal the release leg's, digest included.
+compare_with_release() {  # leg
+  local leg="$1"
+  local rel="${CHECK_DIR}/release/quickstart_losses.txt"
+  local got="${CHECK_DIR}/${leg}/quickstart_losses.txt"
+  [[ "${STATUS[${leg}]:-}" == "PASS" ]] || return 0
+  if [[ ! -f "${rel}" ]]; then
+    DETAIL[${leg}]="${DETAIL[${leg}]}; release leg not run, digest not compared"
+  elif diff -u "${rel}" "${got}"; then
+    DETAIL[${leg}]="${DETAIL[${leg}]}; quickstart digest bit-identical to release"
+  else
+    fail_leg "${leg}" "quickstart losses or digest differ from release leg"
+  fi
 }
 
 run_release_like_leg() {  # leg-name extra-cmake-flag...
@@ -246,22 +277,16 @@ for leg in "${LEGS[@]}"; do
       fi
       ;;
     debug-checks)
-      run_release_like_leg debug-checks -DMSD_DEBUG_CHECKS=ON
       # Zero-interference: checks may observe training, never change it.
-      rel="${CHECK_DIR}/release/quickstart_losses.txt"
-      dbg="${CHECK_DIR}/debug-checks/quickstart_losses.txt"
-      if [[ "${STATUS[debug-checks]}" == "PASS" && -f "${rel}" ]]; then
-        if diff -u "${rel}" "${dbg}"; then
-          DETAIL[debug-checks]="ctest clean; losses bit-identical to release"
-        else
-          fail_leg debug-checks "quickstart losses differ from release leg"
-        fi
-      fi
+      run_release_like_leg debug-checks -DMSD_DEBUG_CHECKS=ON
+      compare_with_release debug-checks
       ;;
     asan-ubsan)
-      # -march=native off: sanitizer runs should reproduce across machines.
+      # x86-64-v3 (MSD_NATIVE_ARCH=OFF): the release kernels on any
+      # AVX2+FMA machine, so the digest must match release's.
       run_release_like_leg asan-ubsan \
         -DMSD_SANITIZE=address,undefined -DMSD_NATIVE_ARCH=OFF
+      compare_with_release asan-ubsan
       ;;
     tsan)
       builddir="${CHECK_DIR}/tsan"
@@ -273,12 +298,20 @@ for leg in "${LEGS[@]}"; do
       note "leg tsan: full ctest at MSD_THREADS=4"
       # MSD_THREADS=4 forces the pool path (not the serial fallback) in every
       # parallel kernel while the race detector watches.
-      if (cd "${builddir}" &&
+      if ! (cd "${builddir}" &&
           MSD_THREADS=4 ctest --output-on-failure -j "${JOBS}"); then
-        STATUS[tsan]="PASS"; DETAIL[tsan]="full ctest clean at MSD_THREADS=4"
-      else
         fail_leg tsan "ctest failures under ThreadSanitizer (MSD_THREADS=4)"
+        continue
       fi
+      note "leg tsan: quickstart at MSD_THREADS=4"
+      if ! MSD_THREADS=4 quickstart_losses "${builddir}" \
+          "${builddir}/quickstart_losses.txt"; then
+        fail_leg tsan "quickstart failed under ThreadSanitizer (MSD_THREADS=4)"
+        continue
+      fi
+      STATUS[tsan]="PASS"
+      DETAIL[tsan]="full ctest and quickstart clean at MSD_THREADS=4"
+      compare_with_release tsan
       ;;
     perfbench)
       # The benchmark builds its own Release tree under .bench_build/ from
